@@ -48,7 +48,7 @@ def main():
             problem, grid, T, solver.SchemeConfig("implicit_euler", dt_initial=dt)
         )
         fld_cn = solver.solve_annulus(
-            problem, grid, T, solver.SchemeConfig("imex_cn", dt_initial=dt)
+            problem, grid, T, solver.SchemeConfig("crank_nicolson", dt_initial=dt)
         )
         sandwich = verify.check_sandwich(fld_ie).measured
         disagreement = float(np.max(np.abs(fld_ie.values - fld_cn.values)))

@@ -120,7 +120,6 @@ class VerifyConfig:
 class OutputConfig:
     directory: str = "runs/out"
     save_every: int = 10
-    formats: tuple = ("csv",)
 
 
 @dataclass(frozen=True)
@@ -183,10 +182,12 @@ class RunConfig:
             "pointwise_power": str(self.verify.pointwise_power),
             "uniqueness_tol": repr(self.verify.uniqueness_tol),
         }
+        for key in ("tol_sandwich", "tol_grad"):
+            if getattr(self.verify, key) is not None:
+                cp["verify"][key] = repr(getattr(self.verify, key))
         cp["output"] = {
             "directory": self.output.directory,
             "save_every": str(self.output.save_every),
-            "formats": ", ".join(self.output.formats),
         }
         buf = io.StringIO()
         cp.write(buf)
@@ -287,7 +288,6 @@ def load_config(path_or_text, name: str | None = None) -> RunConfig:
     out = OutputConfig(
         directory=_get(o, "directory", str, "runs/out", "output"),
         save_every=_get(o, "save_every", int, 10, "output"),
-        formats=_get(o, "formats", _strings, ("csv",), "output"),
     )
     run_name = name or (cp["run"]["name"] if cp.has_section("run") and
                         "name" in cp["run"] else "custom")

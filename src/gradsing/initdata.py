@@ -42,7 +42,6 @@ __all__ = [
     "choose_amplitude_C",
     "c_star_eps",
     "make_u0eps",
-    "cutoff_apply",
     "make_epsilon_problem",
 ]
 
@@ -383,7 +382,6 @@ class CutoffCubic:
 
     c_star: float
     support_radius: float
-    taper: str = "quintic_smoothstep"
 
     def __post_init__(self):
         if not self.c_star > 1.0:
@@ -402,12 +400,6 @@ class CutoffCubic:
         sigma = (np.abs(s) - self.c_star) / w
         return 3.0 * s ** 2 * (1.0 - _smoothstep(sigma)) \
             - np.abs(s) ** 3 * _smoothstep_prime(sigma) / w
-
-
-def cutoff_apply(cutoff: CutoffCubic, s):
-    """Value of the cutoff nonlinearity at s (scalar or array)."""
-    out = cutoff.apply(s)
-    return float(out) if np.ndim(s) == 0 else out
 
 
 # -- annulus initial data -----------------------------------------------------

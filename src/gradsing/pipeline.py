@@ -11,7 +11,6 @@ manifest records the configuration hash and per-file checksums.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -99,10 +98,9 @@ def analytic_checks(params: ModelParams) -> list[CheckResult]:
         res_l = analytic.residual_linearized(params, r, t)
         v = analytic.v_mode(params, r, t)
         worst_l = float(np.max(np.abs(res_l) / np.maximum(1.0, np.abs(v))))
-        defect = float(np.max(analytic.subsolution_defect(params, r, t)))
     else:
         worst_l = 0.0
-        defect = float(np.max(analytic.subsolution_defect(params, r, t)))
+    defect = float(np.max(analytic.subsolution_defect(params, r, t)))
     out.append(CheckResult(
         name="linearized_residual",
         claim="separated mode solves the linearized flow",
@@ -158,6 +156,15 @@ def run_pipeline(config: RunConfig, only: str | None = None,
         compact_t_start=cont_cfg.compact_t_start,
     )
     result.continuation = cont
+    abort = cont.aborted
+    if abort is not None:
+        report.add(CheckResult(
+            name="continuation_complete",
+            claim="every configured inner radius solved to the horizon",
+            measured=float(len(cont.fields)),
+            tolerance=float(len(cont_cfg.eps_sequence)), passed=False,
+            extra={"eps": abort.eps, "step": abort.step_index, "t": abort.time},
+        ))
     reference = _find_field(cont.fields, cont_cfg.reference_eps)
     result.reference_field = reference
     finest = cont.finest
@@ -178,8 +185,9 @@ def run_pipeline(config: RunConfig, only: str | None = None,
         wide_problem = initdata.make_epsilon_problem(
             params, datum, reference.eps, grid.nodes, support_factor=4.0,
         )
-        wide = solver.solve_annulus(wide_problem, grid, T, config.scheme)
-        report.add(verify.check_cutoff_inactive(reference, wide))
+        # rerun fields go straight into their checks and are freed after them
+        report.add(verify.check_cutoff_inactive(
+            reference, solver.solve_annulus(wide_problem, grid, T, config.scheme)))
     if "bernstein" in enabled:
         for p in ver.bernstein_powers:
             report.add(verify.check_weighted_bernstein(
@@ -215,7 +223,8 @@ def run_pipeline(config: RunConfig, only: str | None = None,
                 extra={"reason": "needs dimension >= 3"},
             ))
     if "uniqueness" in enabled:
-        other_name = ("imex_cn" if config.scheme.time_stepper == "implicit_euler"
+        other_name = ("crank_nicolson"
+                      if config.scheme.time_stepper == "implicit_euler"
                       else "implicit_euler")
         other_scheme = solver.SchemeConfig(
             other_name, dt_initial=config.scheme.dt_initial,
@@ -223,12 +232,10 @@ def run_pipeline(config: RunConfig, only: str | None = None,
             newton_tol=config.scheme.newton_tol,
             newton_max_iter=config.scheme.newton_max_iter,
         )
-        grid = finest.grid
-        problem = finest.problem
-        other_field = solver.solve_annulus(problem, grid, T, other_scheme)
         report.add(verify.check_uniqueness_surrogate(
-            finest, other_field, tol=ver.uniqueness_tol,
-            r_fraction=cont_cfg.compact_r_fraction,
+            finest,
+            solver.solve_annulus(finest.problem, finest.grid, T, other_scheme),
+            tol=ver.uniqueness_tol, r_fraction=cont_cfg.compact_r_fraction,
             t_start=cont_cfg.compact_t_start,
         ))
     if "continuation_cauchy" in enabled:
@@ -250,18 +257,24 @@ def run_pipeline(config: RunConfig, only: str | None = None,
 
 # -- artifacts ----------------------------------------------------------------
 
-def _write_field_csv(path: Path, fld: solver.SpacetimeField, save_every: int):
-    grad = fld.gradient_matrix()
+def _write_csv(path: Path, header, columns) -> None:
+    """Equal-length columns as rows of %.17g values under one header line,
+    comma-separated with CRLF line ends (the csv module's default dialect)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "r", "u", "u_r"])
-        for k in range(0, fld.times.size, max(1, save_every)):
-            t = fld.times[k]
-            for j, r in enumerate(fld.grid.nodes):
-                writer.writerow([
-                    _FLOAT_FMT % t, _FLOAT_FMT % r,
-                    _FLOAT_FMT % fld.values[k, j], _FLOAT_FMT % grad[k, j],
-                ])
+        np.savetxt(fh, np.column_stack(columns), fmt=_FLOAT_FMT, delimiter=",",
+                   newline="\r\n", header=",".join(header), comments="")
+
+
+def _write_field_csv(path: Path, fld: solver.SpacetimeField, save_every: int):
+    """Every save_every-th stored time: one (t, r, u, u_r) row per node."""
+    rows = slice(0, None, max(1, save_every))
+    times = fld.times[rows]
+    _write_csv(path, ("t", "r", "u", "u_r"), (
+        np.repeat(times, fld.grid.nodes.size),
+        np.tile(fld.grid.nodes, times.size),
+        fld.values[rows].ravel(),
+        fld.gradient_matrix()[rows].ravel(),
+    ))
 
 
 def _sha256(path: Path) -> str:
@@ -309,13 +322,10 @@ def _persist(result: PipelineResult, fields: bool) -> None:
 # -- plot data ----------------------------------------------------------------
 
 def _read_field_csv(path: Path):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    times = np.unique(data["t"])
-    radii = np.unique(data["r"])
-    nt, nr = times.size, radii.size
-    u = data["u"].reshape(nt, nr)
-    ur = data["u_r"].reshape(nt, nr)
-    return times, radii, u, ur
+    t, r, u, ur = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    times, radii = np.unique(t), np.unique(r)
+    shape = (times.size, radii.size)
+    return times, radii, u.reshape(shape), ur.reshape(shape)
 
 
 def _params_from_manifest(run_dir: Path) -> ModelParams:
@@ -347,24 +357,16 @@ def emit_plotdata(run_dir, times=(), radius_fractions=(0.1,),
     pos = radii > 0
     us = np.zeros_like(radii)
     us[pos] = analytic.u_star(params, radii[pos])
-    for i, t_req in enumerate(times if times else [None]):
+    for i, t_req in enumerate(times or (None,)):
+        columns = [()] * 5  # no time requested: header only
+        if t_req is not None:
+            k = int(np.argmin(np.abs(stored_t - t_req)))
+            v = np.zeros_like(radii)
+            v[pos] = analytic.v_mode(params, radii[pos], stored_t[k])
+            columns = (radii, u[k], ur[k], us, us - v)
         path = run_dir / f"profile_{i}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "u", "u_r", "u_star", "u_star_minus_v"])
-            if t_req is not None:
-                k = int(np.argmin(np.abs(stored_t - t_req)))
-                v = np.zeros_like(radii)
-                v[pos] = analytic.v_mode(params, radii[pos], stored_t[k])
-                for j in range(radii.size):
-                    writer.writerow([
-                        _FLOAT_FMT % radii[j], _FLOAT_FMT % u[k, j],
-                        _FLOAT_FMT % ur[k, j], _FLOAT_FMT % us[j],
-                        _FLOAT_FMT % (us[j] - v[j]),
-                    ])
+        _write_csv(path, ("r", "u", "u_r", "u_star", "u_star_minus_v"), columns)
         written.append(str(path))
-        if not times:
-            break
 
     sup_v0 = float(np.max(analytic.v_mode(params, radii[pos], 0.0))) \
         if params.C > 0 else 0.0
@@ -372,14 +374,8 @@ def emit_plotdata(run_dir, times=(), radius_fractions=(0.1,),
         r_req = frac * params.R
         j = int(np.argmin(np.abs(radii - r_req)))
         path = run_dir / f"series_r{frac:g}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "u", "u_minus_u_star", "mode_envelope"])
-            for k in range(stored_t.size):
-                env = np.exp(-params.decay_rate * stored_t[k]) * sup_v0
-                writer.writerow([
-                    _FLOAT_FMT % stored_t[k], _FLOAT_FMT % u[k, j],
-                    _FLOAT_FMT % (u[k, j] - us[j]), _FLOAT_FMT % env,
-                ])
+        env = np.exp(-params.decay_rate * stored_t) * sup_v0
+        _write_csv(path, ("t", "u", "u_minus_u_star", "mode_envelope"),
+                   (stored_t, u[:, j], u[:, j] - us[j], env))
         written.append(str(path))
     return written

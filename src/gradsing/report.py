@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 
@@ -38,7 +36,7 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    """Ordered collection of check results plus a context fingerprint."""
+    """Ordered collection of check results plus the context they came from."""
 
     checks: list[CheckResult] = field(default_factory=list)
     context: dict = field(default_factory=dict)
@@ -61,10 +59,6 @@ class VerificationReport:
 
     def summary(self) -> str:
         return "\n".join(c.line() for c in self.checks)
-
-    def fingerprint(self) -> str:
-        blob = json.dumps(self.context, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

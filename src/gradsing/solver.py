@@ -11,11 +11,11 @@ second-order stencils at the boundary nodes.
 
 Time: a theta-scheme solved by damped Newton with a tridiagonal banded
 Jacobian.  theta = 1 is implicit Euler (the robust default), theta = 1/2
-the trapezoidal rule (config name ``imex_cn``; the gradient nonlinearity
-is solved implicitly here too, because treating it explicitly is
-advectively unstable on the graded mesh, whose smallest cell scales like
-(R - eps)/M^2).  Newton failure halves the step and retries to a depth
-cap before aborting.
+the trapezoidal rule (config name ``crank_nicolson``; the gradient
+nonlinearity is solved implicitly here too, because treating it
+explicitly is advectively unstable on the graded mesh, whose smallest
+cell scales like (R - eps)/M^2).  Newton failure halves the step and
+retries to a depth cap before aborting.
 
 The continuation solves a decreasing sequence of inner radii, reports
 sup-norm differences of consecutive fields on a common compact window,
@@ -25,6 +25,7 @@ and appends the origin value 0 to the finest field as the limit estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -50,8 +51,7 @@ __all__ = [
 
 _STEPPER_THETA = {
     "implicit_euler": 1.0,
-    "imex_cn": 0.5,          # config token; trapezoidal stage, see module docstring
-    "crank_nicolson": 0.5,   # honest alias
+    "crank_nicolson": 0.5,   # trapezoidal stage, see module docstring
 }
 
 
@@ -103,29 +103,42 @@ class RadialGrid:
             return self.nodes.size
         return int(np.count_nonzero(self.nodes < 10.0 * r0))
 
-    def _central_weights(self):
+    @cached_property
+    def spacings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cell widths (h_-, h_+) left and right of each interior node."""
         r = self.nodes
-        hm = r[1:-1] - r[:-2]
-        hp = r[2:] - r[1:-1]
-        return hm, hp
+        return r[1:-1] - r[:-2], r[2:] - r[1:-1]
+
+    @cached_property
+    def derivative_weights(self) -> tuple:
+        """Three-point first-derivative weights, computed once per grid.
+
+        Returns ``((sub, diag, sup), ends)``: the central nonuniform weights
+        of u[i-1], u[i], u[i+1] at the interior nodes, and for each boundary
+        node the one-sided second-order weights as ``((i0, i1, i2),
+        (w0, w1, w2))`` with i0 the boundary node itself.
+        """
+        hm, hp = self.spacings
+        central = (-hp / (hm * (hm + hp)), (hp - hm) / (hm * hp),
+                   hm / (hp * (hm + hp)))
+        ends = []
+        for idx in ((0, 1, 2), (-1, -2, -3)):
+            x0, x1, x2 = (self.nodes[i] for i in idx)
+            ends.append((idx, (
+                (2 * x0 - x1 - x2) / ((x0 - x1) * (x0 - x2)),
+                (x0 - x2) / ((x1 - x0) * (x1 - x2)),
+                (x0 - x1) / ((x2 - x0) * (x2 - x1)),
+            )))
+        return central, tuple(ends)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        """First derivative: central nonuniform inside, one-sided second
-        order at the two boundary nodes."""
-        r = self.nodes
+        """First derivative along the last axis: central nonuniform inside,
+        one-sided second order at the two boundary nodes."""
         u = np.asarray(u, dtype=float)
-        out = np.empty_like(u, dtype=float)
-        hm, hp = self._central_weights()
-        out[..., 1:-1] = (
-            -hp / (hm * (hm + hp)) * u[..., :-2]
-            + (hp - hm) / (hm * hp) * u[..., 1:-1]
-            + hm / (hp * (hm + hp)) * u[..., 2:]
-        )
-        for pos, (i0, i1, i2) in (("L", (0, 1, 2)), ("R", (-1, -2, -3))):
-            x0, x1, x2 = r[i0], r[i1], r[i2]
-            w0 = (2 * x0 - x1 - x2) / ((x0 - x1) * (x0 - x2))
-            w1 = (x0 - x2) / ((x1 - x0) * (x1 - x2))
-            w2 = (x0 - x1) / ((x2 - x0) * (x2 - x1))
+        out = np.empty_like(u)
+        (d_m, d_0, d_p), ends = self.derivative_weights
+        out[..., 1:-1] = d_m * u[..., :-2] + d_0 * u[..., 1:-1] + d_p * u[..., 2:]
+        for (i0, i1, i2), (w0, w1, w2) in ends:
             out[..., i0] = w0 * u[..., i0] + w1 * u[..., i1] + w2 * u[..., i2]
         return out
 
@@ -139,9 +152,6 @@ class LaplacianOperator:
     sub: np.ndarray    # coefficient of u[i-1] in row i (interior rows)
     diag: np.ndarray   # coefficient of u[i]
     sup: np.ndarray    # coefficient of u[i+1]
-    dsub: np.ndarray   # same decomposition for the first-derivative stencil
-    ddiag: np.ndarray
-    dsup: np.ndarray
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Lap(u) at interior nodes, 0 at the Dirichlet rows."""
@@ -161,19 +171,15 @@ def discretize_operator(grid: RadialGrid, n: int) -> LaplacianOperator:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    r = grid.nodes
-    hm, hp = grid._central_weights()
+    hm, hp = grid.spacings
     c_m = 2.0 / (hm * (hm + hp))
     c_0 = -2.0 / (hm * hp)
     c_p = 2.0 / (hp * (hm + hp))
-    d_m = -hp / (hm * (hm + hp))
-    d_0 = (hp - hm) / (hm * hp)
-    d_p = hm / (hp * (hm + hp))
-    coef = (n - 1) / r[1:-1]
+    (d_m, d_0, d_p), _ = grid.derivative_weights
+    coef = (n - 1) / grid.nodes[1:-1]
     return LaplacianOperator(
         grid=grid, n=n,
         sub=c_m + coef * d_m, diag=c_0 + coef * d_0, sup=c_p + coef * d_p,
-        dsub=d_m, ddiag=d_0, dsup=d_p,
     )
 
 
@@ -250,9 +256,10 @@ class _Stepper:
         f = self.problem.cutoff.apply(du[1:-1])
         fp = self.problem.cutoff.derivative(du[1:-1])
         ui = u[1:-1]
-        row_sub = self.op.sub + ui * fp * self.op.dsub
-        row_diag = self.op.diag + f + ui * fp * self.op.ddiag
-        row_sup = self.op.sup + ui * fp * self.op.dsup
+        (d_m, d_0, d_p), _ = self.grid.derivative_weights
+        row_sub = self.op.sub + ui * fp * d_m
+        row_diag = self.op.diag + f + ui * fp * d_0
+        row_sup = self.op.sup + ui * fp * d_p
         ab = np.zeros((3, npts))
         ab[1, 0] = ab[1, -1] = 1.0  # Dirichlet identity rows
         ab[1, 1:-1] = 1.0 - dt * th * row_diag
@@ -384,7 +391,6 @@ def solve_annulus(problem: EpsilonProblem, grid: RadialGrid, T: float,
     values[0] = problem.u0eps.values
     stepper = _Stepper(problem, grid, scheme)
     u = values[0].copy()
-    max_grad = float(np.max(np.abs(grid.gradient(u))))
     for k in range(n_steps):
         try:
             u = stepper.advance(u, times[k], times[k + 1])
@@ -393,9 +399,7 @@ def solve_annulus(problem: EpsilonProblem, grid: RadialGrid, T: float,
                 str(abort), eps=problem.epsilon, step_index=k, time=times[k + 1]
             ) from None
         values[k + 1] = u
-        g = float(np.max(np.abs(grid.gradient(u))))
-        if g > max_grad:
-            max_grad = g
+    max_grad = float(np.max(np.abs(grid.gradient(values))))
     field_out = SpacetimeField(
         grid=grid, times=times, values=values, problem=problem,
         scheme_name=scheme.time_stepper,

@@ -551,9 +551,6 @@ def check_inner_mass(field: SpacetimeField,
 
 # -- scheme comparison and continuation ---------------------------------------
 
-compact_window_difference = compact_difference
-
-
 def check_uniqueness_surrogate(field_a: SpacetimeField, field_b: SpacetimeField,
                                tol: float = 1e-3,
                                r_fraction: float = 0.1,
@@ -561,7 +558,7 @@ def check_uniqueness_surrogate(field_a: SpacetimeField, field_b: SpacetimeField,
     """Fields from two distinct schemes agree on the compact window."""
     R = field_a.problem.params.R
     T = float(field_a.times[-1])
-    diff = compact_window_difference(
+    diff = compact_difference(
         field_a, field_b, (r_fraction * R, R), (min(t_start, 0.5 * T), T)
     )
     return CheckResult(

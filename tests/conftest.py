@@ -44,7 +44,7 @@ def n2_field(n2_bundle, small_policy, small_scheme):
 @pytest.fixture(scope="session")
 def n2_field_cn(n2_bundle, small_policy):
     params, datum = n2_bundle
-    cn = solver.SchemeConfig("imex_cn", dt_initial=2e-3)
+    cn = solver.SchemeConfig("crank_nicolson", dt_initial=2e-3)
     return _solve(params, datum, 0.04, small_policy, cn)
 
 

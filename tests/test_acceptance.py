@@ -298,7 +298,7 @@ def test_criterion_10_uniqueness_surrogate(n2, n2_continuation):
     cfg, params, _ = n2
     finest = n2_continuation.finest
     T = cfg.continuation.horizon_efolds / params.decay_rate
-    cn = SchemeConfig("imex_cn", dt_initial=cfg.scheme.dt_initial)
+    cn = SchemeConfig("crank_nicolson", dt_initial=cfg.scheme.dt_initial)
     other = solver.solve_annulus(finest.problem, finest.grid, T, cn)
     res = verify.check_uniqueness_surrogate(finest, other, tol=1e-3)
     verdict(

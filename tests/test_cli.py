@@ -1,5 +1,8 @@
 """Configuration parsing, pipeline artifacts, plot data, CLI surface."""
 
+import csv
+import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -8,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradsing import cli, pipeline
+from gradsing import analytic, cli, pipeline, solver
 from gradsing.config import ConfigError, PRESETS, load_config, preset
 
 QUICK_CONFIG = """
@@ -60,6 +63,29 @@ class TestConfig:
         assert again.model.n == cfg.model.n
         assert again.continuation.eps_sequence == cfg.continuation.eps_sequence
         assert again.content_hash() == cfg.content_hash()
+
+    def test_tolerance_overrides_survive_round_trip_and_hash(self):
+        base = preset("n2-standard")
+        cfg = dataclasses.replace(base, verify=dataclasses.replace(
+            base.verify, tol_sandwich=1e-9, tol_grad=2e-7))
+        again = load_config(cfg.canonical_text())
+        assert again.verify.tol_sandwich == 1e-9
+        assert again.verify.tol_grad == 2e-7
+        assert again.content_hash() == cfg.content_hash()
+        assert cfg.content_hash() != base.content_hash()
+
+    def test_retired_imex_cn_token_is_config_error(self, tmp_path, capsys):
+        text = QUICK_CONFIG.replace("implicit_euler", "imex_cn")
+        with pytest.raises(ConfigError, match="crank_nicolson"):
+            load_config(text)
+        cfg_path = tmp_path / "cn.ini"
+        cfg_path.write_text(text)
+        assert cli.main(["initdata", "validate", "--config", str(cfg_path)]) == 2
+        assert "imex_cn" in capsys.readouterr().err
+
+    def test_output_formats_key_ignored(self):
+        cfg = load_config(QUICK_CONFIG + "formats = csv, npz\n")
+        assert cfg.canonical_text() == load_config(QUICK_CONFIG).canonical_text()
 
     def test_literal_text_parses(self):
         cfg = load_config(QUICK_CONFIG)
@@ -189,6 +215,98 @@ class TestPlotData:
     def test_missing_inputs_reported(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             pipeline.emit_plotdata(tmp_path)
+
+
+def _csv_reference(header, rows) -> bytes:
+    """The csv module's rendering of %.17g rows, for comparison."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["%.17g" % x for x in row])
+    return buf.getvalue().encode()
+
+
+class TestCsvWriter:
+    @pytest.fixture()
+    def synthetic_run(self, tmp_path):
+        params = analytic.make_params(2, R=0.6, C=0.25)
+        grid = solver.RadialGrid(np.array([0.0, 0.1, 0.25, 1.0 / 3.0, 0.6]))
+        values = np.array([
+            [0.0, -1.0 / 3.0, 2.5e-300, -1e22, 0.1],
+            [0.0, np.pi, -0.0, 7.0, 1.0 / 7.0],
+            [0.0, 1e-17, 2.0 / 3.0, -5.5, np.e],
+        ])
+        fld = solver.SpacetimeField(
+            grid=grid, times=np.array([0.0, 0.1, 0.3]), values=values,
+            problem=None, scheme_name="implicit_euler")
+        (tmp_path / "manifest.json").write_text(json.dumps({"params": {
+            "n": params.n, "R": params.R, "lambda": params.lam, "C": params.C,
+            "alpha": params.alpha, "nu": params.nu, "x0": params.x0,
+            "x1": params.x1}}))
+        return tmp_path, fld
+
+    def test_field_bytes_match_csv_module(self, synthetic_run):
+        run_dir, fld = synthetic_run
+        path = run_dir / "field_limit.csv"
+        pipeline._write_field_csv(path, fld, save_every=2)
+        grad = fld.grid.gradient(fld.values)
+        rows = [(fld.times[k], r, fld.values[k, j], grad[k, j])
+                for k in (0, 2) for j, r in enumerate(fld.grid.nodes)]
+        blob = path.read_bytes()
+        assert blob == _csv_reference(("t", "r", "u", "u_r"), rows)
+        assert blob.count(b"\r\n") == 11
+        assert b"0.33333333333333331" in blob
+
+    def test_header_only_profile_and_series_bytes(self, synthetic_run):
+        run_dir, fld = synthetic_run
+        pipeline._write_field_csv(run_dir / "field_limit.csv", fld, save_every=1)
+        profile, series = pipeline.emit_plotdata(run_dir, times=(),
+                                                 radius_fractions=(0.4,))
+        assert Path(profile).read_bytes() == \
+            b"r,u,u_r,u_star,u_star_minus_v\r\n"
+        params = pipeline._params_from_manifest(run_dir)
+        us = analytic.u_star(params, 0.25)
+        v0 = float(np.max(analytic.v_mode(params, fld.grid.nodes[1:], 0.0)))
+        rows = [(t, fld.values[k, 2], fld.values[k, 2] - us,
+                 np.exp(-params.decay_rate * t) * v0)
+                for k, t in enumerate(fld.times)]
+        assert Path(series).read_bytes() == _csv_reference(
+            ("t", "u", "u_minus_u_star", "mode_envelope"), rows)
+
+
+class TestSolverAbort:
+    def test_later_eps_abort_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        """An abort after the reference radius keeps the partial fields but
+        must show as a FAIL row, in the manifest and in the exit code."""
+        original = solver.solve_annulus
+
+        def aborting(problem, grid, T, scheme):
+            if problem.epsilon == 0.03:
+                raise solver.SolverAbort("injected abort", eps=0.03,
+                                         step_index=4, time=0.01)
+            return original(problem, grid, T, scheme)
+
+        monkeypatch.setattr(solver, "solve_annulus", aborting)
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "abort.ini"
+        cfg_path.write_text(
+            QUICK_CONFIG.replace("0.05, 0.04", "0.05, 0.04, 0.03")
+            .replace("monotone, gradient_box", "monotone"))
+        assert cli.main(["verify", "run", "--config", str(cfg_path)]) == 1
+        with open(tmp_path / "quickrun" / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        names = [row["name"] for row in rows]
+        assert names == ["stationary_residual", "linearized_residual",
+                         "subsolution_sign", "continuation_complete",
+                         "sandwich", "monotone_gradient"]
+        row = rows[3]
+        assert (row["measured"], row["tolerance"], row["pass"]) == \
+            ("2", "3", "false")
+        assert row["status"] == "ok"
+        manifest = json.loads((tmp_path / "quickrun" / "manifest.json").read_text())
+        assert manifest["all_checks_passed"] is False
+        assert "continuation_complete" in capsys.readouterr().out
 
 
 class TestCLI:

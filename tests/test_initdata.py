@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradsing import analytic, initdata
+from gradsing import analytic
 from gradsing.analytic import RadialProfile, make_params
 from gradsing.initdata import (
     CutoffCubic,
@@ -230,24 +230,24 @@ class TestCutoff:
         co = CutoffCubic(c_star=2.0, support_radius=4.0)
         s = np.linspace(-2.0, 2.0, 401)
         assert np.array_equal(co.apply(s), s ** 3)
-        assert initdata.cutoff_apply(co, 1.0) == 1.0
+        assert co.apply(1.0) == 1.0
 
     def test_compact_support(self):
         co = CutoffCubic(c_star=2.0, support_radius=4.0)
-        assert initdata.cutoff_apply(co, -12.0) == 0.0
-        assert initdata.cutoff_apply(co, 7.3) == 0.0
+        assert co.apply(-12.0) == 0.0
+        assert co.apply(7.3) == 0.0
 
     def test_taper_preserves_sign_and_bounds(self):
         co = CutoffCubic(c_star=2.0, support_radius=4.0)
         s = -3.0  # inside the negative taper
-        val = initdata.cutoff_apply(co, s)
+        val = co.apply(s)
         assert s ** 3 <= val <= 0.0
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(s=st.floats(-100.0, 100.0), c=st.floats(1.1, 30.0))
     def test_odd_sign_property(self, s, c):
         co = CutoffCubic(c_star=c, support_radius=2 * c)
-        val = initdata.cutoff_apply(co, s)
+        val = co.apply(s)
         assert val * s >= 0.0 or (s == 0.0 and val == 0.0)
         assert abs(val) <= abs(s) ** 3 + 1e-9
 

@@ -64,6 +64,11 @@ class TestRadialGrid:
             errs.append(np.max(np.abs(g.gradient(g.nodes ** 3) - 3 * g.nodes ** 2)))
         assert np.log2(errs[0] / errs[1]) > 1.8
 
+    def test_field_gradient_equals_per_row_stencil(self, n2_field):
+        rows = np.array([n2_field.grid.gradient(u) for u in n2_field.values])
+        assert np.array_equal(n2_field.gradient_matrix(), rows)
+        assert n2_field.max_abs_gradient == np.max(np.abs(rows))
+
 
 class TestDiscreteOperator:
     def test_annihilates_constants(self):
@@ -105,9 +110,13 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             SchemeConfig(time_stepper="leapfrog")
 
+    def test_rejects_retired_imex_cn_token(self):
+        with pytest.raises(ValueError, match="crank_nicolson"):
+            SchemeConfig(time_stepper="imex_cn")
+
     def test_orders(self):
         assert SchemeConfig("implicit_euler").order == 1
-        assert SchemeConfig("imex_cn").order == 2
+        assert SchemeConfig("crank_nicolson").order == 2
         assert SchemeConfig("crank_nicolson").theta == 0.5
 
 

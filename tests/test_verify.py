@@ -202,7 +202,7 @@ class TestUniquenessSurrogate:
     def test_distinct_schemes_agree(self, n2_field, n2_field_cn):
         res = verify.check_uniqueness_surrogate(n2_field, n2_field_cn)
         assert res.passed
-        assert res.extra["schemes"] == ("implicit_euler", "imex_cn")
+        assert res.extra["schemes"] == ("implicit_euler", "crank_nicolson")
 
     def test_different_data_disagree(self, n2_field, c0_field):
         res = verify.check_uniqueness_surrogate(n2_field, c0_field)
