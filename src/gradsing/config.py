@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .solver import SchemeConfig
 
@@ -55,13 +55,13 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ModelConfig:
     n: int = 2
-    R: float | None = None
-    lam: float | None = None
     lambda_fraction: float = 0.9
     R_fraction: float = 0.9
     amplitude_policy: str = "fit"   # "fit" from the datum, or "fixed"
     amplitude: float = 0.0          # value when fixed; floor when fitting
     amplitude_floor: float = 0.05
+    R: float | None = None
+    lam: float | None = None
 
     def validate(self):
         if self.R is None and self.lam is None:
@@ -108,12 +108,10 @@ class VerifyConfig:
     tol_grad: float | None = None       # None: 1e-6 + 10 h^2
 
     def checks(self) -> tuple:
-        if "all" in self.enabled:
-            return ALL_CHECKS
-        unknown = set(self.enabled) - set(ALL_CHECKS)
+        unknown = set(self.enabled) - set(ALL_CHECKS) - {"all"}
         if unknown:
             raise ConfigError(f"verify.enabled: unknown checks {sorted(unknown)}")
-        return tuple(self.enabled)
+        return ALL_CHECKS if "all" in self.enabled else tuple(self.enabled)
 
 
 @dataclass(frozen=True)
@@ -139,56 +137,12 @@ class RunConfig:
         return self
 
     def canonical_text(self) -> str:
-        """Deterministic INI rendering used for hashing and the manifest."""
+        """Deterministic INI rendering used for hashing and the manifest:
+        every field that is not None, in declaration order."""
         cp = configparser.ConfigParser()
-        cp["run"] = {"name": self.name}
-        cp["model"] = {
-            "n": str(self.model.n),
-            "lambda_fraction": repr(self.model.lambda_fraction),
-            "R_fraction": repr(self.model.R_fraction),
-            "amplitude_policy": self.model.amplitude_policy,
-            "amplitude": repr(self.model.amplitude),
-            "amplitude_floor": repr(self.model.amplitude_floor),
-        }
-        if self.model.R is not None:
-            cp["model"]["R"] = repr(self.model.R)
-        if self.model.lam is not None:
-            cp["model"]["lambda"] = repr(self.model.lam)
-        cp["initdata"] = {
-            "family": self.initdata.family,
-            "deficit_amplitude": repr(self.initdata.deficit_amplitude),
-            "blend_exponent": repr(self.initdata.blend_exponent),
-        }
-        cp["scheme"] = {
-            "time_stepper": self.scheme.time_stepper,
-            "dt": repr(self.scheme.dt_initial),
-            "dt_control": str(self.scheme.dt_control),
-            "newton_tol": repr(self.scheme.newton_tol),
-            "newton_max_iter": str(self.scheme.newton_max_iter),
-        }
-        cp["continuation"] = {
-            "eps_sequence": ", ".join(repr(e) for e in self.continuation.eps_sequence),
-            "reference_eps": repr(self.continuation.reference_eps),
-            "num_nodes": str(self.continuation.num_nodes),
-            "grading_exponent": repr(self.continuation.grading_exponent),
-            "horizon_efolds": repr(self.continuation.horizon_efolds),
-            "compact_r_fraction": repr(self.continuation.compact_r_fraction),
-            "compact_t_start": repr(self.continuation.compact_t_start),
-        }
-        cp["verify"] = {
-            "enabled": ", ".join(self.verify.enabled),
-            "bernstein_powers": ", ".join(str(p) for p in self.verify.bernstein_powers),
-            "bernstein_delta_fraction": repr(self.verify.bernstein_delta_fraction),
-            "pointwise_power": str(self.verify.pointwise_power),
-            "uniqueness_tol": repr(self.verify.uniqueness_tol),
-        }
-        for key in ("tol_sandwich", "tol_grad"):
-            if getattr(self.verify, key) is not None:
-                cp["verify"][key] = repr(getattr(self.verify, key))
-        cp["output"] = {
-            "directory": self.output.directory,
-            "save_every": str(self.output.save_every),
-        }
+        cp["run"] = _items(self)
+        for section, _ in _sections():
+            cp[section] = _items(getattr(self, section))
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -197,36 +151,73 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
-def _get(section, key, cast, default, where):
-    raw = section.get(key)
-    if raw is None:
-        return default
+# INI keys that differ from their field names
+_INI_KEY = {"lam": "lambda", "dt_initial": "dt"}
+
+
+def _keys(cls) -> list:
+    """(field, INI key) for each field of ``cls`` with a plain default."""
+    return [(f, _INI_KEY.get(f.name, f.name)) for f in fields(cls)
+            if f.default is not MISSING]
+
+
+def _sections() -> list:
+    """(INI section, dataclass) for each section field of RunConfig."""
+    return [(f.name, f.default_factory) for f in fields(RunConfig)
+            if f.default is MISSING]
+
+
+def _cast(default, raw: str):
+    """Parse ``raw`` as the type of a field default: None means an optional
+    float, a tuple a comma- or space-separated list of its first item's type."""
+    if default is None:
+        return float(raw)
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(x) for x in raw.replace(",", " ").split())
+    return type(default)(raw)
+
+
+def _text(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ", ".join(_text(v) for v in value)
+    return repr(value)
+
+
+def _items(obj) -> dict:
+    """INI key -> text for each field of ``obj`` that is not None."""
+    return {key: _text(getattr(obj, f.name)) for f, key in _keys(type(obj))
+            if getattr(obj, f.name) is not None}
+
+
+def _parse(cp, section: str, cls, **given):
+    """Build ``cls`` from one INI section; absent keys keep their defaults."""
+    raw = cp[section] if cp.has_section(section) else {}
+    for f, key in _keys(cls):
+        value = raw.get(key)
+        if value is None:
+            continue
+        try:
+            given[f.name] = _cast(f.default, value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from None
     try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key}: {exc}") from None
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
-def _floats(raw: str) -> tuple:
-    return tuple(float(x) for x in raw.replace(",", " ").split())
+def load_config(path_or_text) -> RunConfig:
+    """Parse a run configuration from an INI file path or literal text.
 
-
-def _strings(raw: str) -> tuple:
-    return tuple(x for x in raw.replace(",", " ").split())
-
-
-def _ints(raw: str) -> tuple:
-    return tuple(int(x) for x in raw.replace(",", " ").split())
-
-
-def load_config(path_or_text, name: str | None = None) -> RunConfig:
-    """Parse a run configuration from an INI file path or literal text."""
+    Every field of a section is a key of that section (``model.lambda`` and
+    ``scheme.dt`` are the two renamed ones); unknown keys are ignored.
+    """
     cp = configparser.ConfigParser()
-    text = None
     try:
         if "\n" in str(path_or_text) or "=" in str(path_or_text):
-            text = str(path_or_text)
-            cp.read_string(text)
+            cp.read_string(str(path_or_text))
         else:
             read = cp.read(str(path_or_text))
             if not read:
@@ -234,67 +225,8 @@ def load_config(path_or_text, name: str | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
-    m = cp["model"] if cp.has_section("model") else {}
-    model = ModelConfig(
-        n=_get(m, "n", int, 2, "model"),
-        R=_get(m, "R", float, None, "model"),
-        lam=_get(m, "lambda", float, None, "model"),
-        lambda_fraction=_get(m, "lambda_fraction", float, 0.9, "model"),
-        R_fraction=_get(m, "R_fraction", float, 0.9, "model"),
-        amplitude_policy=_get(m, "amplitude_policy", str, "fit", "model"),
-        amplitude=_get(m, "amplitude", float, 0.0, "model"),
-        amplitude_floor=_get(m, "amplitude_floor", float, 0.05, "model"),
-    )
-    i = cp["initdata"] if cp.has_section("initdata") else {}
-    init = InitdataConfig(
-        family=_get(i, "family", str, "mode_deficit", "initdata"),
-        deficit_amplitude=_get(i, "deficit_amplitude", float, 0.25, "initdata"),
-        blend_exponent=_get(i, "blend_exponent", float, 2.0, "initdata"),
-    )
-    s = cp["scheme"] if cp.has_section("scheme") else {}
-    try:
-        scheme = SchemeConfig(
-            time_stepper=_get(s, "time_stepper", str, "implicit_euler", "scheme"),
-            dt_initial=_get(s, "dt", float, 1e-3, "scheme"),
-            dt_control=_get(s, "dt_control", int, 6, "scheme"),
-            newton_tol=_get(s, "newton_tol", float, 1e-11, "scheme"),
-            newton_max_iter=_get(s, "newton_max_iter", int, 14, "scheme"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"scheme: {exc}") from None
-    c = cp["continuation"] if cp.has_section("continuation") else {}
-    cont = ContinuationConfig(
-        eps_sequence=_get(c, "eps_sequence", _floats, (0.04, 0.02, 0.01, 0.005),
-                          "continuation"),
-        reference_eps=_get(c, "reference_eps", float, 0.02, "continuation"),
-        num_nodes=_get(c, "num_nodes", int, 400, "continuation"),
-        grading_exponent=_get(c, "grading_exponent", float, 2.0, "continuation"),
-        horizon_efolds=_get(c, "horizon_efolds", float, 5.0, "continuation"),
-        compact_r_fraction=_get(c, "compact_r_fraction", float, 0.1, "continuation"),
-        compact_t_start=_get(c, "compact_t_start", float, 0.5, "continuation"),
-    )
-    v = cp["verify"] if cp.has_section("verify") else {}
-    ver = VerifyConfig(
-        enabled=_get(v, "enabled", _strings, ("all",), "verify"),
-        bernstein_powers=_get(v, "bernstein_powers", _ints, (4, 28), "verify"),
-        bernstein_delta_fraction=_get(v, "bernstein_delta_fraction", float, 0.05,
-                                      "verify"),
-        pointwise_power=_get(v, "pointwise_power", int, 28, "verify"),
-        uniqueness_tol=_get(v, "uniqueness_tol", float, 1e-3, "verify"),
-        tol_sandwich=_get(v, "tol_sandwich", float, None, "verify"),
-        tol_grad=_get(v, "tol_grad", float, None, "verify"),
-    )
-    o = cp["output"] if cp.has_section("output") else {}
-    out = OutputConfig(
-        directory=_get(o, "directory", str, "runs/out", "output"),
-        save_every=_get(o, "save_every", int, 10, "output"),
-    )
-    run_name = name or (cp["run"]["name"] if cp.has_section("run") and
-                        "name" in cp["run"] else "custom")
-    return RunConfig(
-        name=run_name, model=model, initdata=init, scheme=scheme,
-        continuation=cont, verify=ver, output=out,
-    ).validate()
+    sections = {s: _parse(cp, s, cls) for s, cls in _sections()}
+    return _parse(cp, "run", RunConfig, **sections).validate()
 
 
 # Presets: the n = 2 configuration sits close to the tight end of the

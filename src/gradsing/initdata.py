@@ -71,7 +71,6 @@ class InitialDatum:
     value: Callable = field(repr=False)
     slope: Callable = field(repr=False)
     family: str = "custom"
-    family_params: dict = field(default_factory=dict)
 
 
 def _datum_grid(params: ModelParams, n_nodes: int = 1200) -> np.ndarray:
@@ -157,7 +156,6 @@ def make_initial_datum(
         value=value,
         slope=slope,
         family=family,
-        family_params={"k": float(k), "amplitude": float(amplitude)},
     )
     report = validate_initial_datum(params, datum)
     bad = report.failures()
@@ -173,7 +171,6 @@ def make_initial_datum(
         value=value,
         slope=slope,
         family=family,
-        family_params=datum.family_params,
     )
 
 
@@ -196,7 +193,7 @@ def validate_initial_datum(
     u0 = datum.profile.values
     u0r = datum.profile.derivative
     us = analytic.u_star(params, r)
-    report = VerificationReport(context={"family": datum.family})
+    report = VerificationReport()
     scale = max(1.0, float(np.max(np.abs(us))))
     tol = _REL_TOL * scale
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,6 @@ class PipelineResult:
     datum: object
     report: VerificationReport
     continuation: solver.ContinuationResult | None = None
-    reference_field: solver.SpacetimeField | None = None
     artifacts: dict = dc_field(default_factory=dict)
 
     @property
@@ -131,10 +130,7 @@ def run_pipeline(config: RunConfig, only: str | None = None,
     """
     config.validate()
     params, datum = build_model(config)
-    report = VerificationReport(context={
-        "name": config.name,
-        "config_sha256": config.content_hash(),
-    })
+    report = VerificationReport()
     enabled = config.verify.checks()
 
     if "analytic_residuals" in enabled:
@@ -166,7 +162,10 @@ def run_pipeline(config: RunConfig, only: str | None = None,
             extra={"eps": abort.eps, "step": abort.step_index, "t": abort.time},
         ))
     reference = _find_field(cont.fields, cont_cfg.reference_eps)
-    result.reference_field = reference
+    if reference is None:  # aborted at or before the reference radius
+        if write:
+            _persist(result, fields=True)
+        return result
     finest = cont.finest
 
     ver = config.verify
@@ -211,27 +210,12 @@ def run_pipeline(config: RunConfig, only: str | None = None,
         for c in verify.check_weak_identity(cont.limit):
             report.add(c)
     if "inner_mass" in enabled:
-        if params.weak_form_ok:
-            report.add(verify.check_inner_mass(cont.limit,
-                                               cont_cfg.eps_sequence[:3]))
-        else:
-            report.add(CheckResult(
-                name="inner_slope_mass",
-                claim="averaged slope mass near the origin vanishes in the limit",
-                measured=float("nan"), tolerance=float("nan"),
-                passed=True, status="skipped",
-                extra={"reason": "needs dimension >= 3"},
-            ))
+        report.add(verify.check_inner_mass(cont.limit, cont_cfg.eps_sequence[:3]))
     if "uniqueness" in enabled:
         other_name = ("crank_nicolson"
                       if config.scheme.time_stepper == "implicit_euler"
                       else "implicit_euler")
-        other_scheme = solver.SchemeConfig(
-            other_name, dt_initial=config.scheme.dt_initial,
-            dt_control=config.scheme.dt_control,
-            newton_tol=config.scheme.newton_tol,
-            newton_max_iter=config.scheme.newton_max_iter,
-        )
+        other_scheme = replace(config.scheme, time_stepper=other_name)
         report.add(verify.check_uniqueness_surrogate(
             finest,
             solver.solve_annulus(finest.problem, finest.grid, T, other_scheme),
@@ -247,7 +231,8 @@ def run_pipeline(config: RunConfig, only: str | None = None,
                 claim="shrinking-annulus fields form a Cauchy sequence in sup norm",
                 measured=float("nan"), tolerance=float("nan"),
                 passed=True, status="skipped",
-                extra={"reason": "needs at least 3 inner radii"},
+                extra={"reason": f"needs at least 3 inner radii; {len(cont.fields)}"
+                                  f" of {len(cont_cfg.eps_sequence)} solved"},
             ))
 
     if write:

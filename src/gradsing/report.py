@@ -36,10 +36,9 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    """Ordered collection of check results plus the context they came from."""
+    """Ordered collection of check results."""
 
     checks: list[CheckResult] = field(default_factory=list)
-    context: dict = field(default_factory=dict)
 
     def add(self, result: CheckResult) -> CheckResult:
         self.checks.append(result)

@@ -432,7 +432,6 @@ class ContinuationResult:
     fields: list
     consecutive_diffs: list
     limit: SpacetimeField
-    compact_window: tuple
     aborted: SolverAbort | None = None
 
     @property
@@ -526,6 +525,5 @@ def continuation(
         fields=fields,
         consecutive_diffs=diffs,
         limit=_append_origin(fields[-1]),
-        compact_window=(r_window, t_window),
         aborted=aborted,
     )

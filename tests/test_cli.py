@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 from gradsing import analytic, cli, pipeline, solver
-from gradsing.config import ConfigError, PRESETS, load_config, preset
+from gradsing.config import (
+    ConfigError, ContinuationConfig, InitdataConfig, ModelConfig, OutputConfig,
+    PRESETS, RunConfig, VerifyConfig, load_config, preset,
+)
 
 QUICK_CONFIG = """
 [run]
@@ -47,11 +50,58 @@ directory = quickrun
 save_every = 20
 """
 
+# every field of every section away from its default, both R and lambda set
+EVERY_FIELD = RunConfig(
+    name="every-field",
+    model=ModelConfig(n=3, lambda_fraction=0.8, R_fraction=0.7,
+                      amplitude_policy="fixed", amplitude=0.3,
+                      amplitude_floor=0.01, R=1.2, lam=2.5),
+    initdata=InitdataConfig(family="polynomial_blend", deficit_amplitude=0.1,
+                            blend_exponent=3.0),
+    scheme=solver.SchemeConfig(time_stepper="crank_nicolson", dt_initial=5e-4,
+                               dt_control=3, newton_tol=1e-10,
+                               newton_max_iter=9),
+    continuation=ContinuationConfig(
+        eps_sequence=(0.03, 0.015), reference_eps=0.015, num_nodes=200,
+        grading_exponent=1.5, horizon_efolds=4.0, compact_r_fraction=0.2,
+        compact_t_start=0.25),
+    verify=VerifyConfig(enabled=("sandwich", "decay"), bernstein_powers=(2, 8, 16),
+                        bernstein_delta_fraction=0.1, pointwise_power=12,
+                        uniqueness_tol=2e-3, tol_sandwich=1e-9, tol_grad=2e-7),
+    output=OutputConfig(directory="runs/every", save_every=5),
+)
+
 
 class TestConfig:
     def test_presets_validate(self):
         for name in PRESETS:
             assert preset(name).validate() is not None
+
+    @pytest.mark.parametrize("name, digest", [
+        ("n2-standard",
+         "fb77d2f2605d71749dbfd95e8d75ff5f3158f367cdb44916017c73b2a431daa8"),
+        ("n3-weak",
+         "b6d57270c69913c7540721a97711d82098a4d7a083e643f7c5eb3ea80133d140"),
+    ])
+    def test_preset_hash_pinned(self, name, digest):
+        assert preset(name).content_hash() == digest
+
+    def test_every_field_round_trips(self):
+        cfg = EVERY_FIELD
+        for section in dataclasses.fields(cfg):
+            value = getattr(cfg, section.name)
+            if dataclasses.is_dataclass(value):
+                default = type(value)()
+                for f in dataclasses.fields(value):
+                    assert getattr(value, f.name) != getattr(default, f.name), \
+                        f"{section.name}.{f.name} left at its default"
+        assert load_config(cfg.canonical_text()) == cfg
+
+    def test_all_next_to_a_typo_rejected(self):
+        with pytest.raises(ConfigError, match="verify.enabled"):
+            load_config(QUICK_CONFIG.replace(
+                "enabled = analytic_residuals, sandwich, monotone, gradient_box",
+                "enabled = all, sandwhich"))
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError):
@@ -275,19 +325,24 @@ class TestCsvWriter:
             ("t", "u", "u_minus_u_star", "mode_envelope"), rows)
 
 
+def _abort_at(monkeypatch, eps):
+    """Make every annulus solve at inner radius ``eps`` abort."""
+    original = solver.solve_annulus
+
+    def aborting(problem, grid, T, scheme):
+        if problem.epsilon == eps:
+            raise solver.SolverAbort("injected abort", eps=eps,
+                                     step_index=4, time=0.01)
+        return original(problem, grid, T, scheme)
+
+    monkeypatch.setattr(solver, "solve_annulus", aborting)
+
+
 class TestSolverAbort:
     def test_later_eps_abort_fails_the_run(self, tmp_path, monkeypatch, capsys):
         """An abort after the reference radius keeps the partial fields but
         must show as a FAIL row, in the manifest and in the exit code."""
-        original = solver.solve_annulus
-
-        def aborting(problem, grid, T, scheme):
-            if problem.epsilon == 0.03:
-                raise solver.SolverAbort("injected abort", eps=0.03,
-                                         step_index=4, time=0.01)
-            return original(problem, grid, T, scheme)
-
-        monkeypatch.setattr(solver, "solve_annulus", aborting)
+        _abort_at(monkeypatch, 0.03)
         monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
         cfg_path = tmp_path / "abort.ini"
         cfg_path.write_text(
@@ -307,6 +362,37 @@ class TestSolverAbort:
         manifest = json.loads((tmp_path / "quickrun" / "manifest.json").read_text())
         assert manifest["all_checks_passed"] is False
         assert "continuation_complete" in capsys.readouterr().out
+
+    def test_reference_eps_abort_reports(self, tmp_path, monkeypatch):
+        """An abort at the reference radius leaves no reference field: the
+        run must still write the report and manifest and exit 1."""
+        _abort_at(monkeypatch, 0.04)
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "abort.ini"
+        cfg_path.write_text(QUICK_CONFIG)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
+        run_dir = tmp_path / "quickrun"
+        with open(run_dir / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["name"] for row in rows] == [
+            "stationary_residual", "linearized_residual", "subsolution_sign",
+            "continuation_complete"]
+        assert (rows[3]["measured"], rows[3]["tolerance"], rows[3]["pass"]) == \
+            ("1", "2", "false")
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["all_checks_passed"] is False
+        assert "field_eps0.05.csv" in manifest["artifacts"]
+
+    def test_cauchy_skip_states_radii_solved(self, monkeypatch):
+        _abort_at(monkeypatch, 0.03)
+        cfg = load_config(
+            QUICK_CONFIG.replace("0.05, 0.04", "0.05, 0.04, 0.03")
+            .replace("sandwich, monotone, gradient_box", "continuation_cauchy"))
+        result = pipeline.run_pipeline(cfg, write=False)
+        res = result.report["continuation_cauchy"]
+        assert res.status == "skipped"
+        assert res.extra["reason"] == \
+            "needs at least 3 inner radii; 2 of 3 solved"
 
 
 class TestCLI:

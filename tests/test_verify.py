@@ -191,6 +191,11 @@ class TestWeakIdentity:
         for r in results:
             assert r.measured < 0.1 * r.extra["scale"]
 
+    def test_inner_mass_dimension_two_skipped(self, n2_field):
+        res = verify.check_inner_mass(n2_field, [0.2, 0.1, 0.08])
+        assert res.status == "skipped" and res.passed
+        assert res.extra["reason"] == "needs dimension >= 3"
+
     def test_inner_mass_decreases(self, n3_field):
         res = verify.check_inner_mass(n3_field, [0.2, 0.1, 0.08])
         assert res.passed
