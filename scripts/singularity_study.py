@@ -47,6 +47,11 @@ def main():
               f"{fit.r_squared:8.5f} {functional:11.4e} {rate:11.4f}")
     print("# consecutive compact-window differences:",
           ", ".join(f"{d:.3e}" for d in result.consecutive_diffs))
+    abort = result.aborted
+    if abort is not None:
+        print(f"# solver abort at eps={abort.eps} (step {abort.step_index}, "
+              f"t={abort.time}): {abort}")
+        return 1
     return 0
 
 

@@ -24,6 +24,7 @@ beyond 2 c*; a-posteriori gradient bounds confirm it never activates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -70,7 +71,6 @@ class InitialDatum:
     closeness_bound: float
     value: Callable = field(repr=False)
     slope: Callable = field(repr=False)
-    family: str = "custom"
 
 
 def _datum_grid(params: ModelParams, n_nodes: int = 1200) -> np.ndarray:
@@ -155,7 +155,6 @@ def make_initial_datum(
         closeness_bound=0.0,
         value=value,
         slope=slope,
-        family=family,
     )
     report = validate_initial_datum(params, datum)
     bad = report.failures()
@@ -170,7 +169,6 @@ def make_initial_datum(
         closeness_bound=report["origin_closeness"].measured,
         value=value,
         slope=slope,
-        family=family,
     )
 
 
@@ -386,13 +384,25 @@ class CutoffCubic:
         if not self.support_radius > self.c_star:
             raise ValueError("support must extend beyond the exact-cube range")
 
+    def _exact_cube(self, s) -> bool:
+        """True when every node lies in [-c*, c*] (False for a NaN).
+
+        There the taper factor is exactly 1.0 and its derivative term
+        exactly 0.0, so the plain cube is bitwise equal to the full formula.
+        """
+        return bool(np.all(np.abs(s) <= self.c_star))
+
     def apply(self, s):
         s = np.asarray(s, dtype=float)
+        if self._exact_cube(s):
+            return s ** 3
         sigma = (np.abs(s) - self.c_star) / (self.support_radius - self.c_star)
         return s ** 3 * (1.0 - _smoothstep(sigma))
 
     def derivative(self, s):
         s = np.asarray(s, dtype=float)
+        if self._exact_cube(s):
+            return 3.0 * s ** 2
         w = self.support_radius - self.c_star
         sigma = (np.abs(s) - self.c_star) / w
         return 3.0 * s ** 2 * (1.0 - _smoothstep(sigma)) \
@@ -483,10 +493,20 @@ class EpsilonProblem:
     cutoff: CutoffCubic
     u0eps: RadialProfile
 
+    @cached_property
+    def _inner_constants(self) -> tuple[float, float]:
+        """u*(eps) and psi(eps): the time-independent parts of the inner
+        boundary trace, evaluated once per problem."""
+        return (analytic.u_star(self.params, self.epsilon),
+                analytic.psi(self.params, self.epsilon))
+
     def inner_bc(self, t) -> float:
-        return analytic.u_star(self.params, self.epsilon) - analytic.v_mode(
-            self.params, self.epsilon, t
-        )
+        # the float association of analytic.v_mode, (C exp(-lam^2 t)) psi,
+        # so the trace is bitwise u*(eps) - v_mode(eps, t); its lam r >= x0
+        # warning cannot apply, because eps < R < x1/lam < x0/lam
+        u_eps, psi_eps = self._inner_constants
+        p = self.params
+        return u_eps - p.C * np.exp(-p.lam ** 2 * t) * psi_eps
 
     def outer_bc(self, t=None) -> float:
         return float(analytic.u_star(self.params, self.params.R))

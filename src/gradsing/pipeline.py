@@ -120,6 +120,24 @@ def _find_field(fields, eps):
     return None
 
 
+def _abort_extra(abort: solver.SolverAbort) -> dict:
+    return {"eps": abort.eps, "step": abort.step_index, "t": abort.time}
+
+
+def _rerun_check(name: str, rerun: str, T: float, solve, check) -> CheckResult:
+    """``check(solve())``, or, when the rerun aborts, a FAIL row ``name``
+    whose measurement is the time of the failed step against the horizon."""
+    try:
+        fld = solve()
+    except solver.SolverAbort as abort:
+        return CheckResult(
+            name=name, claim=f"{rerun} solved to the horizon",
+            measured=float("nan") if abort.time is None else float(abort.time),
+            tolerance=T, passed=False, extra=_abort_extra(abort),
+        )
+    return check(fld)
+
+
 def run_pipeline(config: RunConfig, only: str | None = None,
                  write: bool = True) -> PipelineResult:
     """Execute the full pipeline for one configuration.
@@ -159,7 +177,7 @@ def run_pipeline(config: RunConfig, only: str | None = None,
             claim="every configured inner radius solved to the horizon",
             measured=float(len(cont.fields)),
             tolerance=float(len(cont_cfg.eps_sequence)), passed=False,
-            extra={"eps": abort.eps, "step": abort.step_index, "t": abort.time},
+            extra=_abort_extra(abort),
         ))
     reference = _find_field(cont.fields, cont_cfg.reference_eps)
     if reference is None:  # aborted at or before the reference radius
@@ -185,8 +203,10 @@ def run_pipeline(config: RunConfig, only: str | None = None,
             params, datum, reference.eps, grid.nodes, support_factor=4.0,
         )
         # rerun fields go straight into their checks and are freed after them
-        report.add(verify.check_cutoff_inactive(
-            reference, solver.solve_annulus(wide_problem, grid, T, config.scheme)))
+        report.add(_rerun_check(
+            "cutoff_inactive_rerun", "the rerun with a doubled cutoff support", T,
+            lambda: solver.solve_annulus(wide_problem, grid, T, config.scheme),
+            lambda wide: verify.check_cutoff_inactive(reference, wide)))
     if "bernstein" in enabled:
         for p in ver.bernstein_powers:
             report.add(verify.check_weighted_bernstein(
@@ -216,12 +236,14 @@ def run_pipeline(config: RunConfig, only: str | None = None,
                       if config.scheme.time_stepper == "implicit_euler"
                       else "implicit_euler")
         other_scheme = replace(config.scheme, time_stepper=other_name)
-        report.add(verify.check_uniqueness_surrogate(
-            finest,
-            solver.solve_annulus(finest.problem, finest.grid, T, other_scheme),
-            tol=ver.uniqueness_tol, r_fraction=cont_cfg.compact_r_fraction,
-            t_start=cont_cfg.compact_t_start,
-        ))
+        report.add(_rerun_check(
+            "uniqueness_surrogate", f"the {other_name} rerun", T,
+            lambda: solver.solve_annulus(finest.problem, finest.grid, T,
+                                         other_scheme),
+            lambda other: verify.check_uniqueness_surrogate(
+                finest, other, tol=ver.uniqueness_tol,
+                r_fraction=cont_cfg.compact_r_fraction,
+                t_start=cont_cfg.compact_t_start)))
     if "continuation_cauchy" in enabled:
         if len(cont.consecutive_diffs) >= 2:
             report.add(verify.check_continuation_cauchy(cont.consecutive_diffs))
@@ -275,9 +297,11 @@ def _persist(result: PipelineResult, fields: bool) -> None:
             name = f"field_eps{fld.eps:.6g}.csv"
             _write_field_csv(out_dir / name, fld, result.config.output.save_every)
             artifacts[name] = _sha256(out_dir / name)
-        _write_field_csv(out_dir / "field_limit.csv", result.continuation.limit,
-                         result.config.output.save_every)
-        artifacts["field_limit.csv"] = _sha256(out_dir / "field_limit.csv")
+        if result.continuation.limit is not None:  # None: no radius solved
+            _write_field_csv(out_dir / "field_limit.csv",
+                             result.continuation.limit,
+                             result.config.output.save_every)
+            artifacts["field_limit.csv"] = _sha256(out_dir / "field_limit.csv")
     result.report.write_csv(out_dir / "report.csv")
     artifacts["report.csv"] = _sha256(out_dir / "report.csv")
     p = result.params

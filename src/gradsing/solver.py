@@ -237,23 +237,30 @@ class _Stepper:
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         """Lap(u) + u f(u_r) at interior nodes (boundary rows zero)."""
-        du = self.grid.gradient(u)
-        out = self.op.apply(u)
-        out[1:-1] += u[1:-1] * self.problem.cutoff.apply(du[1:-1])
-        return out
+        return self._rhs_parts(u)[0]
 
-    def _residual(self, u, u_old, rhs_old, t_new, dt):
-        th = self.scheme.theta
-        g = u - u_old - dt * (th * self.rhs(u) + (1.0 - th) * rhs_old)
-        g[0] = u[0] - self.problem.inner_bc(t_new)
-        g[-1] = u[-1] - self.outer
-        return g
-
-    def _jacobian_banded(self, u, dt):
-        th = self.scheme.theta
-        npts = u.size
+    def _rhs_parts(self, u):
+        """rhs(u) with the gradient du and the cutoff f(du) it was built
+        from, which the Jacobian at the same u reuses."""
         du = self.grid.gradient(u)
         f = self.problem.cutoff.apply(du[1:-1])
+        out = self.op.apply(u)
+        out[1:-1] += u[1:-1] * f
+        return out, du, f
+
+    def _residual(self, u, u_old, rhs_old, inner, dt):
+        """The theta-scheme residual with its (du, f); ``inner`` is the
+        inner boundary value at the new time."""
+        th = self.scheme.theta
+        rhs, du, f = self._rhs_parts(u)
+        g = u - u_old - dt * (th * rhs + (1.0 - th) * rhs_old)
+        g[0] = u[0] - inner
+        g[-1] = u[-1] - self.outer
+        return g, du, f
+
+    def _jacobian_banded(self, u, du, f, dt):
+        th = self.scheme.theta
+        npts = u.size
         fp = self.problem.cutoff.derivative(du[1:-1])
         ui = u[1:-1]
         (d_m, d_0, d_p), _ = self.grid.derivative_weights
@@ -271,15 +278,17 @@ class _Stepper:
         dt = t_new - t_old
         th = self.scheme.theta
         rhs_old = self.rhs(u_old) if th < 1.0 else np.zeros_like(u_old)
+        inner = self.problem.inner_bc(t_new)
         u = u_old.copy()
-        u[0] = self.problem.inner_bc(t_new)
+        u[0] = inner
         u[-1] = self.outer
+        # An accepted line-search trial's residual is the next iterate's.
+        g, du, f = self._residual(u, u_old, rhs_old, inner, dt)
         # Convergence is judged by the Newton increment: the residual itself
         # carries dt/h_min^2-amplified rounding on the graded mesh and never
         # reaches newton_tol in absolute terms.
         for _ in range(self.scheme.newton_max_iter):
-            g = self._residual(u, u_old, rhs_old, t_new, dt)
-            ab = self._jacobian_banded(u, dt)
+            ab = self._jacobian_banded(u, du, f, dt)
             delta = solve_banded((1, 1), ab, -g)
             scale = 1.0 + float(np.max(np.abs(u)))
             if float(np.max(np.abs(delta))) <= self.scheme.newton_tol * scale:
@@ -288,9 +297,10 @@ class _Stepper:
             s = 1.0
             while s >= 1.0 / 256.0:
                 trial = u + s * delta
-                g_trial = self._residual(trial, u_old, rhs_old, t_new, dt)
+                g_trial, du_trial, f_trial = self._residual(
+                    trial, u_old, rhs_old, inner, dt)
                 if float(np.max(np.abs(g_trial))) <= (1.0 - 0.25 * s) * norm:
-                    u = trial
+                    u, g, du, f = trial, g_trial, du_trial, f_trial
                     break
                 s *= 0.5
             else:
@@ -425,13 +435,14 @@ def _check_apriori_box(field_out: SpacetimeField) -> None:
 class ContinuationResult:
     """Fields of the shrinking-annulus sequence plus the limit estimate.
 
-    ``aborted`` carries the abort of a later run when earlier inner radii
-    completed; the fields solved so far are retained either way.
+    ``aborted`` carries the abort that ended the sequence; the fields solved
+    before it are retained.  An abort at the first inner radius leaves no
+    field, so ``fields`` is empty and ``limit`` is None.
     """
 
     fields: list
     consecutive_diffs: list
-    limit: SpacetimeField
+    limit: SpacetimeField | None
     aborted: SolverAbort | None = None
 
     @property
@@ -490,8 +501,8 @@ def continuation(
     """Solve the annulus problems for a decreasing eps sequence.
 
     Consecutive fields are compared in sup norm on the compact window
-    [compact_r_fraction * R, R] x [compact_t_start, T]; partial results
-    are kept if a later run aborts.
+    [compact_r_fraction * R, R] x [compact_t_start, T]; an abort ends the
+    sequence and is returned with the fields solved before it.
     """
     eps_sequence = [float(e) for e in eps_sequence]
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
@@ -514,7 +525,8 @@ def continuation(
         if progress is not None:
             progress(eps)
     if not fields:
-        raise aborted
+        return ContinuationResult(fields=[], consecutive_diffs=[], limit=None,
+                                  aborted=aborted)
     r_window = (compact_r_fraction * params.R, params.R)
     t_window = (min(compact_t_start, 0.5 * T), T)
     diffs = [

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import subprocess
@@ -325,17 +326,83 @@ class TestCsvWriter:
             ("t", "u", "u_minus_u_star", "mode_envelope"), rows)
 
 
-def _abort_at(monkeypatch, eps):
-    """Make every annulus solve at inner radius ``eps`` abort."""
+# SHA-256 of the quick config's field files and of json.dumps of its
+# continuation differences, per time stepper.  Recorded before the Newton
+# fast paths (cached inner boundary constants, exact-cube cutoff, reused
+# residuals) went in: a pure speed-up of the solver must not move a bit.
+QUICK_DIGESTS = {
+    "implicit_euler": {
+        "continuation_diffs":
+            "c7dad7b89b8897738c57249b1bfae9b3c2eb65c7dfec9a7ffc3e872ff1095951",
+        "field_eps0.04.csv":
+            "c811489bb11b1881df3f611aea50a048a7733d8bf1acea28da1fe4bd22134ecb",
+        "field_eps0.05.csv":
+            "4d0c9d045a1eab6dc1ecdc09c687a900accb1132179af4eda98082d63abe95a8",
+        "field_limit.csv":
+            "85b5cb2523baf001e8791bd943f7f369c4ec0c31500fa72d0d59ecd5c1072ca7",
+    },
+    "crank_nicolson": {
+        "continuation_diffs":
+            "ba411ae81978694d4a90f8d971ad59cbc1d19409c0f13d04b8ec2afacc31a8cb",
+        "field_eps0.04.csv":
+            "0c32b6b9b705bf964adaebe86449be3344d95ed6f5a541d9e29c9b10b7044789",
+        "field_eps0.05.csv":
+            "a81cfcde5a9cc49701a569e95772acdffb326717bca46ce1ddc10939c021a697",
+        "field_limit.csv":
+            "4623b53d041469bc8715a69e0608933aba7f2ee05755571dc85ad244e03622f3",
+    },
+}
+
+
+@pytest.mark.parametrize("stepper", sorted(QUICK_DIGESTS))
+def test_quick_outputs_byte_identical(stepper, tmp_path, monkeypatch):
+    monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+    pipeline.run_pipeline(load_config(
+        QUICK_CONFIG.replace("implicit_euler", stepper)))
+    run_dir = tmp_path / "quickrun"
+    diffs = json.loads((run_dir / "manifest.json").read_text())["continuation_diffs"]
+    digests = {"continuation_diffs":
+               hashlib.sha256(json.dumps(diffs).encode()).hexdigest()}
+    for path in run_dir.glob("field_*.csv"):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == QUICK_DIGESTS[stepper]
+
+
+def _abort_when(monkeypatch, predicate):
+    """Make every annulus solve with ``predicate(problem, scheme)`` abort."""
     original = solver.solve_annulus
 
     def aborting(problem, grid, T, scheme):
-        if problem.epsilon == eps:
-            raise solver.SolverAbort("injected abort", eps=eps,
+        if predicate(problem, scheme):
+            raise solver.SolverAbort("injected abort", eps=problem.epsilon,
                                      step_index=4, time=0.01)
         return original(problem, grid, T, scheme)
 
     monkeypatch.setattr(solver, "solve_annulus", aborting)
+
+
+def _abort_at(monkeypatch, eps):
+    """Make every annulus solve at inner radius ``eps`` abort."""
+    _abort_when(monkeypatch, lambda problem, scheme: problem.epsilon == eps)
+
+
+def _run_rows(monkeypatch, tmp_path, config_text):
+    """``gradsing run`` on the config text with outputs under tmp_path:
+    exit code, report rows, manifest."""
+    monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(config_text)
+    code = cli.main(["run", "--config", str(cfg_path)])
+    run_dir = tmp_path / "quickrun"
+    with open(run_dir / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return code, rows, json.loads((run_dir / "manifest.json").read_text())
+
+
+GATES = ["stationary_residual", "linearized_residual", "subsolution_sign"]
+RERUN_CONFIG = QUICK_CONFIG.replace(
+    "sandwich, monotone, gradient_box",
+    "sandwich, cutoff_inactive, uniqueness, continuation_cauchy")
 
 
 class TestSolverAbort:
@@ -367,21 +434,60 @@ class TestSolverAbort:
         """An abort at the reference radius leaves no reference field: the
         run must still write the report and manifest and exit 1."""
         _abort_at(monkeypatch, 0.04)
-        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
-        cfg_path = tmp_path / "abort.ini"
-        cfg_path.write_text(QUICK_CONFIG)
-        assert cli.main(["run", "--config", str(cfg_path)]) == 1
-        run_dir = tmp_path / "quickrun"
-        with open(run_dir / "report.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [row["name"] for row in rows] == [
-            "stationary_residual", "linearized_residual", "subsolution_sign",
-            "continuation_complete"]
+        code, rows, manifest = _run_rows(monkeypatch, tmp_path, QUICK_CONFIG)
+        assert code == 1
+        assert [row["name"] for row in rows] == GATES + ["continuation_complete"]
         assert (rows[3]["measured"], rows[3]["tolerance"], rows[3]["pass"]) == \
             ("1", "2", "false")
-        manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["all_checks_passed"] is False
         assert "field_eps0.05.csv" in manifest["artifacts"]
+
+    def test_first_eps_abort_reports(self, tmp_path, monkeypatch):
+        """An abort at the first radius leaves no field at all: the run
+        must still write the report and manifest and exit 1."""
+        _abort_at(monkeypatch, 0.05)
+        code, rows, manifest = _run_rows(monkeypatch, tmp_path, QUICK_CONFIG)
+        assert code == 1
+        assert [row["name"] for row in rows] == GATES + ["continuation_complete"]
+        assert (rows[3]["measured"], rows[3]["tolerance"], rows[3]["pass"]) == \
+            ("0", "2", "false")
+        assert manifest["all_checks_passed"] is False
+        assert manifest["continuation_diffs"] == []
+        assert sorted(manifest["artifacts"]) == ["report.csv"]
+
+    def test_cutoff_rerun_abort_fails_its_check(self, tmp_path, monkeypatch):
+        _abort_when(monkeypatch, lambda problem, scheme:
+                    problem.cutoff.support_radius > 2 * problem.c_star_eps)
+        code, rows, manifest = _run_rows(monkeypatch, tmp_path, RERUN_CONFIG)
+        assert code == 1
+        assert [row["name"] for row in rows] == GATES + [
+            "sandwich", "cutoff_inactive_rerun", "uniqueness_surrogate",
+            "continuation_cauchy"]
+        assert (rows[4]["measured"], rows[4]["pass"], rows[4]["status"]) == \
+            ("0.01", "false", "ok")
+        assert rows[5]["pass"] == "true"
+        assert manifest["all_checks_passed"] is False
+        report = pipeline.run_pipeline(load_config(RERUN_CONFIG), write=False).report
+        assert report["cutoff_inactive_rerun"].extra == \
+            {"eps": 0.04, "step": 4, "t": 0.01}
+
+    def test_uniqueness_rerun_abort_fails_its_check(self, tmp_path,
+                                                    monkeypatch):
+        _abort_when(monkeypatch, lambda problem, scheme:
+                    scheme.time_stepper == "crank_nicolson")
+        code, rows, manifest = _run_rows(monkeypatch, tmp_path, RERUN_CONFIG)
+        assert code == 1
+        assert [row["name"] for row in rows] == GATES + [
+            "sandwich", "cutoff_inactive_rerun", "uniqueness_surrogate",
+            "continuation_cauchy"]
+        assert rows[4]["pass"] == "true"
+        assert (rows[5]["measured"], rows[5]["pass"], rows[5]["status"]) == \
+            ("0.01", "false", "ok")
+        assert rows[6]["status"] == "skipped"
+        assert manifest["all_checks_passed"] is False
+        report = pipeline.run_pipeline(load_config(RERUN_CONFIG), write=False).report
+        assert report["uniqueness_surrogate"].extra == \
+            {"eps": 0.04, "step": 4, "t": 0.01}
 
     def test_cauchy_skip_states_radii_solved(self, monkeypatch):
         _abort_at(monkeypatch, 0.03)

@@ -267,6 +267,41 @@ class TestCutoff:
         with pytest.raises(ValueError):
             CutoffCubic(c_star=0.5, support_radius=1.0)
 
+    @staticmethod
+    def _taper_formula(co, s):
+        """apply and derivative by the full taper formula, written out."""
+        w = co.support_radius - co.c_star
+        sigma = (np.abs(s) - co.c_star) / w
+        x = np.clip(sigma, 0.0, 1.0)
+        smooth = x ** 3 * (6.0 * x * x - 15.0 * x + 10.0)
+        smooth_prime = np.where((sigma > 0.0) & (sigma < 1.0),
+                                30.0 * x * x * (x - 1.0) ** 2, 0.0)
+        value = s ** 3 * (1.0 - smooth)
+        slope = 3.0 * s ** 2 * (1.0 - smooth) - np.abs(s) ** 3 * smooth_prime / w
+        return value, slope
+
+    def test_exact_cube_path_bitwise_equals_taper_formula(self):
+        c = 7.123456789
+        co = CutoffCubic(c_star=c, support_radius=2.0 * c)
+        rng = np.random.default_rng(3)
+        s = np.concatenate((
+            rng.uniform(-c, c, 997), np.linspace(-c, c, 41),
+            [c, -c, 0.0, -0.0, 5e-324, np.nextafter(c, 0.0), 1.0]))
+        assert np.max(np.abs(s)) == c
+        value, slope = self._taper_formula(co, s)
+        assert co.apply(s).tobytes() == value.tobytes()
+        assert co.derivative(s).tobytes() == slope.tobytes()
+
+    def test_one_node_past_ceiling_is_tapered(self):
+        c = 7.123456789
+        co = CutoffCubic(c_star=c, support_radius=2.0 * c)
+        s = np.array([-c, 0.5, -3.0, np.nextafter(c, np.inf), 9.5, c])
+        value, slope = self._taper_formula(co, s)
+        assert co.apply(s).tobytes() == value.tobytes()
+        assert co.derivative(s).tobytes() == slope.tobytes()
+        assert co.apply(s)[4] < 9.5 ** 3
+        assert np.isnan(co.apply(np.array([1.0, np.nan]))[1])
+
 
 class TestEpsilonProblem:
     def test_assembles_and_exposes_boundary_closures(self, params_fitted, datum):
@@ -282,3 +317,11 @@ class TestEpsilonProblem:
         assert prob.inner_bc(10.0) > prob.inner_bc(0.0)
         assert prob.c_star_eps > 1.0
         assert prob.cutoff.support_radius == pytest.approx(2 * prob.c_star_eps)
+
+    def test_inner_bc_bitwise_equals_subsolution_trace(self, params_fitted, datum):
+        p = params_fitted
+        prob = make_epsilon_problem(p, datum, 0.02, graded_nodes(0.02, p.R))
+        for t in (0.0, 1e-3, 0.37, 5.0, 0.37):
+            expected = analytic.u_star(p, 0.02) - analytic.v_mode(p, 0.02, t)
+            assert np.float64(prob.inner_bc(t)).tobytes() == \
+                np.float64(expected).tobytes()

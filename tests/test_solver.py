@@ -199,6 +199,23 @@ class TestSolveAnnulus:
         b = solve_annulus(prob, grid, 0.1, small_scheme)
         assert np.array_equal(a.values, b.values)
 
+    def test_inner_bc_evaluated_once_per_step(self, n2_bundle, small_policy,
+                                              small_scheme, monkeypatch):
+        params, datum = n2_bundle
+        grid = small_policy.build(0.04, params.R)
+        prob = initdata.make_epsilon_problem(params, datum, 0.04, grid.nodes)
+        calls = []
+        inner_bc = initdata.EpsilonProblem.inner_bc
+
+        def counting(self, t):
+            calls.append(t)
+            return inner_bc(self, t)
+
+        monkeypatch.setattr(initdata.EpsilonProblem, "inner_bc", counting)
+        fld = solve_annulus(prob, grid, 0.1, small_scheme)
+        assert len(calls) == fld.times.size - 1 == 50
+        assert np.array_equal(calls, fld.times[1:])
+
     def test_values_in_apriori_box(self, n2_field):
         p = n2_field.problem.params
         bound = abs(analytic.u_star(p, p.R)) + np.max(n2_field.mode_matrix()[0])
