@@ -15,6 +15,7 @@ import io
 from dataclasses import MISSING, dataclass, field, fields
 
 from .solver import SchemeConfig
+from .verify import CHECKS
 
 __all__ = [
     "ConfigError",
@@ -29,23 +30,7 @@ __all__ = [
     "preset",
 ]
 
-ALL_CHECKS = (
-    "analytic_residuals",
-    "sandwich",
-    "monotone",
-    "gradient_box",
-    "cutoff_inactive",
-    "boundary_bands",
-    "bernstein",
-    "pointwise_gradient",
-    "singularity",
-    "shape_functional",
-    "decay",
-    "weak_identity",
-    "inner_mass",
-    "uniqueness",
-    "continuation_cauchy",
-)
+ALL_CHECKS = ("analytic_residuals", *CHECKS)
 
 
 class ConfigError(ValueError):

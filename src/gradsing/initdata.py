@@ -334,22 +334,21 @@ def c_star_eps(params: ModelParams, eps: float, u0eps: RadialProfile) -> float:
     else:
         raise RuntimeError("no feasible gradient ceiling below 2^60 * floor")
 
-    lo = min(1.0, floor)
-    for _ in range(6):  # re-bisect if the 1% inflation left a feasible gap
-        a, b = lo, hi
-        for _ in range(200):
-            if b - a <= 1e-9 * max(1.0, b):
-                break
-            m = 0.5 * (a + b)
-            if feasible(m):
-                b = m
-            else:
-                a = m
-        candidate = 1.01 * b
-        if feasible(candidate):
-            return candidate
-        lo = candidate
-    raise RuntimeError("gradient ceiling search failed to stabilize")
+    # feasibility is monotone in c (strict lower bounds; the cubic is concave
+    # on c > 0 and nonnegative at 0), so b and 1.01 b are feasible
+    a, b = 1.0, hi
+    for _ in range(200):
+        if b - a <= 1e-9 * max(1.0, b):
+            break
+        m = 0.5 * (a + b)
+        if feasible(m):
+            b = m
+        else:
+            a = m
+    candidate = 1.01 * b
+    if not feasible(candidate):
+        raise RuntimeError("inflated gradient ceiling is infeasible")
+    return candidate
 
 
 # -- cutoff nonlinearity ------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,16 @@ class PipelineResult:
     report: VerificationReport
     continuation: solver.ContinuationResult | None = None
     artifacts: dict = dc_field(default_factory=dict)
+
+    @property
+    def horizon(self) -> float:
+        return self.config.continuation.horizon_efolds / self.params.decay_rate
+
+    @property
+    def reference(self) -> solver.SpacetimeField | None:
+        """The field at ``continuation.reference_eps``, or None."""
+        return self.continuation and verify._find_field(
+            self.continuation.fields, self.config.continuation.reference_eps)
 
     @property
     def exit_code(self) -> int:
@@ -113,31 +123,6 @@ def analytic_checks(params: ModelParams) -> list[CheckResult]:
     return out
 
 
-def _find_field(fields, eps):
-    for f in fields:
-        if abs(f.eps - eps) <= 1e-12 * max(1.0, eps):
-            return f
-    return None
-
-
-def _abort_extra(abort: solver.SolverAbort) -> dict:
-    return {"eps": abort.eps, "step": abort.step_index, "t": abort.time}
-
-
-def _rerun_check(name: str, rerun: str, T: float, solve, check) -> CheckResult:
-    """``check(solve())``, or, when the rerun aborts, a FAIL row ``name``
-    whose measurement is the time of the failed step against the horizon."""
-    try:
-        fld = solve()
-    except solver.SolverAbort as abort:
-        return CheckResult(
-            name=name, claim=f"{rerun} solved to the horizon",
-            measured=float("nan") if abort.time is None else float(abort.time),
-            tolerance=T, passed=False, extra=_abort_extra(abort),
-        )
-    return check(fld)
-
-
 def run_pipeline(config: RunConfig, only: str | None = None,
                  write: bool = True) -> PipelineResult:
     """Execute the full pipeline for one configuration.
@@ -152,20 +137,18 @@ def run_pipeline(config: RunConfig, only: str | None = None,
     enabled = config.verify.checks()
 
     if "analytic_residuals" in enabled:
-        for c in analytic_checks(params):
-            report.add(c)
+        report.checks.extend(analytic_checks(params))
     result = PipelineResult(config=config, params=params, datum=datum,
                             report=report)
     if only == "analytic":
         if write:
-            _persist(result, fields=False)
+            _persist(result)
         return result
 
     cont_cfg = config.continuation
     policy = solver.GridPolicy(cont_cfg.num_nodes, cont_cfg.grading_exponent)
-    T = cont_cfg.horizon_efolds / params.decay_rate
     cont = solver.continuation(
-        params, datum, cont_cfg.eps_sequence, policy, T, config.scheme,
+        params, datum, cont_cfg.eps_sequence, policy, result.horizon, config.scheme,
         compact_r_fraction=cont_cfg.compact_r_fraction,
         compact_t_start=cont_cfg.compact_t_start,
     )
@@ -177,88 +160,14 @@ def run_pipeline(config: RunConfig, only: str | None = None,
             claim="every configured inner radius solved to the horizon",
             measured=float(len(cont.fields)),
             tolerance=float(len(cont_cfg.eps_sequence)), passed=False,
-            extra=_abort_extra(abort),
+            extra=verify._abort_extra(abort),
         ))
-    reference = _find_field(cont.fields, cont_cfg.reference_eps)
-    if reference is None:  # aborted at or before the reference radius
-        if write:
-            _persist(result, fields=True)
-        return result
-    finest = cont.finest
-
-    ver = config.verify
-    ts = ver.tol_sandwich
-    tg = ver.tol_grad
-    if "sandwich" in enabled:
-        report.add(verify.check_sandwich(reference, tol=ts))
-    if "monotone" in enabled:
-        report.add(verify.check_monotone(reference, tol=tg))
-    if "gradient_box" in enabled:
-        report.add(verify.check_gradient_box(reference))
-    if "boundary_bands" in enabled:
-        report.add(verify.check_boundary_bands(reference, tol=tg))
-    if "cutoff_inactive" in enabled:
-        grid = reference.grid
-        wide_problem = initdata.make_epsilon_problem(
-            params, datum, reference.eps, grid.nodes, support_factor=4.0,
-        )
-        # rerun fields go straight into their checks and are freed after them
-        report.add(_rerun_check(
-            "cutoff_inactive_rerun", "the rerun with a doubled cutoff support", T,
-            lambda: solver.solve_annulus(wide_problem, grid, T, config.scheme),
-            lambda wide: verify.check_cutoff_inactive(reference, wide)))
-    if "bernstein" in enabled:
-        for p in ver.bernstein_powers:
-            report.add(verify.check_weighted_bernstein(
-                reference, p=p, delta_fraction=ver.bernstein_delta_fraction,
-            ))
-    if "pointwise_gradient" in enabled:
-        res_ref = verify.check_pointwise_gradient(reference, p=ver.pointwise_power)
-        report.add(res_ref)
-        half = _find_field(cont.fields, reference.eps / 2.0)
-        if half is not None:
-            res_half = verify.check_pointwise_gradient(half, p=ver.pointwise_power)
-            report.add(verify.check_pointwise_stability(res_ref, res_half))
-    if "singularity" in enabled:
-        report.add(verify.check_singularity_shape(finest))
-    if "shape_functional" in enabled:
-        report.add(verify.check_shape_functional(finest))
-    if "decay" in enabled:
-        report.add(verify.check_decay_envelope(reference, tol=ts))
-        report.add(verify.check_decay_rate(reference))
-    if "weak_identity" in enabled:
-        for c in verify.check_weak_identity(cont.limit):
-            report.add(c)
-    if "inner_mass" in enabled:
-        report.add(verify.check_inner_mass(cont.limit, cont_cfg.eps_sequence[:3]))
-    if "uniqueness" in enabled:
-        other_name = ("crank_nicolson"
-                      if config.scheme.time_stepper == "implicit_euler"
-                      else "implicit_euler")
-        other_scheme = replace(config.scheme, time_stepper=other_name)
-        report.add(_rerun_check(
-            "uniqueness_surrogate", f"the {other_name} rerun", T,
-            lambda: solver.solve_annulus(finest.problem, finest.grid, T,
-                                         other_scheme),
-            lambda other: verify.check_uniqueness_surrogate(
-                finest, other, tol=ver.uniqueness_tol,
-                r_fraction=cont_cfg.compact_r_fraction,
-                t_start=cont_cfg.compact_t_start)))
-    if "continuation_cauchy" in enabled:
-        if len(cont.consecutive_diffs) >= 2:
-            report.add(verify.check_continuation_cauchy(cont.consecutive_diffs))
-        else:
-            report.add(CheckResult(
-                name="continuation_cauchy",
-                claim="shrinking-annulus fields form a Cauchy sequence in sup norm",
-                measured=float("nan"), tolerance=float("nan"),
-                passed=True, status="skipped",
-                extra={"reason": f"needs at least 3 inner radii; {len(cont.fields)}"
-                                  f" of {len(cont_cfg.eps_sequence)} solved"},
-            ))
-
+    if result.reference is not None:  # None: aborted at or before it
+        for name, check in verify.CHECKS.items():
+            if name in enabled:
+                report.checks.extend(check(result))
     if write:
-        _persist(result, fields=True)
+        _persist(result)
     return result
 
 
@@ -288,20 +197,32 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _persist(result: PipelineResult, fields: bool) -> None:
+def _remove_stale_fields(out_dir: Path, keep) -> None:
+    """Delete the field files that the directory's previous manifest lists
+    and that are not in ``keep``; files no manifest lists stay."""
+    try:
+        listed = json.loads((out_dir / "manifest.json").read_text())["artifacts"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    for path in out_dir.glob("field_*.csv"):
+        if path.name in listed and path.name not in keep:
+            path.unlink()
+
+
+def _persist(result: PipelineResult) -> None:
     out_dir = resolve_output_dir(result.config)
     out_dir.mkdir(parents=True, exist_ok=True)
+    cont = result.continuation
+    written = {}
+    if cont is not None:  # None: stopped after the analytic gates
+        written = {f"field_eps{fld.eps:.6g}.csv": fld for fld in cont.fields}
+        if cont.limit is not None:  # None: no radius solved
+            written["field_limit.csv"] = cont.limit
+    _remove_stale_fields(out_dir, written)
     artifacts = {}
-    if fields and result.continuation is not None:
-        for fld in result.continuation.fields:
-            name = f"field_eps{fld.eps:.6g}.csv"
-            _write_field_csv(out_dir / name, fld, result.config.output.save_every)
-            artifacts[name] = _sha256(out_dir / name)
-        if result.continuation.limit is not None:  # None: no radius solved
-            _write_field_csv(out_dir / "field_limit.csv",
-                             result.continuation.limit,
-                             result.config.output.save_every)
-            artifacts["field_limit.csv"] = _sha256(out_dir / "field_limit.csv")
+    for name, fld in written.items():
+        _write_field_csv(out_dir / name, fld, result.config.output.save_every)
+        artifacts[name] = _sha256(out_dir / name)
     result.report.write_csv(out_dir / "report.csv")
     artifacts["report.csv"] = _sha256(out_dir / "report.csv")
     p = result.params
@@ -314,10 +235,7 @@ def _persist(result: PipelineResult, fields: bool) -> None:
             "alpha": p.alpha, "nu": p.nu, "x0": p.x0, "x1": p.x1,
             "decay_rate": p.decay_rate,
         },
-        "continuation_diffs": (
-            list(result.continuation.consecutive_diffs)
-            if result.continuation else []
-        ),
+        "continuation_diffs": list(cont.consecutive_diffs) if cont else [],
         "artifacts": artifacts,
         "all_checks_passed": result.report.all_passed(),
     }

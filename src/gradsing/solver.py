@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -496,7 +495,6 @@ def continuation(
     scheme: SchemeConfig,
     compact_r_fraction: float = 0.1,
     compact_t_start: float = 0.5,
-    progress: Callable | None = None,
 ) -> ContinuationResult:
     """Solve the annulus problems for a decreasing eps sequence.
 
@@ -522,8 +520,6 @@ def continuation(
         except SolverAbort as abort:
             aborted = abort
             break
-        if progress is not None:
-            progress(eps)
     if not fields:
         return ContinuationResult(fields=[], consecutive_diffs=[], limit=None,
                                   aborted=aborted)

@@ -2,9 +2,11 @@
 numerical check with an explicit tolerance.
 
 The checks are pure functions of immutable fields and return
-:class:`CheckResult` records; orchestration and serialization live in the
-pipeline.  Derivative reconstruction always reuses the solver stencil so
-that the asserted quantities are the ones actually computed.
+:class:`CheckResult` records.  :data:`CHECKS`, the one ordered table of
+field checks, maps each ``verify.enabled`` name to its rows and decides
+which field each claim is judged on; the continuation and serialization
+live in the pipeline.  Derivative reconstruction always reuses the solver
+stencil so that the asserted quantities are the ones actually computed.
 
 Default tolerances: comparisons against the closed-form envelopes use
 5 (h^2 + dt) (spatial truncation plus one power of the step), gradient
@@ -13,15 +15,16 @@ sign checks use 1e-6 + 10 h^2; both can be overridden per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from . import analytic
+from . import analytic, initdata, solver
 from .report import CheckResult, VerificationReport
 from .solver import SpacetimeField, compact_difference
 
 __all__ = [
+    "CHECKS",
     "CheckResult",
     "VerificationReport",
     "ExponentFit",
@@ -84,6 +87,15 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
     return float(coef[0]), float(coef[1]), max(0.0, min(1.0, r2))
+
+
+def _unjudged(name: str, claim: str, status: str,
+              reason: str | None = None) -> CheckResult:
+    """A row for a claim that was not judged: no measurement or tolerance,
+    and a pass only when ``skipped`` (the check does not apply)."""
+    return CheckResult(name=name, claim=claim, measured=float("nan"),
+                       tolerance=float("nan"), passed=status == "skipped",
+                       status=status, extra={"reason": reason} if reason else {})
 
 
 # -- envelope and sign checks -------------------------------------------------
@@ -149,12 +161,10 @@ def check_boundary_bands(field: SpacetimeField,
     p = field.problem.params
     grad = field.gradient_matrix()
     outer_lo = float(analytic.u_star_r(p, p.R))
-    worst = 0.0
-    worst = max(worst, float(np.max(grad[:, -1])) - 0.0)
-    worst = max(worst, outer_lo - float(np.min(grad[:, -1])))
-    worst = max(worst, float(np.max(grad[:, 0])))
-    worst = max(worst, -field.problem.c_star_eps - float(np.min(grad[:, 0])))
-    worst = max(worst, 0.0)
+    worst = max(0.0, float(np.max(grad[:, -1])),
+                outer_lo - float(np.min(grad[:, -1])),
+                float(np.max(grad[:, 0])),
+                -field.problem.c_star_eps - float(np.min(grad[:, 0])))
     return CheckResult(
         name="boundary_derivative_bands",
         claim="boundary slopes inside the stationary and ceiling bands",
@@ -206,20 +216,18 @@ def check_pointwise_gradient(field: SpacetimeField, p: int = 28) -> CheckResult:
     eps = field.eps
     q = (p + 3.0) / p
     window = (field.grid.nodes > 2.0 * eps) & (field.grid.nodes < field.problem.params.R)
+    name = f"pointwise_gradient_p{p}"
+    claim = "weighted slope bounded between twice eps and R"
     if not np.any(window):
         return CheckResult(
-            name=f"pointwise_gradient_p{p}",
-            claim="weighted slope bounded between twice eps and R",
-            measured=float("nan"), tolerance=float("inf"),
+            name=name, claim=claim, measured=float("nan"), tolerance=float("inf"),
             passed=False, status="inconclusive",
         )
     weighted = np.abs(field.gradient_matrix()[:, window]) * \
         field.grid.nodes[window][None, :] ** q
     bound = float(np.max(weighted))
     return CheckResult(
-        name=f"pointwise_gradient_p{p}",
-        claim="weighted slope bounded between twice eps and R",
-        measured=bound, tolerance=float("inf"),
+        name=name, claim=claim, measured=bound, tolerance=float("inf"),
         passed=bool(np.isfinite(bound)),
         extra={"exponent": q},
     )
@@ -263,27 +271,22 @@ def check_singularity_shape(field: SpacetimeField,
                             min_r2: float = 0.99) -> CheckResult:
     """Slope blow-up exponent close to the stationary -2/3 at late times."""
     p = field.problem.params
+    claim = "slope blow-up exponent matches the stationary cube-root"
     if t_probes is None:
         t_probes = [c / p.decay_rate for c in (1.0, 2.0, 5.0)]
     t_probes = [min(t, field.times[-1]) for t in t_probes]
     try:
         fits = [fit_singularity(field, t) for t in t_probes]
     except ValueError:
-        return CheckResult(
-            name="singularity_exponent",
-            claim="slope blow-up exponent matches the stationary cube-root",
-            measured=float("nan"), tolerance=float("nan"),
-            passed=False, status="inconclusive",
-        )
+        return _unjudged("singularity_exponent", claim, "inconclusive")
     exponents = [f.exponent for f in fits]
     r2s = [f.r_squared for f in fits]
     ok = all(exponent_range[0] <= e <= exponent_range[1] for e in exponents) \
         and all(r2 >= min_r2 for r2 in r2s)
     worst = max(exponents, key=lambda e: abs(e + 2.0 / 3.0))
     return CheckResult(
-        name="singularity_exponent",
-        claim="slope blow-up exponent matches the stationary cube-root",
-        measured=worst, tolerance=exponent_range[1], passed=ok,
+        name="singularity_exponent", claim=claim, measured=worst,
+        tolerance=exponent_range[1], passed=ok,
         extra={
             "exponents": exponents,
             "r_squared": r2s,
@@ -355,18 +358,14 @@ def check_decay_envelope(field: SpacetimeField,
     us = field.u_star_row()
     D = np.max(np.abs(field.values - us[None, :]), axis=1)
     env = np.exp(-p.decay_rate * field.times) * float(np.max(field.mode_matrix()[0]))
-    worst = float(np.max(D - env))
-    if p.C == 0.0:
-        return CheckResult(
-            name="decay_envelope",
-            claim="difference to the stationary profile under the mode envelope",
-            measured=float(np.max(D)), tolerance=tol,
-            passed=float(np.max(D)) <= tol, status="exact",
-        )
+    worst, status = float(np.max(D - env)), "ok"
+    if p.C == 0.0:  # no mode: the field must sit on the stationary profile
+        worst, status = float(np.max(D)), "exact"
     return CheckResult(
         name="decay_envelope",
         claim="difference to the stationary profile under the mode envelope",
         measured=max(worst, 0.0), tolerance=tol, passed=worst <= tol,
+        status=status,
     )
 
 
@@ -378,11 +377,11 @@ def check_decay_rate(field: SpacetimeField,
     envelope, so a faster measured rate is recorded, not judged.
     """
     p = field.problem.params
+    claim = "uniform convergence to the stationary profile at mode rate"
     if p.C == 0.0:
         return CheckResult(
-            name="decay_rate",
-            claim="uniform convergence to the stationary profile at mode rate",
-            measured=float("inf"), tolerance=min_fraction * p.decay_rate,
+            name="decay_rate", claim=claim, measured=float("inf"),
+            tolerance=min_fraction * p.decay_rate,
             passed=True, status="exact",
         )
     fit = fit_decay(field)
@@ -395,17 +394,15 @@ def check_decay_rate(field: SpacetimeField,
         # the difference already collapsed to its numerical floor before the
         # fit window: decay outran measurability, so no rate can be fitted
         return CheckResult(
-            name="decay_rate",
-            claim="uniform convergence to the stationary profile at mode rate",
+            name="decay_rate", claim=claim,
             measured=fit.exponent, tolerance=need, passed=True,
             status="inconclusive",
             extra={"mode_rate": p.decay_rate, "plateau": floor,
                    "reason": "difference at the discretization floor"},
         )
     return CheckResult(
-        name="decay_rate",
-        claim="uniform convergence to the stationary profile at mode rate",
-        measured=fit.exponent, tolerance=need, passed=fit.exponent >= need,
+        name="decay_rate", claim=claim, measured=fit.exponent,
+        tolerance=need, passed=fit.exponent >= need,
         extra={
             "mode_rate": p.decay_rate,
             "r_squared": fit.r_squared,
@@ -499,24 +496,19 @@ def check_weak_identity(field: SpacetimeField,
     continuation studies, not here.
     """
     p = field.problem.params
+    claim = "distributional identity across the origin"
     if test_functions is None:
         test_functions = default_test_functions(p)
     out = []
     for tf in test_functions:
         if not p.weak_form_ok:
-            out.append(CheckResult(
-                name=f"weak_identity_{tf.name}",
-                claim="distributional identity across the origin",
-                measured=float("nan"), tolerance=float("nan"),
-                passed=True, status="skipped",
-                extra={"reason": "needs dimension >= 3"},
-            ))
+            out.append(_unjudged(f"weak_identity_{tf.name}", claim, "skipped",
+                                 "needs dimension >= 3"))
             continue
         residual, scale = weak_form_residual(field, tf)
         out.append(CheckResult(
-            name=f"weak_identity_{tf.name}",
-            claim="distributional identity across the origin",
-            measured=residual, tolerance=0.1 * scale,
+            name=f"weak_identity_{tf.name}", claim=claim, measured=residual,
+            tolerance=0.1 * scale,
             passed=residual <= 0.1 * scale,
             extra={"scale": scale},
         ))
@@ -541,12 +533,8 @@ def check_inner_mass(field: SpacetimeField,
     weak identity is)."""
     claim = "averaged slope mass near the origin vanishes in the limit"
     if not field.problem.params.weak_form_ok:
-        return CheckResult(
-            name="inner_slope_mass", claim=claim,
-            measured=float("nan"), tolerance=float("nan"),
-            passed=True, status="skipped",
-            extra={"reason": "needs dimension >= 3"},
-        )
+        return _unjudged("inner_slope_mass", claim, "skipped",
+                         "needs dimension >= 3")
     values = [inner_mass_integral(field, e) for e in eps_values]
     decreasing = all(b < a for a, b in zip(values, values[1:]))
     return CheckResult(
@@ -589,3 +577,116 @@ def check_continuation_cauchy(diffs: Sequence[float]) -> CheckResult:
         passed=bool(ok),
         extra={"diffs": diffs},
     )
+
+
+# -- the table of field checks ------------------------------------------------
+#
+# Each entry takes the finished run (a ``pipeline.PipelineResult``) and
+# calls the checks, the solver and the problem factory through their module
+# attributes, so anything that patches those attributes sees every call.
+
+def _same_eps(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-12 * max(1.0, b)
+
+
+def _find_field(fields, eps):
+    return next((f for f in fields if _same_eps(f.eps, eps)), None)
+
+
+def _abort_extra(abort: solver.SolverAbort) -> dict:
+    return {"eps": abort.eps, "step": abort.step_index, "t": abort.time}
+
+
+def _rerun_check(run, name: str, rerun: str, problem, grid, scheme,
+                 check) -> list[CheckResult]:
+    """``check`` of a fresh solve to the horizon, or, when that rerun aborts,
+    a FAIL row ``name`` whose measurement is the time of the failed step.
+    The rerun field goes straight into its check and is freed after it."""
+    try:
+        fld = solver.solve_annulus(problem, grid, run.horizon, scheme)
+    except solver.SolverAbort as abort:
+        return [CheckResult(
+            name=name, claim=f"{rerun} solved to the horizon",
+            measured=float("nan") if abort.time is None else float(abort.time),
+            tolerance=run.horizon, passed=False, extra=_abort_extra(abort),
+        )]
+    return [check(fld)]
+
+
+def _cutoff_inactive(run) -> list[CheckResult]:
+    ref = run.reference
+    wide = initdata.make_epsilon_problem(run.params, run.datum, ref.eps,
+                                         ref.grid.nodes, support_factor=4.0)
+    return _rerun_check(run, "cutoff_inactive_rerun",
+                        "the rerun with a doubled cutoff support",
+                        wide, ref.grid, run.config.scheme,
+                        lambda fld: check_cutoff_inactive(ref, fld))
+
+
+def _pointwise_gradient(run) -> list[CheckResult]:
+    """The weighted-slope bound at the reference radius, and its stability
+    against half that radius; a missing half radius shows as a row."""
+    power = run.config.verify.pointwise_power
+    coarse = check_pointwise_gradient(run.reference, p=power)
+    eps = run.reference.eps / 2.0
+    half = _find_field(run.continuation.fields, eps)
+    if half is not None:
+        return [coarse, check_pointwise_stability(
+            coarse, check_pointwise_gradient(half, p=power))]
+    claim = "weighted slope bound stable under halving the inner radius"
+    if any(_same_eps(e, eps) for e in run.config.continuation.eps_sequence):
+        return [coarse, _unjudged("pointwise_gradient_stability", claim,
+                                  "inconclusive", f"eps = {eps:.6g} not solved")]
+    return [coarse, _unjudged("pointwise_gradient_stability", claim, "skipped",
+                              f"eps = {eps:.6g} not in the eps sequence")]
+
+
+def _uniqueness(run) -> list[CheckResult]:
+    finest, cont_cfg = run.continuation.finest, run.config.continuation
+    other = ("crank_nicolson" if run.config.scheme.time_stepper == "implicit_euler"
+             else "implicit_euler")
+    return _rerun_check(
+        run, "uniqueness_surrogate", f"the {other} rerun", finest.problem,
+        finest.grid, replace(run.config.scheme, time_stepper=other),
+        lambda fld: check_uniqueness_surrogate(
+            finest, fld, tol=run.config.verify.uniqueness_tol,
+            r_fraction=cont_cfg.compact_r_fraction, t_start=cont_cfg.compact_t_start))
+
+
+def _continuation_cauchy(run) -> list[CheckResult]:
+    cont = run.continuation
+    if len(cont.consecutive_diffs) >= 2:
+        return [check_continuation_cauchy(cont.consecutive_diffs)]
+    return [_unjudged(
+        "continuation_cauchy",
+        "shrinking-annulus fields form a Cauchy sequence in sup norm", "skipped",
+        f"needs at least 3 inner radii; {len(cont.fields)}"
+        f" of {len(run.config.continuation.eps_sequence)} solved")]
+
+
+# verify.enabled name -> rows; the order is the order of the report
+CHECKS: dict[str, Callable[..., list[CheckResult]]] = {
+    "sandwich": lambda run: [
+        check_sandwich(run.reference, tol=run.config.verify.tol_sandwich)],
+    "monotone": lambda run: [
+        check_monotone(run.reference, tol=run.config.verify.tol_grad)],
+    "gradient_box": lambda run: [check_gradient_box(run.reference)],
+    "cutoff_inactive": _cutoff_inactive,
+    "boundary_bands": lambda run: [
+        check_boundary_bands(run.reference, tol=run.config.verify.tol_grad)],
+    "bernstein": lambda run: [
+        check_weighted_bernstein(run.reference, p=p, delta_fraction=(
+            run.config.verify.bernstein_delta_fraction))
+        for p in run.config.verify.bernstein_powers],
+    "pointwise_gradient": _pointwise_gradient,
+    "singularity": lambda run: [check_singularity_shape(run.continuation.finest)],
+    "shape_functional": lambda run: [check_shape_functional(run.continuation.finest)],
+    "decay": lambda run: [
+        check_decay_envelope(run.reference, tol=run.config.verify.tol_sandwich),
+        check_decay_rate(run.reference)],
+    "weak_identity": lambda run: check_weak_identity(run.continuation.limit),
+    "inner_mass": lambda run: [check_inner_mass(
+        run.continuation.limit, run.config.continuation.eps_sequence[:3])],
+    "uniqueness": _uniqueness,
+    "continuation_cauchy": _continuation_cauchy,
+}

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradsing import analytic, cli, pipeline, solver
+from gradsing import analytic, cli, pipeline, solver, verify
 from gradsing.config import (
     ConfigError, ContinuationConfig, InitdataConfig, ModelConfig, OutputConfig,
     PRESETS, RunConfig, VerifyConfig, load_config, preset,
@@ -499,6 +499,80 @@ class TestSolverAbort:
         assert res.status == "skipped"
         assert res.extra["reason"] == \
             "needs at least 3 inner radii; 2 of 3 solved"
+
+
+TABLE_SUBSET = ["analytic_residuals", "sandwich", "monotone", "gradient_box",
+                "cutoff_inactive", "boundary_bands"]
+
+
+class TestCheckTable:
+    def test_report_follows_table_not_enabled_order(self):
+        rows = []
+        for enabled in (TABLE_SUBSET, TABLE_SUBSET[::-1]):
+            cfg = load_config(QUICK_CONFIG.replace(
+                "analytic_residuals, sandwich, monotone, gradient_box",
+                ", ".join(enabled)))
+            report = pipeline.run_pipeline(cfg, write=False).report
+            rows.append([(c.name, c.measured, c.tolerance, c.passed, c.status)
+                         for c in report.checks])
+        assert rows[0] == rows[1]
+        assert [row[0] for row in rows[0]] == GATES + [
+            "sandwich", "monotone_gradient", "gradient_box",
+            "cutoff_inactive_rerun", "boundary_derivative_bands"]
+
+    def test_table_calls_checks_through_module_attribute(self, monkeypatch):
+        """The benchmark tracer counts checks by patching these attributes."""
+        calls = []
+        original = verify.check_sandwich
+
+        def spy(field, tol=None):
+            calls.append(field.eps)
+            return original(field, tol=tol)
+
+        monkeypatch.setattr(verify, "check_sandwich", spy)
+        report = pipeline.run_pipeline(load_config(QUICK_CONFIG), write=False).report
+        assert calls == [0.04]
+        assert report["sandwich"].passed
+
+    def test_pointwise_stability_skipped_without_half_radius(self):
+        cfg = load_config(QUICK_CONFIG.replace(
+            "sandwich, monotone, gradient_box", "pointwise_gradient"))
+        result = pipeline.run_pipeline(cfg, write=False)
+        res = result.report["pointwise_gradient_stability"]
+        assert res.status == "skipped"
+        assert "0.02" in res.extra["reason"]
+        assert result.exit_code == 0
+
+    def test_pointwise_stability_inconclusive_when_half_radius_aborts(
+            self, monkeypatch):
+        _abort_at(monkeypatch, 0.02)
+        cfg = load_config(
+            QUICK_CONFIG.replace("0.05, 0.04", "0.05, 0.04, 0.02")
+            .replace("sandwich, monotone, gradient_box", "pointwise_gradient"))
+        result = pipeline.run_pipeline(cfg, write=False)
+        res = result.report["pointwise_gradient_stability"]
+        assert res.status == "inconclusive"
+        assert "0.02" in res.extra["reason"]
+        assert not result.report["continuation_complete"].passed
+        assert result.exit_code == 1
+
+
+class TestStaleFields:
+    def test_aborted_rerun_removes_fields_of_the_earlier_run(
+            self, tmp_path, monkeypatch):
+        code, _, manifest = _run_rows(monkeypatch, tmp_path, QUICK_CONFIG)
+        assert code == 0 and "field_limit.csv" in manifest["artifacts"]
+        run_dir = tmp_path / "quickrun"
+        unlisted = run_dir / "field_eps0.03.csv"  # as `gradsing solve` writes
+        unlisted.write_text("t,r,u,u_r\r\n")
+        _abort_at(monkeypatch, 0.05)
+        code, _, manifest = _run_rows(monkeypatch, tmp_path, QUICK_CONFIG)
+        assert code == 1
+        assert sorted(manifest["artifacts"]) == ["report.csv"]
+        assert sorted(p.name for p in run_dir.glob("field_*.csv")) == \
+            [unlisted.name]
+        with pytest.raises(FileNotFoundError):
+            pipeline.emit_plotdata(run_dir)
 
 
 class TestCLI:

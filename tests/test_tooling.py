@@ -1,17 +1,21 @@
-"""Guards for the benchmark harness in perfbench/.
+"""Guards for the benchmark harness in perfbench/ and for the docs.
 
 The traced benchmark wraps gradsing entry points by name.  A renamed or
 removed entry point must fail here instead of silently dropping out of
-the per-layer split.
+the per-layer split.  The README's table of checks must name every check.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from gradsing import config, verify
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer_table(name: str) -> dict:
@@ -36,3 +40,9 @@ def test_traced_methods_resolve(module, pairs):
     missing = [f"{cls}.{attr}" for cls, attr in pairs
                if attr not in vars(getattr(mod, cls, object))]
     assert not missing, f"gradsing.{module} lacks traced methods {missing}"
+
+
+def test_readme_checks_table_names_every_check():
+    rows = re.findall(r"^\| `(\w+)` \|", (ROOT / "README.md").read_text(), re.M)
+    assert set(verify.CHECKS) <= set(rows)
+    assert rows == list(config.ALL_CHECKS)
