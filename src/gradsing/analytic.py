@@ -281,13 +281,14 @@ def v_mode_rr(params: ModelParams, r, t):
     return params.C * np.exp(-params.lam ** 2 * tt) * _psi_second(params, arr)
 
 
-def mode_lower_bound_c1(params: ModelParams, samples: int = 4000) -> float:
-    """Grid minimum of J_nu(lam r) / r^nu on (0, R].
+def mode_lower_bound_c1(params: ModelParams) -> float:
+    """Minimum of J_nu(lam r) / r^nu over 4000 log-spaced radii in
+    [1e-8 R, R].
 
     Positive whenever lam R < x0; the small-r limit (lam/2)^nu / Gamma(nu+1)
     is its supremum since J_nu(x)/x^nu decreases up to the first root.
     """
-    r = np.geomspace(1e-8 * params.R, params.R, samples)
+    r = np.geomspace(1e-8 * params.R, params.R, 4000)
     j = specfn.bessel_j(BesselOrder(params.nu), params.lam * r)
     return float(np.min(j / r ** params.nu))
 
@@ -382,13 +383,13 @@ def subsolution_defect(params: ModelParams, r, t):
     return res if np.ndim(r) else float(res[0])
 
 
-def probe_lattice(params: ModelParams, radii: int = 200,
-                  times=(0.0, 0.1, 1.0, 5.0)):
-    """Log-spaced radii in [1e-4 R, 0.999 R] crossed with the probe times.
+def probe_lattice(params: ModelParams, radii: int = 200):
+    """Log-spaced radii in [1e-4 R, 0.999 R] crossed with the probe times
+    0, 0.1, 1 and 5.
 
     The logarithmic spacing exercises the singular r -> 0 factors.
-    Returns broadcastable (r, t) arrays of shape (len(times), radii).
+    Returns broadcastable (r, t) arrays of shape (4, radii).
     """
     r = np.geomspace(1e-4 * params.R, 0.999 * params.R, radii)
-    t = np.asarray(times, dtype=float)
+    t = np.array([0.0, 0.1, 1.0, 5.0])
     return np.broadcast_arrays(r[None, :], t[:, None])

@@ -104,8 +104,8 @@ def _cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"field_eps{eps:.6g}.csv"
     pipeline._write_field_csv(path, fld, cfg.output.save_every)
-    print(f"wrote {path} (cutoff_active={fld.cutoff_active}, "
-          f"max|u_r|={fld.max_abs_gradient:.4g})")
+    print(f"wrote {path} (max|u_r|={fld.max_abs_gradient:.4g}, "
+          f"c*={fld.problem.c_star_eps:.4g})")
     return 0
 
 

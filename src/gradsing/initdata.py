@@ -57,25 +57,17 @@ class InitialDataError(ValueError):
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """A radial initial profile with its admissibility certificates.
+    """A radial initial profile.
 
     ``value`` and ``slope`` are exact closures usable on any grid;
     ``profile`` carries dense reference samples (several decades near 0).
-    ``derivative_bound_C`` witnesses 0 >= u0' >= -C r^(-2/3);
-    ``closeness_bound`` is the measured supremum of
-    r^(3/2 - n - nu) (u* - u0) over the finest resolved decade.
+    Its admissibility is the report of :func:`validate_initial_datum`,
+    which :func:`make_initial_datum` requires to pass.
     """
 
     profile: RadialProfile
-    derivative_bound_C: float
-    closeness_bound: float
     value: Callable = field(repr=False)
     slope: Callable = field(repr=False)
-
-
-def _datum_grid(params: ModelParams, n_nodes: int = 1200) -> np.ndarray:
-    # four decades of radii; condition checks need >= 3 near the origin
-    return np.geomspace(1e-4 * params.R, params.R, n_nodes)
 
 
 def _family_closures(params: ModelParams, family: str, k: float, amplitude: float):
@@ -127,7 +119,6 @@ def make_initial_datum(
     family: str = "mode_deficit",
     k: float = 2.0,
     amplitude: float | None = None,
-    n_nodes: int = 1200,
 ) -> InitialDatum:
     """Construct and validate a member of one of the datum families.
 
@@ -138,7 +129,9 @@ def make_initial_datum(
     for polynomial_blend.  Raises :class:`InitialDataError` naming the first
     violated condition if the resulting profile is not admissible (possible
     for aggressive amplitudes or exponents, where the deficit recovers
-    faster near R than the stationary slope allows).
+    faster near R than the stationary slope allows).  The reference samples
+    are 1200 log-spaced radii over the four decades [1e-4 R, R], 300 per
+    decade, which the near-origin conditions compare decade by decade.
     """
     if family == "mode_deficit" and amplitude is None:
         amplitude = params.C
@@ -147,29 +140,16 @@ def make_initial_datum(
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
     value, slope = _family_closures(params, family, float(k), float(amplitude))
-    grid = _datum_grid(params, n_nodes)
+    grid = np.geomspace(1e-4 * params.R, params.R, 1200)
     profile = RadialProfile(grid=grid, values=value(grid), derivative=slope(grid))
-    datum = InitialDatum(
-        profile=profile,
-        derivative_bound_C=0.0,
-        closeness_bound=0.0,
-        value=value,
-        slope=slope,
-    )
-    report = validate_initial_datum(params, datum)
-    bad = report.failures()
+    datum = InitialDatum(profile=profile, value=value, slope=slope)
+    bad = validate_initial_datum(params, datum).failures()
     if bad:
         raise InitialDataError(
             "constructed profile fails condition(s) "
             + ", ".join(c.name for c in bad)
         )
-    return InitialDatum(
-        profile=profile,
-        derivative_bound_C=report["slope_envelope"].extra["bound_C"],
-        closeness_bound=report["origin_closeness"].measured,
-        value=value,
-        slope=slope,
-    )
+    return datum
 
 
 def _second_derivative_estimate(r: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -252,13 +232,11 @@ def validate_initial_datum(
     # (f) slope squeeze 0 >= u0' >= -C r^(-2/3)
     worst_pos = float(np.max(u0r))
     weighted = -u0r * r ** (2.0 / 3.0)
-    bound_C = 1.05 * max(float(np.max(weighted)), params.alpha / 3.0)
     report.add(CheckResult(
         name="slope_envelope",
         claim="datum nonincreasing with slope within -C r^(-2/3)",
         measured=worst_pos, tolerance=tol,
         passed=worst_pos <= tol and np.all(np.isfinite(weighted)),
-        extra={"bound_C": bound_C},
     ))
     return report
 

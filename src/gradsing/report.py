@@ -25,12 +25,14 @@ class CheckResult:
     extra: dict = field(default_factory=dict)
 
     def line(self) -> str:
+        """One summary line; a ``reason`` in ``extra`` is appended."""
         flag = "PASS" if self.passed else "FAIL"
         if self.status not in ("ok", "exact"):
             flag = self.status.upper()
+        reason = f" ({self.extra['reason']})" if "reason" in self.extra else ""
         return (
             f"{flag:12s} {self.name:28s} measured={self.measured:.6e} "
-            f"tol={self.tolerance:.6e}"
+            f"tol={self.tolerance:.6e}{reason}"
         )
 
 

@@ -557,6 +557,30 @@ class TestCheckTable:
         assert result.exit_code == 1
 
 
+    def test_singularity_checks_inconclusive_when_smallest_radius_aborts(
+            self, tmp_path, monkeypatch):
+        """Judged at the smallest configured radius, never at a coarser
+        finest field left by an abort."""
+        _abort_at(monkeypatch, 0.03)
+        code, rows, _ = _run_rows(
+            monkeypatch, tmp_path,
+            QUICK_CONFIG.replace("0.05, 0.04", "0.05, 0.04, 0.03")
+            .replace("analytic_residuals, sandwich, monotone, gradient_box",
+                     "singularity, shape_functional"))
+        assert code == 1
+        assert [row["name"] for row in rows] == [
+            "continuation_complete", "singularity_exponent", "shape_functional"]
+        cfg = load_config(
+            QUICK_CONFIG.replace("0.05, 0.04", "0.05, 0.04, 0.03")
+            .replace("sandwich, monotone, gradient_box",
+                     "singularity, shape_functional"))
+        report = pipeline.run_pipeline(cfg, write=False).report
+        for name in ("singularity_exponent", "shape_functional"):
+            res = report[name]
+            assert (res.status, res.passed) == ("inconclusive", False)
+            assert "0.03" in res.extra["reason"]
+
+
 class TestStaleFields:
     def test_aborted_rerun_removes_fields_of_the_earlier_run(
             self, tmp_path, monkeypatch):
@@ -621,6 +645,17 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "stationary_residual" in out
+
+    def test_run_line_shows_skip_reason(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "pointwise.ini"
+        cfg_path.write_text(QUICK_CONFIG.replace(
+            "sandwich, monotone, gradient_box", "pointwise_gradient"))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if "pointwise_gradient_stability" in line)
+        assert line.startswith("SKIPPED")
+        assert "eps = 0.02 not in the eps sequence" in line
 
     def test_console_entry_point(self):
         proc = subprocess.run(

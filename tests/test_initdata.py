@@ -54,7 +54,8 @@ class TestFamilies:
         d = make_initial_datum(params, "polynomial_blend", k=2.0, amplitude=0.0)
         r = d.profile.grid
         assert np.array_equal(d.profile.values, analytic.u_star(params, r))
-        assert d.closeness_bound == 0.0
+        closeness = validate_initial_datum(params, d)["origin_closeness"]
+        assert closeness.measured == 0.0
 
     def test_aggressive_amplitude_rejected_naming_slope(self, params):
         # the deficit recovers faster near R than the stationary slope allows
@@ -79,8 +80,6 @@ class TestValidator:
                 values=analytic.u_star(params, r),
                 derivative=analytic.u_star_r(params, r),
             ),
-            derivative_bound_C=params.alpha / 3.0,
-            closeness_bound=0.0,
             value=lambda x: analytic.u_star(params, x),
             slope=lambda x: analytic.u_star_r(params, x),
         )
@@ -95,8 +94,6 @@ class TestValidator:
         slo = lambda x: analytic.u_star_r(p, x) - analytic.v_mode_r(p, x, 0.0)
         d = InitialDatum(
             profile=RadialProfile(grid=r, values=val(r), derivative=slo(r)),
-            derivative_bound_C=1.0,
-            closeness_bound=0.0,
             value=val,
             slope=slo,
         )
@@ -113,8 +110,6 @@ class TestValidator:
         values[-1] = analytic.u_star(params, params.R)
         d = InitialDatum(
             profile=RadialProfile(grid=r, values=values, derivative=deriv),
-            derivative_bound_C=1.0,
-            closeness_bound=0.0,
             value=None,
             slope=None,
         )

@@ -187,7 +187,6 @@ class TestSolveAnnulus:
         assert np.all(n2_field.values[:, -1] == prob.outer_bc())
 
     def test_cutoff_never_activates(self, n2_field):
-        assert not n2_field.cutoff_active
         assert n2_field.max_abs_gradient < n2_field.problem.c_star_eps
 
     def test_deterministic_bit_identical(self, n2_bundle, small_policy,
@@ -274,7 +273,6 @@ class TestContinuation:
         res = continuation(params, datum, [0.05, 0.04], small_policy, 0.2,
                            small_scheme)
         lim = res.limit
-        assert lim.origin_appended
         assert lim.grid.nodes[0] == 0.0
         assert np.all(lim.values[:, 0] == 0.0)
         assert np.array_equal(lim.values[:, 1:], res.finest.values)

@@ -2,7 +2,9 @@
 
 The traced benchmark wraps gradsing entry points by name.  A renamed or
 removed entry point must fail here instead of silently dropping out of
-the per-layer split.  The README's table of checks must name every check.
+the per-layer split, and so must an annulus solve whose result lacks what
+the tracer's solve probe reads.  The README's table of checks must name
+every check.
 """
 
 import ast
@@ -12,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from gradsing import config, verify
+import numpy as np
+
+from gradsing import analytic, config, initdata, solver, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -46,3 +50,17 @@ def test_readme_checks_table_names_every_check():
     rows = re.findall(r"^\| `(\w+)` \|", (ROOT / "README.md").read_text(), re.M)
     assert set(verify.CHECKS) <= set(rows)
     assert rows == list(config.ALL_CHECKS)
+
+
+def test_solve_exposes_what_the_solve_probe_reads():
+    """The tracer's solve probe reads ``times``, ``max_abs_gradient`` and
+    ``problem.c_star_eps`` of each solved field."""
+    params = analytic.make_params(2, R=0.6, C=0.25)
+    datum = initdata.make_initial_datum(params, "mode_deficit", k=2.0)
+    grid = solver.GridPolicy(num_nodes=60).build(0.05, params.R)
+    problem = initdata.make_epsilon_problem(params, datum, 0.05, grid.nodes)
+    out = solver.solve_annulus(problem, grid, 0.02,
+                               solver.SchemeConfig(dt_initial=5e-3))
+    assert out.times.size - 1 == 4
+    assert out.max_abs_gradient == float(np.max(np.abs(out.gradient_matrix())))
+    assert 0.0 < out.max_abs_gradient / out.problem.c_star_eps < 1.0

@@ -58,15 +58,15 @@ class TestGradientBox:
         assert res.measured < res.extra["ceiling"]
 
     def test_synthetic_blowup_detected(self, n2_field):
+        """Only the values are tampered: the check must reconstruct the
+        gradient from them rather than trust a stored maximum."""
         bad = n2_field.values.copy()
         c = n2_field.problem.c_star_eps
         h = np.diff(n2_field.grid.nodes)[50]
         bad[2, 51] = bad[2, 50] - 3.0 * c * h
-        res = verify.check_gradient_box(
-            tampered(n2_field, values=bad,
-                     max_abs_gradient=3.0 * c, cutoff_active=True)
-        )
+        res = verify.check_gradient_box(tampered(n2_field, values=bad))
         assert not res.passed
+        assert res.measured > res.tolerance == c
 
     def test_boundary_bands(self, n2_field):
         assert verify.check_boundary_bands(n2_field).passed
@@ -172,12 +172,20 @@ class TestDecay:
 
     def test_rate_at_least_mode_rate(self, n2_field):
         res = verify.check_decay_rate(n2_field)
-        assert res.passed
+        assert res.passed and res.status == "ok"
         assert res.measured >= 0.9 * n2_field.problem.params.decay_rate
 
     def test_stationary_run_reports_exact(self, c0_field):
         res = verify.check_decay_rate(c0_field)
         assert res.status == "exact" and res.passed
+
+    def test_difference_at_floor_is_inconclusive_not_passed(self, n2_field):
+        flat = np.broadcast_to(n2_field.u_star_row() + 1e-12,
+                               n2_field.values.shape).copy()
+        res = verify.check_decay_rate(tampered(n2_field, values=flat))
+        assert res.status == "inconclusive"
+        assert not res.passed
+        assert res.extra["reason"] == "difference at the discretization floor"
 
 
 class TestWeakIdentity:
