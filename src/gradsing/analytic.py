@@ -111,13 +111,12 @@ def make_params(
     R: float | None = None,
     lam: float | None = None,
     C: float = 0.0,
-    lambda_fraction: float = 0.9,
     R_fraction: float = 0.9,
 ) -> ModelParams:
     """Build an admissible parameter set.
 
     Exactly one of ``R`` and ``lam`` may be given; the other is derived so
-    that the gate holds with margin (lam = lambda_fraction * x1 / R, or
+    that the gate holds with margin (lam = 0.9 x1 / R, or
     R = R_fraction * max admissible radius).  Passing both is allowed but
     then the pair itself must pass the gate.
     """
@@ -135,9 +134,7 @@ def make_params(
             raise ValueError("R_fraction must lie in (0, 1)")
         R = R_fraction * min(zeros.x1 / lam, radius_bound(n))
     elif lam is None:
-        if not 0 < lambda_fraction < 1:
-            raise ValueError("lambda_fraction must lie in (0, 1)")
-        lam = lambda_fraction * zeros.x1 / R
+        lam = 0.9 * zeros.x1 / R
     params = ModelParams(
         n=int(n), R=float(R), lam=float(lam), C=float(C),
         alpha=alpha, nu=nu, x0=zeros.x0, x1=zeros.x1,

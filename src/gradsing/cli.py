@@ -7,8 +7,8 @@ Subcommands mirror the pipeline stages:
   initdata validate   per-condition report for the configured datum
   solve               single annulus run at one inner radius
   continuation        full shrinking-annulus sequence
-  verify run          pipeline plus every enabled check (nonzero exit on fail)
-  run                 same as verify run, with --only to stop early
+  run                 pipeline plus every enabled check (nonzero exit on
+                      fail), with --only to stop early
   report              emit plot-ready columnar text from a finished run
 
 Configuration comes from --preset or --config; flags mirror config keys.
@@ -133,11 +133,6 @@ def _cmd_run(args) -> int:
     return result.exit_code
 
 
-def _cmd_verify_run(args) -> int:
-    args.only = None
-    return _cmd_run(args)
-
-
 def _cmd_report(args) -> int:
     paths = pipeline.emit_plotdata(
         args.run_dir, times=tuple(args.time or ()),
@@ -188,12 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("continuation", help="shrinking-annulus sequence")
     _add_config_source(p)
     p.set_defaults(func=_cmd_continuation)
-
-    p = sub.add_parser("verify", help="verification suite")
-    s2 = p.add_subparsers(dest="subcommand", required=True)
-    vr = s2.add_parser("run", help="full pipeline with all enabled checks")
-    _add_config_source(vr)
-    vr.set_defaults(func=_cmd_verify_run)
 
     p = sub.add_parser("run", help="full pipeline (--only analytic to stop early)")
     _add_config_source(p)

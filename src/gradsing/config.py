@@ -40,19 +40,12 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ModelConfig:
     n: int = 2
-    lambda_fraction: float = 0.9
-    R_fraction: float = 0.9
-    amplitude_policy: str = "fit"   # "fit" from the datum, or "fixed"
-    amplitude: float = 0.0          # value when fixed; floor when fitting
-    amplitude_floor: float = 0.05
     R: float | None = None
     lam: float | None = None
 
     def validate(self):
         if self.R is None and self.lam is None:
             raise ConfigError("model.R or model.lambda: one must be given")
-        if self.amplitude_policy not in ("fit", "fixed"):
-            raise ConfigError("model.amplitude_policy: must be fit or fixed")
 
 
 @dataclass(frozen=True)
@@ -85,14 +78,10 @@ class ContinuationConfig:
 @dataclass(frozen=True)
 class VerifyConfig:
     enabled: tuple = ("all",)
-    bernstein_powers: tuple = (4, 28)
-    bernstein_delta_fraction: float = 0.05
-    pointwise_power: int = 28
-    uniqueness_tol: float = 1e-3
-    tol_sandwich: float | None = None   # None: 5 (h^2 + dt)
-    tol_grad: float | None = None       # None: 1e-6 + 10 h^2
 
     def checks(self) -> tuple:
+        if not self.enabled:
+            raise ConfigError("verify.enabled: names no check")
         unknown = set(self.enabled) - set(ALL_CHECKS) - {"all"}
         if unknown:
             raise ConfigError(f"verify.enabled: unknown checks {sorted(unknown)}")
@@ -177,8 +166,13 @@ def _items(obj) -> dict:
 
 
 def _parse(cp, section: str, cls, **given):
-    """Build ``cls`` from one INI section; absent keys keep their defaults."""
+    """Build ``cls`` from one INI section; absent keys keep their defaults
+    and an undeclared key is an error."""
     raw = cp[section] if cp.has_section(section) else {}
+    declared = {cp.optionxform(key) for _, key in _keys(cls)}
+    for key in raw:
+        if key not in declared:
+            raise ConfigError(f"{section}.{key}: unknown key")
     for f, key in _keys(cls):
         value = raw.get(key)
         if value is None:
@@ -197,7 +191,8 @@ def load_config(path_or_text) -> RunConfig:
     """Parse a run configuration from an INI file path or literal text.
 
     Every field of a section is a key of that section (``model.lambda`` and
-    ``scheme.dt`` are the two renamed ones); unknown keys are ignored.
+    ``scheme.dt`` are the two renamed ones); an unknown section or key is
+    a :class:`ConfigError`.
     """
     cp = configparser.ConfigParser()
     try:
@@ -210,6 +205,11 @@ def load_config(path_or_text) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
+    known = {"run", *(s for s, _ in _sections())}
+    for section in cp.sections():
+        if section not in known:
+            keys = ", ".join(f"{section}.{key}" for key in cp[section])
+            raise ConfigError(f"{keys or section}: unknown section [{section}]")
     sections = {s: _parse(cp, s, cls) for s, cls in _sections()}
     return _parse(cp, "run", RunConfig, **sections).validate()
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analytic, initdata, solver, verify
 from .analytic import ModelParams
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .report import CheckResult, VerificationReport
 
 __all__ = [
@@ -68,28 +68,20 @@ def resolve_output_dir(config: RunConfig) -> Path:
 def build_model(config: RunConfig):
     """Derive admissible parameters and a validated initial datum.
 
-    The mode amplitude is fitted from the datum unless the policy fixes
-    it; a fitted zero (degenerate datum) is clamped to the configured
-    floor so that downstream envelopes stay nontrivial.
+    The mode amplitude is fitted from the datum; a fitted zero (degenerate
+    datum) is clamped to 0.05 so that downstream envelopes stay nontrivial.
     """
     m = config.model
     params0 = analytic.make_params(
-        m.n, R=m.R, lam=m.lam, C=config.initdata.deficit_amplitude,
-        lambda_fraction=m.lambda_fraction, R_fraction=m.R_fraction,
-    )
+        m.n, R=m.R, lam=m.lam, C=config.initdata.deficit_amplitude)
     datum = initdata.make_initial_datum(
         params0,
         family=config.initdata.family,
         k=config.initdata.blend_exponent,
         amplitude=config.initdata.deficit_amplitude,
     )
-    if m.amplitude_policy == "fixed":
-        C = m.amplitude
-    else:
-        C = initdata.choose_amplitude_C(params0, datum)
-        if C == 0.0:
-            C = m.amplitude_floor
-    return params0.replace(C=C), datum
+    C = initdata.choose_amplitude_C(params0, datum)
+    return params0.replace(C=C if C != 0.0 else 0.05), datum
 
 
 def analytic_checks(params: ModelParams) -> list[CheckResult]:
@@ -147,11 +139,14 @@ def run_pipeline(config: RunConfig, only: str | None = None,
 
     cont_cfg = config.continuation
     policy = solver.GridPolicy(cont_cfg.num_nodes, cont_cfg.grading_exponent)
-    cont = solver.continuation(
-        params, datum, cont_cfg.eps_sequence, policy, result.horizon, config.scheme,
-        compact_r_fraction=cont_cfg.compact_r_fraction,
-        compact_t_start=cont_cfg.compact_t_start,
-    )
+    try:
+        cont = solver.continuation(
+            params, datum, cont_cfg.eps_sequence, policy, result.horizon,
+            config.scheme, compact_r_fraction=cont_cfg.compact_r_fraction,
+            compact_t_start=cont_cfg.compact_t_start,
+        )
+    except ValueError as exc:  # a precondition the configuration breaks
+        raise ConfigError(f"continuation: {exc}") from None
     result.continuation = cont
     abort = cont.aborted
     if abort is not None:

@@ -8,11 +8,10 @@ which field each claim is judged on; the continuation and serialization
 live in the pipeline.  Derivative reconstruction always reuses the solver
 stencil so that the asserted quantities are the ones actually computed.
 
-Each check states its bound in its docstring and applies it itself.
-The only tolerances a caller can set are those of the envelope checks,
-5 (h^2 + dt) by default (spatial truncation plus one power of the step),
-and of the gradient sign checks, 1e-6 + 10 h^2 by default; the
-configuration keys ``verify.tol_sandwich`` and ``verify.tol_grad`` set them.
+Each check states its bound in its docstring and applies it itself; no
+caller or configuration key can move it.  The envelope checks allow
+:func:`tol_sandwich`, 5 (h^2 + dt) (spatial truncation plus one power of
+the step), and the gradient sign checks :func:`tol_grad`, 1e-6 + 10 h^2.
 """
 
 from __future__ import annotations
@@ -102,9 +101,10 @@ def _unjudged(name: str, claim: str, status: str,
 
 # -- envelope and sign checks -------------------------------------------------
 
-def check_sandwich(field: SpacetimeField, tol: float | None = None) -> CheckResult:
-    """Max violation of  u* >= u >= u* - v  over all stored (r, t)."""
-    tol = tol_sandwich(field) if tol is None else tol
+def check_sandwich(field: SpacetimeField) -> CheckResult:
+    """Max violation of  u* >= u >= u* - v  over all stored (r, t), within
+    :func:`tol_sandwich`."""
+    tol = tol_sandwich(field)
     us = field.u_star_row()
     v = field.mode_matrix()
     upper = float(np.max(field.values - us[None, :]))
@@ -118,9 +118,10 @@ def check_sandwich(field: SpacetimeField, tol: float | None = None) -> CheckResu
     )
 
 
-def check_monotone(field: SpacetimeField, tol: float | None = None) -> CheckResult:
-    """Positive part of the reconstructed radial derivative."""
-    tol = tol_grad(field) if tol is None else tol
+def check_monotone(field: SpacetimeField) -> CheckResult:
+    """Positive part of the reconstructed radial derivative, within
+    :func:`tol_grad`."""
+    tol = tol_grad(field)
     worst = max(float(np.max(field.gradient_matrix())), 0.0)
     return CheckResult(
         name="monotone_gradient",
@@ -158,11 +159,10 @@ def check_cutoff_inactive(field: SpacetimeField,
     )
 
 
-def check_boundary_bands(field: SpacetimeField,
-                         tol: float | None = None) -> CheckResult:
-    """Derivative bands at both boundaries:
+def check_boundary_bands(field: SpacetimeField) -> CheckResult:
+    """Derivative bands at both boundaries, with tol = :func:`tol_grad`:
     u*_r(R) - tol <= u_r(R, t) <= tol  and  -c* - tol <= u_r(eps, t) <= tol."""
-    tol = tol_grad(field) if tol is None else tol
+    tol = tol_grad(field)
     p = field.problem.params
     grad = field.gradient_matrix()
     outer_lo = float(analytic.u_star_r(p, p.R))
@@ -179,9 +179,9 @@ def check_boundary_bands(field: SpacetimeField,
 
 # -- weighted gradient bounds -------------------------------------------------
 
-def check_weighted_bernstein(field: SpacetimeField, p: int,
-                             delta_fraction: float = 0.05) -> CheckResult:
-    """Affine majorant for W(t) = max_r (r - delta)_+^(p+3) u_r^p.
+def check_weighted_bernstein(field: SpacetimeField, p: int) -> CheckResult:
+    """Affine majorant for W(t) = max_r (r - delta)_+^(p+3) u_r^p, with
+    delta = 0.05 R.
 
     W saturates from its datum value toward the stationary level, so the
     affine fit is taken on the late half of the window, where the claimed
@@ -192,7 +192,7 @@ def check_weighted_bernstein(field: SpacetimeField, p: int,
     """
     if p < 4 or p % 2 != 0:
         raise ValueError("weight exponent must be an even integer >= 4")
-    delta = delta_fraction * field.problem.params.R
+    delta = 0.05 * field.problem.params.R
     w_nodes = np.clip(field.grid.nodes - delta, 0.0, None) ** (p + 3)
     W = np.max(w_nodes[None, :] * field.gradient_matrix() ** p, axis=1)
     t = field.times
@@ -361,10 +361,10 @@ def fit_decay(field: SpacetimeField) -> ExponentFit:
     )
 
 
-def check_decay_envelope(field: SpacetimeField,
-                         tol: float | None = None) -> CheckResult:
-    """sup_r |u - u*| <= exp(-lam^2 t) sup_r v(., 0) + tol at every stored t."""
-    tol = tol_sandwich(field) if tol is None else tol
+def check_decay_envelope(field: SpacetimeField) -> CheckResult:
+    """sup_r |u - u*| <= exp(-lam^2 t) sup_r v(., 0) + tol at every stored t,
+    with tol = :func:`tol_sandwich`."""
+    tol = tol_sandwich(field)
     p = field.problem.params
     us = field.u_star_row()
     D = np.max(np.abs(field.values - us[None, :]), axis=1)
@@ -651,12 +651,11 @@ def _at_radius(run, eps: float, name: str, claim: str,
 def _pointwise_gradient(run) -> list[CheckResult]:
     """The weighted-slope bound at the reference radius, and its stability
     against half that radius."""
-    power = run.config.verify.pointwise_power
-    coarse = check_pointwise_gradient(run.reference, p=power)
+    coarse = check_pointwise_gradient(run.reference)
     return [coarse, _at_radius(
         run, run.reference.eps / 2.0, "pointwise_gradient_stability",
         _STABILITY_CLAIM, lambda half: check_pointwise_stability(
-            coarse, check_pointwise_gradient(half, p=power)))]
+            coarse, check_pointwise_gradient(half)))]
 
 
 def _uniqueness(run) -> list[CheckResult]:
@@ -667,8 +666,8 @@ def _uniqueness(run) -> list[CheckResult]:
         run, "uniqueness_surrogate", f"the {other} rerun", finest.problem,
         finest.grid, replace(run.config.scheme, time_stepper=other),
         lambda fld: check_uniqueness_surrogate(
-            finest, fld, tol=run.config.verify.uniqueness_tol,
-            r_fraction=cont_cfg.compact_r_fraction, t_start=cont_cfg.compact_t_start))
+            finest, fld, r_fraction=cont_cfg.compact_r_fraction,
+            t_start=cont_cfg.compact_t_start))
 
 
 def _continuation_cauchy(run) -> list[CheckResult]:
@@ -684,18 +683,13 @@ def _continuation_cauchy(run) -> list[CheckResult]:
 
 # verify.enabled name -> rows; the order is the order of the report
 CHECKS: dict[str, Callable[..., list[CheckResult]]] = {
-    "sandwich": lambda run: [
-        check_sandwich(run.reference, tol=run.config.verify.tol_sandwich)],
-    "monotone": lambda run: [
-        check_monotone(run.reference, tol=run.config.verify.tol_grad)],
+    "sandwich": lambda run: [check_sandwich(run.reference)],
+    "monotone": lambda run: [check_monotone(run.reference)],
     "gradient_box": lambda run: [check_gradient_box(run.reference)],
     "cutoff_inactive": _cutoff_inactive,
-    "boundary_bands": lambda run: [
-        check_boundary_bands(run.reference, tol=run.config.verify.tol_grad)],
+    "boundary_bands": lambda run: [check_boundary_bands(run.reference)],
     "bernstein": lambda run: [
-        check_weighted_bernstein(run.reference, p=p, delta_fraction=(
-            run.config.verify.bernstein_delta_fraction))
-        for p in run.config.verify.bernstein_powers],
+        check_weighted_bernstein(run.reference, p=p) for p in (4, 28)],
     "pointwise_gradient": _pointwise_gradient,
     # judged at the smallest configured radius, never at a coarser one
     "singularity": lambda run: [_at_radius(
@@ -705,8 +699,7 @@ CHECKS: dict[str, Callable[..., list[CheckResult]]] = {
         run, run.config.continuation.eps_sequence[-1], "shape_functional",
         _SHAPE_CLAIM, check_shape_functional)],
     "decay": lambda run: [
-        check_decay_envelope(run.reference, tol=run.config.verify.tol_sandwich),
-        check_decay_rate(run.reference)],
+        check_decay_envelope(run.reference), check_decay_rate(run.reference)],
     "weak_identity": lambda run: check_weak_identity(run.continuation.limit),
     "inner_mass": lambda run: [check_inner_mass(
         run.continuation.limit, run.config.continuation.eps_sequence[:3])],

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradsing import analytic, cli, pipeline, solver, verify
+from gradsing import analytic, cli, initdata, pipeline, solver, verify
 from gradsing.config import (
     ConfigError, ContinuationConfig, InitdataConfig, ModelConfig, OutputConfig,
     PRESETS, RunConfig, VerifyConfig, load_config, preset,
@@ -51,12 +51,37 @@ directory = quickrun
 save_every = 20
 """
 
+# the keys that once set bounds, powers, fractions and the amplitude policy
+RETIRED_KEYS = [
+    ("model", "lambda_fraction = 0.9"),
+    ("model", "R_fraction = 0.9"),
+    ("model", "amplitude_policy = fit"),
+    ("model", "amplitude = 0.0"),
+    ("model", "amplitude_floor = 0.05"),
+    ("verify", "bernstein_powers = 4, 28"),
+    ("verify", "bernstein_delta_fraction = 0.05"),
+    ("verify", "pointwise_power = 28"),
+    ("verify", "uniqueness_tol = 1e-3"),
+    ("verify", "tol_sandwich = 1e-12"),
+    ("verify", "tol_grad = 1e-12"),
+]
+
+# (text in QUICK_CONFIG, its replacement, start of the error message); keys
+# are named as configparser reads them, lower-cased
+CONFIG_ERRORS = [
+    *((f"[{section}]\n", f"[{section}]\n{line}\n",
+       f"{section}.{line.split(' =')[0].lower()}: unknown key")
+      for section, line in RETIRED_KEYS),
+    ("horizon_efolds", "horizon_efold", "continuation.horizon_efold: unknown key"),
+    ("[verify]", "[verfiy]", "verfiy.enabled: unknown section [verfiy]"),
+    ("analytic_residuals, sandwich, monotone, gradient_box", "",
+     "verify.enabled: names no check"),
+]
+
 # every field of every section away from its default, both R and lambda set
 EVERY_FIELD = RunConfig(
     name="every-field",
-    model=ModelConfig(n=3, lambda_fraction=0.8, R_fraction=0.7,
-                      amplitude_policy="fixed", amplitude=0.3,
-                      amplitude_floor=0.01, R=1.2, lam=2.5),
+    model=ModelConfig(n=3, R=1.2, lam=2.5),
     initdata=InitdataConfig(family="polynomial_blend", deficit_amplitude=0.1,
                             blend_exponent=3.0),
     scheme=solver.SchemeConfig(time_stepper="crank_nicolson", dt_initial=5e-4,
@@ -66,9 +91,7 @@ EVERY_FIELD = RunConfig(
         eps_sequence=(0.03, 0.015), reference_eps=0.015, num_nodes=200,
         grading_exponent=1.5, horizon_efolds=4.0, compact_r_fraction=0.2,
         compact_t_start=0.25),
-    verify=VerifyConfig(enabled=("sandwich", "decay"), bernstein_powers=(2, 8, 16),
-                        bernstein_delta_fraction=0.1, pointwise_power=12,
-                        uniqueness_tol=2e-3, tol_sandwich=1e-9, tol_grad=2e-7),
+    verify=VerifyConfig(enabled=("sandwich", "decay")),
     output=OutputConfig(directory="runs/every", save_every=5),
 )
 
@@ -80,9 +103,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("name, digest", [
         ("n2-standard",
-         "fb77d2f2605d71749dbfd95e8d75ff5f3158f367cdb44916017c73b2a431daa8"),
+         "903e4a519addde26a705f528ccae5acc8c44ccd03bb35ceb384b86ec8e949d02"),
         ("n3-weak",
-         "b6d57270c69913c7540721a97711d82098a4d7a083e643f7c5eb3ea80133d140"),
+         "42f4933410cdc10fc30c1d62d74dcb4100ed3880742d3752cad34a61e6e94863"),
     ])
     def test_preset_hash_pinned(self, name, digest):
         assert preset(name).content_hash() == digest
@@ -115,15 +138,20 @@ class TestConfig:
         assert again.continuation.eps_sequence == cfg.continuation.eps_sequence
         assert again.content_hash() == cfg.content_hash()
 
-    def test_tolerance_overrides_survive_round_trip_and_hash(self):
-        base = preset("n2-standard")
-        cfg = dataclasses.replace(base, verify=dataclasses.replace(
-            base.verify, tol_sandwich=1e-9, tol_grad=2e-7))
-        again = load_config(cfg.canonical_text())
-        assert again.verify.tol_sandwich == 1e-9
-        assert again.verify.tol_grad == 2e-7
-        assert again.content_hash() == cfg.content_hash()
-        assert cfg.content_hash() != base.content_hash()
+    @pytest.mark.parametrize("old, new, message", CONFIG_ERRORS,
+                             ids=[message for *_, message in CONFIG_ERRORS])
+    def test_config_error_names_the_key(self, old, new, message, tmp_path,
+                                        capsys):
+        """A retired key, a typo or an empty check list must not run quietly
+        with the built-in values: load_config names the key, run exits 2."""
+        text = QUICK_CONFIG.replace(old, new)
+        with pytest.raises(ConfigError) as info:
+            load_config(text)
+        assert str(info.value).startswith(message)
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(text)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_retired_imex_cn_token_is_config_error(self, tmp_path, capsys):
         text = QUICK_CONFIG.replace("implicit_euler", "imex_cn")
@@ -134,9 +162,9 @@ class TestConfig:
         assert cli.main(["initdata", "validate", "--config", str(cfg_path)]) == 2
         assert "imex_cn" in capsys.readouterr().err
 
-    def test_output_formats_key_ignored(self):
-        cfg = load_config(QUICK_CONFIG + "formats = csv, npz\n")
-        assert cfg.canonical_text() == load_config(QUICK_CONFIG).canonical_text()
+    def test_output_formats_key_rejected(self):
+        with pytest.raises(ConfigError, match="^output.formats: unknown key"):
+            load_config(QUICK_CONFIG + "formats = csv, npz\n")
 
     def test_literal_text_parses(self):
         cfg = load_config(QUICK_CONFIG)
@@ -193,6 +221,15 @@ def monkeypatch_module():
 
 
 class TestPipeline:
+    def test_degenerate_datum_gets_the_amplitude_floor(self):
+        """deficit_amplitude = 0 makes the datum u*: the fitted amplitude
+        is 0, and the mode keeps the floor C = 0.05."""
+        cfg = load_config(QUICK_CONFIG.replace("deficit_amplitude = 0.25",
+                                               "deficit_amplitude = 0"))
+        params, datum = pipeline.build_model(cfg)
+        assert initdata.choose_amplitude_C(params, datum) == 0.0
+        assert params.C == 0.05
+
     def test_quick_run_passes_enabled_checks(self, quick_result):
         result, _ = quick_result
         assert result.report.all_passed()
@@ -415,7 +452,7 @@ class TestSolverAbort:
         cfg_path.write_text(
             QUICK_CONFIG.replace("0.05, 0.04", "0.05, 0.04, 0.03")
             .replace("monotone, gradient_box", "monotone"))
-        assert cli.main(["verify", "run", "--config", str(cfg_path)]) == 1
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
         with open(tmp_path / "quickrun" / "report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         names = [row["name"] for row in rows]
@@ -525,9 +562,9 @@ class TestCheckTable:
         calls = []
         original = verify.check_sandwich
 
-        def spy(field, tol=None):
+        def spy(field):
             calls.append(field.eps)
-            return original(field, tol=tol)
+            return original(field)
 
         monkeypatch.setattr(verify, "check_sandwich", spy)
         report = pipeline.run_pipeline(load_config(QUICK_CONFIG), write=False).report
@@ -645,6 +682,22 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "stationary_residual" in out
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("eps_sequence = 0.05, 0.04", "eps_sequence = 0.07, 0.04",
+         "largest eps reaches into the compact comparison window"),
+        ("dt = 0.002", "dt = 5.0", "step exceeds the integration horizon"),
+    ])
+    def test_solver_precondition_is_config_error(self, old, new, message,
+                                                 capsys, tmp_path,
+                                                 monkeypatch):
+        """A configuration the solver rejects before its first step exits 2
+        with the solver's message, not 1 with a traceback."""
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(QUICK_CONFIG.replace(old, new))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_run_line_shows_skip_reason(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))

@@ -4,7 +4,7 @@ The traced benchmark wraps gradsing entry points by name.  A renamed or
 removed entry point must fail here instead of silently dropping out of
 the per-layer split, and so must an annulus solve whose result lacks what
 the tracer's solve probe reads.  The README's table of checks must name
-every check.
+every check, and its table of configuration keys every key.
 """
 
 import ast
@@ -50,6 +50,15 @@ def test_readme_checks_table_names_every_check():
     rows = re.findall(r"^\| `(\w+)` \|", (ROOT / "README.md").read_text(), re.M)
     assert set(verify.CHECKS) <= set(rows)
     assert rows == list(config.ALL_CHECKS)
+
+
+def test_readme_config_table_names_every_key():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Configuration files")[1].split("\n### ")[0]
+    rows = re.findall(r"^\| `(\w+\.\w+)` \|", section, re.M)
+    sections = [("run", config.RunConfig), *config._sections()]
+    assert rows == [f"{name}.{key}" for name, cls in sections
+                    for _, key in config._keys(cls)]
 
 
 def test_solve_exposes_what_the_solve_probe_reads():
