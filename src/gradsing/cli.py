@@ -99,7 +99,10 @@ def _cmd_solve(args) -> int:
     grid = policy.build(eps, params.R)
     problem = initdata.make_epsilon_problem(params, datum, eps, grid.nodes)
     T = cfg.continuation.horizon_efolds / params.decay_rate
-    fld = solver.solve_annulus(problem, grid, T, cfg.scheme)
+    try:
+        fld = solver.solve_annulus(problem, grid, T, cfg.scheme)
+    except ValueError as exc:  # a precondition the configuration breaks
+        raise ConfigError(f"solve: {exc}") from None
     out = pipeline.resolve_output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"field_eps{eps:.6g}.csv"

@@ -367,7 +367,7 @@ class CutoffCubic:
         There the taper factor is exactly 1.0 and its derivative term
         exactly 0.0, so the plain cube is bitwise equal to the full formula.
         """
-        return bool(np.all(np.abs(s) <= self.c_star))
+        return bool(np.abs(s).max(initial=0.0) <= self.c_star)
 
     def apply(self, s):
         s = np.asarray(s, dtype=float)

@@ -29,7 +29,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from . import initdata as idata
 from .analytic import ModelParams, u_star
@@ -43,6 +44,7 @@ __all__ = [
     "ContinuationResult",
     "SolverAbort",
     "discretize_operator",
+    "solve_banded",
     "step",
     "solve_annulus",
     "continuation",
@@ -111,33 +113,35 @@ class RadialGrid:
     def derivative_weights(self) -> tuple:
         """Three-point first-derivative weights, computed once per grid.
 
-        Returns ``((sub, diag, sup), ends)``: the central nonuniform weights
-        of u[i-1], u[i], u[i+1] at the interior nodes, and for each boundary
-        node the one-sided second-order weights as ``((i0, i1, i2),
-        (w0, w1, w2))`` with i0 the boundary node itself.
+        Returns ``((sub, diag, sup), (index, weights))``: the central
+        nonuniform weights of u[i-1], u[i], u[i+1] at the interior nodes,
+        and the one-sided second-order weights of the two boundary nodes.
+        Row k of the (3, 2) arrays ``index`` and ``weights`` holds the k-th
+        stencil node of the first and of the last node (row 0: those nodes
+        themselves) and its weight.
         """
         hm, hp = self.spacings
         central = (-hp / (hm * (hm + hp)), (hp - hm) / (hm * hp),
                    hm / (hp * (hm + hp)))
-        ends = []
-        for idx in ((0, 1, 2), (-1, -2, -3)):
-            x0, x1, x2 = (self.nodes[i] for i in idx)
-            ends.append((idx, (
-                (2 * x0 - x1 - x2) / ((x0 - x1) * (x0 - x2)),
-                (x0 - x2) / ((x1 - x0) * (x1 - x2)),
-                (x0 - x1) / ((x2 - x0) * (x2 - x1)),
-            )))
-        return central, tuple(ends)
+        index = np.array([[0, -1], [1, -2], [2, -3]])
+        x0, x1, x2 = self.nodes[index]
+        weights = np.array([
+            (2 * x0 - x1 - x2) / ((x0 - x1) * (x0 - x2)),
+            (x0 - x2) / ((x1 - x0) * (x1 - x2)),
+            (x0 - x1) / ((x2 - x0) * (x2 - x1)),
+        ])
+        return central, (index, weights)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """First derivative along the last axis: central nonuniform inside,
         one-sided second order at the two boundary nodes."""
         u = np.asarray(u, dtype=float)
         out = np.empty_like(u)
-        (d_m, d_0, d_p), ends = self.derivative_weights
+        (d_m, d_0, d_p), (index, weights) = self.derivative_weights
         out[..., 1:-1] = d_m * u[..., :-2] + d_0 * u[..., 1:-1] + d_p * u[..., 2:]
-        for (i0, i1, i2), (w0, w1, w2) in ends:
-            out[..., i0] = w0 * u[..., i0] + w1 * u[..., i1] + w2 * u[..., i2]
+        # Nodes 0 and -1 (the stride-(N-1) slice).  A three-term sum adds in
+        # order, so this is bitwise w0*u0 + w1*u1 + w2*u2 at each end.
+        out[..., ::u.shape[-1] - 1] = (weights * u.take(index, axis=-1)).sum(axis=-2)
         return out
 
 
@@ -257,20 +261,19 @@ class _Stepper:
         return g, du, f
 
     def _jacobian_banded(self, u, du, f, dt):
+        """The Newton matrix as its (sub, diag, sup) diagonals, with the
+        Dirichlet identity rows at both ends."""
         th = self.scheme.theta
-        npts = u.size
         fp = self.problem.cutoff.derivative(du[1:-1])
-        ui = u[1:-1]
+        uf = u[1:-1] * fp
         (d_m, d_0, d_p), _ = self.grid.derivative_weights
-        row_sub = self.op.sub + ui * fp * d_m
-        row_diag = self.op.diag + f + ui * fp * d_0
-        row_sup = self.op.sup + ui * fp * d_p
-        ab = np.zeros((3, npts))
-        ab[1, 0] = ab[1, -1] = 1.0  # Dirichlet identity rows
-        ab[1, 1:-1] = 1.0 - dt * th * row_diag
-        ab[0, 2:] = -dt * th * row_sup          # superdiagonal, columns 2..
-        ab[2, :-2] = -dt * th * row_sub         # subdiagonal, columns 0..
-        return ab
+        sub = np.zeros(u.size - 1)
+        diag = np.ones(u.size)
+        sup = np.zeros(u.size - 1)
+        sub[:-1] = -dt * th * (self.op.sub + uf * d_m)
+        diag[1:-1] = 1.0 - dt * th * (self.op.diag + f + uf * d_0)
+        sup[1:] = -dt * th * (self.op.sup + uf * d_p)
+        return sub, diag, sup
 
     def newton_step(self, u_old, t_old, t_new):
         dt = t_new - t_old
@@ -286,23 +289,23 @@ class _Stepper:
         # carries dt/h_min^2-amplified rounding on the graded mesh and never
         # reaches newton_tol in absolute terms.
         for _ in range(self.scheme.newton_max_iter):
-            ab = self._jacobian_banded(u, du, f, dt)
-            delta = solve_banded((1, 1), ab, -g)
-            scale = 1.0 + float(np.max(np.abs(u)))
-            if float(np.max(np.abs(delta))) <= self.scheme.newton_tol * scale:
+            delta = solve_banded(*self._jacobian_banded(u, du, f, dt), -g)
+            scale = 1.0 + float(np.abs(u).max())
+            step_size = float(np.abs(delta).max())
+            if step_size <= self.scheme.newton_tol * scale:
                 return u + delta
-            norm = float(np.max(np.abs(g)))
+            norm = float(np.abs(g).max())
             s = 1.0
             while s >= 1.0 / 256.0:
                 trial = u + s * delta
                 g_trial, du_trial, f_trial = self._residual(
                     trial, u_old, rhs_old, inner, dt)
-                if float(np.max(np.abs(g_trial))) <= (1.0 - 0.25 * s) * norm:
+                if float(np.abs(g_trial).max()) <= (1.0 - 0.25 * s) * norm:
                     u, g, du, f = trial, g_trial, du_trial, f_trial
                     break
                 s *= 0.5
             else:
-                if float(np.max(np.abs(delta))) <= 1e4 * self.scheme.newton_tol * scale:
+                if step_size <= 1e4 * self.scheme.newton_tol * scale:
                     return u + delta  # stagnated at the rounding floor
                 raise _NewtonFailure
         raise _NewtonFailure
@@ -324,6 +327,26 @@ class _Stepper:
 
 class _NewtonFailure(Exception):
     pass
+
+
+def solve_banded(sub, diag, sup, rhs) -> np.ndarray:
+    """Solve the tridiagonal system with diagonals (sub, diag, sup).
+
+    Calls LAPACK ``dgtsv``, the routine that
+    ``scipy.linalg.solve_banded((1, 1), ab, rhs)`` dispatches to, on the
+    three diagonals directly, so the result is bitwise the same, and keeps
+    that function's validation: ValueError for a non-finite entry in any
+    input, LinAlgError for a singular matrix.
+    """
+    for a in (sub, diag, sup, rhs):
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = dgtsv(sub, diag, sup, rhs)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
 
 
 def step(u, t, dt, problem: EpsilonProblem, grid: RadialGrid,

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gradsing import analytic, cli, initdata, pipeline, solver, verify
 from gradsing.config import (
@@ -346,6 +347,41 @@ class TestCsvWriter:
         assert blob.count(b"\r\n") == 11
         assert b"0.33333333333333331" in blob
 
+    @staticmethod
+    def _savetxt_reference(fld, save_every):
+        """The field file as np.savetxt writes the four stacked columns."""
+        rows = slice(0, None, save_every)
+        times, nodes = fld.times[rows], fld.grid.nodes
+        buf = io.StringIO(newline="")
+        np.savetxt(buf, np.column_stack((
+            np.repeat(times, nodes.size), np.tile(nodes, times.size),
+            fld.values[rows].ravel(), fld.grid.gradient(fld.values)[rows].ravel(),
+        )), fmt="%.17g", delimiter=",", newline="\r\n", header="t,r,u,u_r",
+            comments="")
+        return buf.getvalue().encode()
+
+    @pytest.mark.parametrize("save_every", [1, 3])
+    def test_field_bytes_match_savetxt(self, tmp_path, save_every):
+        """A limit field (first node r = 0) with signed zeros, the smallest
+        subnormal, huge values and a NaN, over seven stored times; 70 nodes
+        take more than one write per stored time."""
+        nodes = np.concatenate(([0.0, 1e-3], np.linspace(0.1, 0.6, 68)))
+        grid = solver.RadialGrid(nodes)
+        values = np.random.default_rng(8).standard_normal((7, nodes.size))
+        values[:, 0] = 0.0
+        values[3, 1:5] = [-0.0, 5e-324, 1e300, np.nan]
+        values[4, -4:] = [-1e300, -5e-324, 1.0 / 3.0, -0.0]
+        fld = solver.SpacetimeField(
+            grid=grid, times=np.linspace(0.0, 0.6, 7), values=values,
+            problem=None, scheme_name="implicit_euler")
+        path = tmp_path / "field_limit.csv"
+        pipeline._write_field_csv(path, fld, save_every=save_every)
+        blob = path.read_bytes()
+        assert blob == self._savetxt_reference(fld, save_every)
+        assert blob.count(b"\r\n") == 1 + 70 * len(range(0, 7, save_every))
+        assert b",-0," in blob and b"nan" in blob
+        assert b"4.9406564584124654e-324" in blob
+
     def test_header_only_profile_and_series_bytes(self, synthetic_run):
         run_dir, fld = synthetic_run
         pipeline._write_field_csv(run_dir / "field_limit.csv", fld, save_every=1)
@@ -403,6 +439,30 @@ def test_quick_outputs_byte_identical(stepper, tmp_path, monkeypatch):
     for path in run_dir.glob("field_*.csv"):
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == QUICK_DIGESTS[stepper]
+
+
+def test_quick_newton_solve_bitwise_equals_scipy():
+    """The first Newton system of the quick config's first step: the direct
+    dgtsv solve gives scipy.linalg.solve_banded's bits."""
+    cfg = load_config(QUICK_CONFIG)
+    params, datum = pipeline.build_model(cfg)
+    eps = cfg.continuation.eps_sequence[0]
+    grid = solver.GridPolicy(cfg.continuation.num_nodes,
+                             cfg.continuation.grading_exponent).build(eps, params.R)
+    problem = initdata.make_epsilon_problem(params, datum, eps, grid.nodes)
+    stepper = solver._Stepper(problem, grid, cfg.scheme)
+    dt = cfg.scheme.dt_initial
+    u_old = problem.u0eps.values
+    inner = problem.inner_bc(dt)
+    u = u_old.copy()
+    u[0], u[-1] = inner, stepper.outer
+    g, du, f = stepper._residual(u, u_old, np.zeros_like(u), inner, dt)
+    sub, diag, sup = stepper._jacobian_banded(u, du, f, dt)
+    ab = np.zeros((3, u.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+    delta = solver.solve_banded(sub, diag, sup, -g)
+    assert delta.tobytes() == scipy.linalg.solve_banded((1, 1), ab, -g).tobytes()
+    assert np.max(np.abs(delta)) > 0.0
 
 
 def _abort_when(monkeypatch, predicate):
@@ -698,6 +758,19 @@ class TestCLI:
         cfg_path.write_text(QUICK_CONFIG.replace(old, new))
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_solve_step_above_horizon_is_config_error(self, capsys, tmp_path,
+                                                      monkeypatch):
+        """``gradsing solve`` exits 2 on a solver precondition, as ``run``
+        and ``continuation`` do, and writes no field."""
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(QUICK_CONFIG.replace("dt = 0.002", "dt = 5.0"))
+        assert cli.main(["solve", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: solve: step exceeds the integration " \
+            "horizon" in err
+        assert not list(tmp_path.rglob("field_*.csv"))
 
     def test_run_line_shows_skip_reason(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradsing import analytic
+from gradsing import analytic, initdata as initdata_module
 from gradsing.analytic import RadialProfile, make_params
 from gradsing.initdata import (
     CutoffCubic,
@@ -296,6 +296,23 @@ class TestCutoff:
         assert co.derivative(s).tobytes() == slope.tobytes()
         assert co.apply(s)[4] < 9.5 ** 3
         assert np.isnan(co.apply(np.array([1.0, np.nan]))[1])
+
+    def test_nan_node_takes_the_taper_formula(self, monkeypatch):
+        """One NaN among nodes inside [-c*, c*] fails the exact-cube test,
+        so both apply and derivative evaluate the taper."""
+        c = 7.123456789
+        co = CutoffCubic(c_star=c, support_radius=2.0 * c)
+        s = np.array([-c, -3.0, np.nan, 0.5, c])
+        assert not co._exact_cube(s)
+        calls = []
+        smooth = initdata_module._smoothstep
+        monkeypatch.setattr(initdata_module, "_smoothstep",
+                            lambda x: calls.append(x) or smooth(x))
+        value, slope = self._taper_formula(co, s)
+        assert np.array_equal(co.apply(s), value, equal_nan=True)
+        assert np.array_equal(co.derivative(s), slope, equal_nan=True)
+        assert len(calls) == 2
+        assert np.isnan(co.apply(s)[2]) and np.isnan(co.derivative(s)[2])
 
 
 class TestEpsilonProblem:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +69,80 @@ class TestRadialGrid:
         rows = np.array([n2_field.grid.gradient(u) for u in n2_field.values])
         assert np.array_equal(n2_field.gradient_matrix(), rows)
         assert n2_field.max_abs_gradient == np.max(np.abs(rows))
+
+    @pytest.mark.parametrize("size", [4, 5, 61])
+    def test_boundary_rows_bitwise_equal_one_sided_formula(self, size):
+        """The vectorised end rows give the bits of the written-out
+        one-sided stencils, for one state and for a matrix of states."""
+        g = RadialGrid.make(0.03, 0.6, size - 1, 2.0)
+        r = g.nodes
+        u = np.random.default_rng(size).standard_normal((5, size))
+        u[1, :3], u[2, -3:] = [np.nan, -0.0, 5e-324], [1e300, -0.0, np.inf]
+        ends = []
+        for i0, i1, i2 in ((0, 1, 2), (-1, -2, -3)):
+            x0, x1, x2 = r[i0], r[i1], r[i2]
+            ends.append(
+                (2 * x0 - x1 - x2) / ((x0 - x1) * (x0 - x2)) * u[:, i0]
+                + (x0 - x2) / ((x1 - x0) * (x1 - x2)) * u[:, i1]
+                + (x0 - x1) / ((x2 - x0) * (x2 - x1)) * u[:, i2])
+        expected = np.column_stack(ends)
+        assert g.gradient(u)[:, [0, -1]].tobytes() == expected.tobytes()
+        assert g.gradient(u[3])[[0, -1]].tobytes() == expected[3].tobytes()
+
+
+class TestSolveBanded:
+    """The direct dgtsv solve against scipy.linalg.solve_banded((1, 1))."""
+
+    @staticmethod
+    def _scipy(sub, diag, sup, rhs):
+        ab = np.zeros((3, diag.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+    @staticmethod
+    def _system(size, seed=0):
+        """A seeded, strictly diagonally dominant tridiagonal system."""
+        rng = np.random.default_rng(seed)
+        sub, sup = rng.uniform(-1.0, 1.0, (2, size - 1))
+        diag = rng.choice([-1.0, 1.0], size) * rng.uniform(2.5, 4.0, size)
+        return sub, diag, sup, rng.standard_normal(size)
+
+    @pytest.mark.parametrize("size", [4, 61, 401])
+    def test_bitwise_equal_to_scipy(self, size):
+        for seed in range(5):
+            system = self._system(size, seed)
+            x = solver.solve_banded(*system)
+            assert x.tobytes() == self._scipy(*system).tobytes()
+            sub, diag, sup, rhs = system
+            lhs = diag * x
+            lhs[1:] += sub * x[:-1]
+            lhs[:-1] += sup * x[1:]
+            assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12)
+
+    def test_inputs_untouched(self):
+        system = self._system(61)
+        copies = [a.copy() for a in system]
+        solver.solve_banded(*system)
+        assert all(np.array_equal(a, b) for a, b in zip(system, copies))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", range(4))
+    def test_non_finite_input_rejected(self, which, bad):
+        system = list(self._system(61))
+        system[which][7] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solver.solve_banded(*system)
+        with pytest.raises(ValueError):
+            self._scipy(*system)
+
+    def test_zero_pivot_is_singular(self):
+        sub, diag, sup, rhs = self._system(61)
+        sub[2] = diag[2] = 0.0  # column 2 vanishes below row 1
+        sup[1] = 0.0
+        with pytest.raises(scipy.linalg.LinAlgError, match="singular"):
+            solver.solve_banded(sub, diag, sup, rhs)
+        with pytest.raises(scipy.linalg.LinAlgError):
+            self._scipy(sub, diag, sup, rhs)
 
 
 class TestDiscreteOperator:

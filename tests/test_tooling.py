@@ -1,15 +1,19 @@
-"""Guards for the benchmark harness in perfbench/ and for the docs.
+"""Guards for the benchmark harness in perfbench/, scripts/bench.py and
+the docs.
 
 The traced benchmark wraps gradsing entry points by name.  A renamed or
 removed entry point must fail here instead of silently dropping out of
 the per-layer split, and so must an annulus solve whose result lacks what
-the tracer's solve probe reads.  The README's table of checks must name
-every check, and its table of configuration keys every key.
+the tracer's solve probe reads, or a Newton loop that does not call
+``solver.solve_banded`` through the module.  The README's table of checks
+must name every check, and its table of configuration keys every key.
 """
 
 import ast
-import importlib
+import importlib.util
+import json
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -73,3 +77,63 @@ def test_solve_exposes_what_the_solve_probe_reads():
     assert out.times.size - 1 == 4
     assert out.max_abs_gradient == float(np.max(np.abs(out.gradient_matrix())))
     assert 0.0 < out.max_abs_gradient / out.problem.c_star_eps < 1.0
+
+
+def test_every_newton_iteration_calls_solver_solve_banded(monkeypatch):
+    """The tracer counts ``solver.newton_iters`` as calls of the module
+    attribute ``solver.solve_banded``; a Newton loop that bypassed it would
+    read 0 iterations under tracing."""
+    calls = []
+    original = solver.solve_banded
+    monkeypatch.setattr(solver, "solve_banded",
+                        lambda *args: calls.append(1) or original(*args))
+    params = analytic.make_params(2, R=0.6, C=0.25)
+    datum = initdata.make_initial_datum(params, "mode_deficit", k=2.0)
+    grid = solver.GridPolicy(num_nodes=60).build(0.05, params.R)
+    problem = initdata.make_epsilon_problem(params, datum, 0.05, grid.nodes)
+    out = solver.solve_annulus(problem, grid, 0.02,
+                               solver.SchemeConfig(dt_initial=5e-3))
+    assert len(calls) >= out.times.size - 1 == 4
+
+
+def _bench_script():
+    spec = importlib.util.spec_from_file_location(
+        "bench_script", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CANNED_RUN = """\
+n2-pipeline: seed 1 (presets ignore it); closed loop, 1 client, 1 process
+  run_s                            5.1            s
+  correct: true
+env {"git_sha": "0123abc", "nproc": 2, "seed": 1}
+{"correct": true, "attempted": 40, "failed": 0, "metrics": {"n2-pipeline": \
+{"run_s": {"value": 5.1, "unit": "s"}}}}
+"""
+
+
+def test_bench_script_records_env_and_result(tmp_path, monkeypatch):
+    """scripts/bench.py keeps run.py's env line and final JSON line, and
+    writes nothing when run.py fails; run.py itself is not run."""
+    bench = _bench_script()
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        code = 0 if len(commands) == 1 else 1
+        return subprocess.CompletedProcess(cmd, code, CANNED_RUN, "")
+
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    assert bench.main(["probe"]) == 0
+    assert commands[0][1:] == ["perfbench/run.py", "--workload", "all"]
+    written = json.loads((tmp_path / "BENCH_probe.json").read_text())
+    assert written["env"] == {"git_sha": "0123abc", "nproc": 2, "seed": 1}
+    assert written["result"]["metrics"]["n2-pipeline"]["run_s"]["value"] == 5.1
+    assert written["command"] == ["python3", "perfbench/run.py", "--workload", "all"]
+    assert bench.main(["failed"]) == 1
+    assert not (tmp_path / "BENCH_failed.json").exists()
+    with pytest.raises(ValueError, match="env line"):
+        bench.record(CANNED_RUN.replace("env ", "environment "), "x", tmp_path)
