@@ -432,18 +432,16 @@ def make_u0eps(
     slopes = np.where(bridge, u0r * factor, u0r)
     values[0] = A  # exact, regardless of rounding in h0
     profile = RadialProfile(grid=nodes, values=values, derivative=slopes)
-    _assert_u0eps_conditions(params, eps, datum, profile, A)
+    _assert_u0eps_conditions(params, eps, profile, A, u0, u0r)
     return profile
 
 
-def _assert_u0eps_conditions(params, eps, datum, profile, A):
+def _assert_u0eps_conditions(params, eps, profile, A, u0, u0r):
     nodes, values, slopes = profile.grid, profile.values, profile.derivative
     scale = max(1.0, float(np.max(np.abs(values))))
     tol = _REL_TOL * scale
     if abs(values[0] - A) > tol:
         raise InitialDataError("inner boundary value not met exactly")
-    u0 = datum.value(nodes)
-    u0r = datum.slope(nodes)
     if np.any(slopes > tol) or np.any(slopes < u0r - tol):
         raise InitialDataError("derivative squeeze u0' <= u0eps' <= 0 violated")
     upper = analytic.u_star(params, nodes)
@@ -504,15 +502,7 @@ def make_epsilon_problem(
     u0eps = make_u0eps(params, eps, datum, nodes)
     ceiling = c_star_eps(params, eps, u0eps)
     cutoff = CutoffCubic(c_star=ceiling, support_radius=support_factor * ceiling)
-    problem = EpsilonProblem(
+    return EpsilonProblem(
         params=params, epsilon=float(eps), c_star_eps=ceiling,
         cutoff=cutoff, u0eps=u0eps,
     )
-    _assert_ceiling_conditions(params, eps, u0eps, ceiling)
-    return problem
-
-
-def _assert_ceiling_conditions(params, eps, u0eps, ceiling):
-    bounds, cubic_ok = _ceiling_conditions(params, eps, u0eps)
-    if not (ceiling > max(bounds) and ceiling > 1.0 and cubic_ok(ceiling)):
-        raise RuntimeError("gradient ceiling lost a condition after the fact")

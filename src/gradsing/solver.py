@@ -6,16 +6,16 @@ r_i = eps + (R - eps) (i/M)^gamma, which clusters nodes at the inner
 boundary where the solution inherits the r^(-2/3) slope growth of the
 stationary profile.  The radial Laplacian u_rr + (n-1)/r u_r uses the
 compact nonuniform three-point stencil; the gradient entering the
-nonlinearity uses the matching central stencil inside and one-sided
-second-order stencils at the boundary nodes.
+nonlinearity uses the matching central stencil at the interior nodes, and
+stored fields add one-sided second-order stencils at the two ends.
 
 Time: a theta-scheme solved by damped Newton with a tridiagonal banded
 Jacobian.  theta = 1 is implicit Euler (the robust default), theta = 1/2
 the trapezoidal rule (config name ``crank_nicolson``; the gradient
 nonlinearity is solved implicitly here too, because treating it
 explicitly is advectively unstable on the graded mesh, whose smallest
-cell scales like (R - eps)/M^2).  Newton failure halves the step and
-retries to a depth cap before aborting.
+cell scales like (R - eps)/M^2).  Newton failure, a singular or
+non-finite system included, halves the step to a depth cap, then aborts.
 
 The continuation solves a decreasing sequence of inner radii, reports
 sup-norm differences of consecutive fields on a common compact window,
@@ -227,69 +227,73 @@ class GridPolicy:
 
 
 class _Stepper:
-    """Newton machinery shared by all steps of one annulus run."""
+    """Newton machinery shared by all steps of one annulus run.  Residuals
+    and Jacobians use the interior stencils in the float order of
+    ``grid.gradient`` and ``op.apply``, so the iterates keep their bits."""
 
     def __init__(self, problem: EpsilonProblem, grid: RadialGrid,
                  scheme: SchemeConfig):
         self.problem = problem
-        self.grid = grid
         self.scheme = scheme
+        self.theta = scheme.theta
         self.op = discretize_operator(grid, problem.params.n)
+        self.weights = np.array(grid.derivative_weights[0])
         self.outer = problem.outer_bc()
+        self._bands = np.outer((0.0, 1.0, 0.0), np.ones(grid.nodes.size))
 
-    def rhs(self, u: np.ndarray) -> np.ndarray:
-        """Lap(u) + u f(u_r) at interior nodes (boundary rows zero)."""
-        return self._rhs_parts(u)[0]
+    def rhs(self, u: np.ndarray):
+        """Lap(u) + u f(u_r) at the interior nodes, with the gradient du and
+        the cutoff f(du) it was built from, which the Jacobian reuses."""
+        um, ui, up = u[:-2], u[1:-1], u[2:]
+        d_m, d_0, d_p = self.weights
+        du = d_m * um + d_0 * ui + d_p * up
+        f = self.problem.cutoff.apply(du)
+        op = self.op
+        return op.sub * um + op.diag * ui + op.sup * up + ui * f, du, f
 
-    def _rhs_parts(self, u):
-        """rhs(u) with the gradient du and the cutoff f(du) it was built
-        from, which the Jacobian at the same u reuses."""
-        du = self.grid.gradient(u)
-        f = self.problem.cutoff.apply(du[1:-1])
-        out = self.op.apply(u)
-        out[1:-1] += u[1:-1] * f
-        return out, du, f
-
-    def _residual(self, u, u_old, rhs_old, inner, dt):
-        """The theta-scheme residual with its (du, f); ``inner`` is the
-        inner boundary value at the new time."""
-        th = self.scheme.theta
-        rhs, du, f = self._rhs_parts(u)
-        g = u - u_old - dt * (th * rhs + (1.0 - th) * rhs_old)
+    def _residual(self, u, u_old_in, old, inner, dt):
+        """The theta-scheme residual with its (du, f), given the old interior
+        state, its (1 - theta) rhs term and the new inner boundary value."""
+        rhs, du, f = self.rhs(u)
+        g = np.empty_like(u)
+        g[1:-1] = u[1:-1] - u_old_in - dt * (self.theta * rhs + old)
         g[0] = u[0] - inner
         g[-1] = u[-1] - self.outer
         return g, du, f
 
     def _jacobian_banded(self, u, du, f, dt):
         """The Newton matrix as its (sub, diag, sup) diagonals, with the
-        Dirichlet identity rows at both ends."""
-        th = self.scheme.theta
-        fp = self.problem.cutoff.derivative(du[1:-1])
-        uf = u[1:-1] * fp
-        (d_m, d_0, d_p), _ = self.grid.derivative_weights
-        sub = np.zeros(u.size - 1)
-        diag = np.ones(u.size)
-        sup = np.zeros(u.size - 1)
-        sub[:-1] = -dt * th * (self.op.sub + uf * d_m)
-        diag[1:-1] = 1.0 - dt * th * (self.op.diag + f + uf * d_0)
-        sup[1:] = -dt * th * (self.op.sup + uf * d_p)
-        return sub, diag, sup
+        Dirichlet identity rows at both ends: views of one buffer, whose
+        column i is matrix row i, rewritten by the next call."""
+        uf = u[1:-1] * self.problem.cutoff.derivative(du)
+        band = self._bands[:, 1:-1]
+        np.multiply(self.weights, uf, out=band)
+        band[0] += self.op.sub
+        band[1] += self.op.diag + f
+        band[2] += self.op.sup
+        # -dt th X, and 1 - dt th X as 1 + (-dt th X): negation is exact
+        band *= -dt * self.theta
+        band[1] += 1.0
+        return self._bands[0, 1:], self._bands[1], self._bands[2, :-1]
 
     def newton_step(self, u_old, t_old, t_new):
         dt = t_new - t_old
-        th = self.scheme.theta
-        rhs_old = self.rhs(u_old) if th < 1.0 else np.zeros_like(u_old)
+        u_old_in = u_old[1:-1]
+        old = (1.0 - self.theta) * self.rhs(u_old)[0] if self.theta < 1.0 else 0.0
         inner = self.problem.inner_bc(t_new)
         u = u_old.copy()
         u[0] = inner
         u[-1] = self.outer
         # An accepted line-search trial's residual is the next iterate's.
-        g, du, f = self._residual(u, u_old, rhs_old, inner, dt)
+        g, du, f = self._residual(u, u_old_in, old, inner, dt)
         # Convergence is judged by the Newton increment: the residual itself
         # carries dt/h_min^2-amplified rounding on the graded mesh and never
         # reaches newton_tol in absolute terms.
         for _ in range(self.scheme.newton_max_iter):
-            delta = solve_banded(*self._jacobian_banded(u, du, f, dt), -g)
+            try:
+                delta = solve_banded(*self._jacobian_banded(u, du, f, dt), -g)
+            except (ValueError, LinAlgError):  # non-finite or singular system
+                raise _NewtonFailure from None
             scale = 1.0 + float(np.abs(u).max())
             step_size = float(np.abs(delta).max())
             if step_size <= self.scheme.newton_tol * scale:
@@ -299,7 +303,7 @@ class _Stepper:
             while s >= 1.0 / 256.0:
                 trial = u + s * delta
                 g_trial, du_trial, f_trial = self._residual(
-                    trial, u_old, rhs_old, inner, dt)
+                    trial, u_old_in, old, inner, dt)
                 if float(np.abs(g_trial).max()) <= (1.0 - 0.25 * s) * norm:
                     u, g, du, f = trial, g_trial, du_trial, f_trial
                     break
@@ -338,9 +342,8 @@ def solve_banded(sub, diag, sup, rhs) -> np.ndarray:
     that function's validation: ValueError for a non-finite entry in any
     input, LinAlgError for a singular matrix.
     """
-    for a in (sub, diag, sup, rhs):
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
+    if not np.isfinite(np.concatenate((sub, diag, sup, rhs), axis=None)).all():
+        raise ValueError("array must not contain infs or NaNs")
     *_, x, info = dgtsv(sub, diag, sup, rhs)
     if info > 0:
         raise LinAlgError("singular matrix")

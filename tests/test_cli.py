@@ -456,13 +456,22 @@ def test_quick_newton_solve_bitwise_equals_scipy():
     inner = problem.inner_bc(dt)
     u = u_old.copy()
     u[0], u[-1] = inner, stepper.outer
-    g, du, f = stepper._residual(u, u_old, np.zeros_like(u), inner, dt)
+    g, du, f = stepper._residual(u, u_old[1:-1], np.zeros(u.size - 2), inner, dt)
     sub, diag, sup = stepper._jacobian_banded(u, du, f, dt)
     ab = np.zeros((3, u.size))
     ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
     delta = solver.solve_banded(sub, diag, sup, -g)
     assert delta.tobytes() == scipy.linalg.solve_banded((1, 1), ab, -g).tobytes()
     assert np.max(np.abs(delta)) > 0.0
+
+
+class _InfDerivative(initdata.CutoffCubic):
+    """A cutoff whose derivative is inf at the middle node."""
+
+    def derivative(self, s):
+        out = super().derivative(s)
+        out[out.size // 2] = np.inf
+        return out
 
 
 def _abort_when(monkeypatch, predicate):
@@ -551,6 +560,48 @@ class TestSolverAbort:
         assert manifest["all_checks_passed"] is False
         assert manifest["continuation_diffs"] == []
         assert sorted(manifest["artifacts"]) == ["report.csv"]
+
+    def test_persistent_non_finite_jacobian_aborts(self, tmp_path, monkeypatch):
+        """An inf in every Jacobian at the reference radius is a Newton
+        failure: the step halves to the depth cap, then aborts with a
+        continuation_complete FAIL row and exit 1, not a configuration
+        error."""
+        original = solver.solve_annulus
+
+        def solving(problem, grid, T, scheme):
+            if problem.epsilon == 0.04:
+                cutoff = problem.cutoff
+                problem = dataclasses.replace(problem, cutoff=_InfDerivative(
+                    cutoff.c_star, cutoff.support_radius))
+            return original(problem, grid, T, scheme)
+
+        monkeypatch.setattr(solver, "solve_annulus", solving)
+        code, rows, manifest = _run_rows(monkeypatch, tmp_path, QUICK_CONFIG)
+        assert code == 1
+        assert [row["name"] for row in rows] == GATES + ["continuation_complete"]
+        assert (rows[3]["measured"], rows[3]["tolerance"], rows[3]["pass"]) == \
+            ("1", "2", "false")
+        assert manifest["all_checks_passed"] is False
+
+    def test_one_non_finite_jacobian_halves_the_step(self, tmp_path, monkeypatch):
+        """A single inf in the 50th cutoff derivative fails one Newton
+        solve; the step is halved and the run completes."""
+        calls = [0]
+        original = initdata.CutoffCubic.derivative
+
+        def derivative(self, s):
+            calls[0] += 1
+            out = original(self, s)
+            if calls[0] == 50:
+                out[out.size // 2] = np.inf
+            return out
+
+        monkeypatch.setattr(initdata.CutoffCubic, "derivative", derivative)
+        code, rows, manifest = _run_rows(monkeypatch, tmp_path, QUICK_CONFIG)
+        assert calls[0] > 50
+        assert code == 0
+        assert "continuation_complete" not in [row["name"] for row in rows]
+        assert manifest["all_checks_passed"] is True
 
     def test_cutoff_rerun_abort_fails_its_check(self, tmp_path, monkeypatch):
         _abort_when(monkeypatch, lambda problem, scheme:

@@ -174,6 +174,21 @@ class TestGradientCeiling:
         assert values[0.005] > values[0.01] > values[0.02] > values[0.04]
 
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("eps", [0.04, 0.005])
+    def test_problem_ceiling_meets_every_condition(self, n, eps):
+        """The ceiling of a built annulus problem exceeds 1 and the three
+        slope bounds and satisfies the cubic inner-boundary inequality."""
+        p0 = make_params(n, R=0.6, C=0.2)
+        datum_n = make_initial_datum(p0, "mode_deficit", k=2.0)
+        p = p0.replace(C=choose_amplitude_C(p0, datum_n))
+        problem = make_epsilon_problem(p, datum_n, eps, graded_nodes(eps, p.R))
+        bounds, cubic_ok = initdata_module._ceiling_conditions(
+            p, eps, problem.u0eps)
+        c = problem.c_star_eps
+        assert c > 1.0 and c > max(bounds) and cubic_ok(c)
+
+
 class TestAnnulusDatum:
     @pytest.mark.parametrize("eps", [0.04, 0.02, 0.01])
     def test_five_one_conditions_nodewise(self, params_fitted, datum, eps):

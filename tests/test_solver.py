@@ -228,13 +228,61 @@ class TestStepping:
         t0 = float(n2_field.times[k0])
         u0 = n2_field.values[k0]
         stepper = solver._Stepper(prob, grid, small_scheme)
-        f0 = stepper.rhs(u0)
+        f0 = stepper.rhs(u0)[0]
         errs = []
         for dt in (4e-4, 2e-4):
             u1 = step(u0, t0, dt, prob, grid, small_scheme)
             rate = (u1 - u0) / dt
-            errs.append(np.max(np.abs(rate - f0)[1:-1]))
+            errs.append(np.max(np.abs(rate[1:-1] - f0)))
         assert np.log2(errs[0] / errs[1]) > 0.8
+
+    @pytest.mark.parametrize("time_stepper", ["implicit_euler", "crank_nicolson"])
+    @pytest.mark.parametrize("tapered", [False, True])
+    def test_interior_newton_system_bitwise_equals_full_array_formulas(
+            self, n2_field, time_stepper, tapered):
+        """The residual and Jacobian diagonals the stepper forms on the
+        interior nodes have the bits of the full-array formulas
+        (RadialGrid.gradient, LaplacianOperator.apply, Dirichlet rows), at
+        every stored step of a solve, inside the exact-cube range or with
+        u_r steepened past c* at one node."""
+        prob, grid = n2_field.problem, n2_field.grid
+        scheme = SchemeConfig(time_stepper, dt_initial=2e-3)
+        stepper = solver._Stepper(prob, grid, scheme)
+        th, dt, op, cutoff = scheme.theta, scheme.dt_initial, stepper.op, prob.cutoff
+        (d_m, d_0, d_p), _ = grid.derivative_weights
+
+        def full_rhs(v):
+            du = grid.gradient(v)
+            f = cutoff.apply(du[1:-1])
+            out = op.apply(v)
+            out[1:-1] += v[1:-1] * f
+            return out, du, f
+
+        for k in range(1, n2_field.times.size):
+            u_old, u = n2_field.values[k - 1], n2_field.values[k].copy()
+            inner = prob.inner_bc(n2_field.times[k])
+            if tapered:  # steepen u_r at node 59 to 1.2 c*
+                du = grid.gradient(u)[1:-1]
+                u[60] -= (1.2 * prob.c_star_eps + du[58]) / d_p[58]
+            past = np.abs(grid.gradient(u)[1:-1]) > prob.c_star_eps
+            assert np.count_nonzero(past) == tapered
+
+            rhs_old = full_rhs(u_old)[0] if th < 1.0 else np.zeros_like(u_old)
+            rhs, du, f = full_rhs(u)
+            g_ref = u - u_old - dt * (th * rhs + (1.0 - th) * rhs_old)
+            g_ref[0] = u[0] - inner
+            g_ref[-1] = u[-1] - stepper.outer
+            uf = u[1:-1] * cutoff.derivative(du[1:-1])
+            bands_ref = np.zeros(u.size - 1), np.ones(u.size), np.zeros(u.size - 1)
+            bands_ref[0][:-1] = -dt * th * (op.sub + uf * d_m)
+            bands_ref[1][1:-1] = 1.0 - dt * th * (op.diag + f + uf * d_0)
+            bands_ref[2][1:] = -dt * th * (op.sup + uf * d_p)
+
+            old = (1.0 - th) * stepper.rhs(u_old)[0] if th < 1.0 else 0.0
+            g, du_in, f_in = stepper._residual(u, u_old[1:-1], old, inner, dt)
+            bands = stepper._jacobian_banded(u, du_in, f_in, dt)
+            assert g.tobytes() == g_ref.tobytes()
+            assert [b.tobytes() for b in bands] == [b.tobytes() for b in bands_ref]
 
     def test_newton_failure_aborts_with_diagnostics(self, n2_bundle,
                                                     small_policy):

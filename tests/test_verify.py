@@ -199,6 +199,32 @@ class TestWeakIdentity:
         for r in results:
             assert r.measured < 0.1 * r.extra["scale"]
 
+    def test_rows_bitwise_equal_per_test_function_residuals(self, n3_field):
+        """The check forms u u_r^3 once for all test functions; each row
+        keeps the bits of weak_form_residual, and of the identity with the
+        reaction term written out per test function."""
+        results = verify.check_weak_identity(n3_field)
+        tfs = verify.default_test_functions(n3_field.problem.params)
+        p, r, t = n3_field.problem.params, n3_field.grid.nodes, n3_field.times
+        u, ur, T = n3_field.values, n3_field.gradient_matrix(), t[-1]
+        wt = (t * (T - t) / (T * T / 4.0)) ** 2
+        wtp = 2.0 * (t * (T - t)) * (T - 2.0 * t) / (T * T / 4.0) ** 2
+        mid = np.concatenate(([r[0]], 0.5 * (r[1:] + r[:-1]), [r[-1]]))
+        wr = (mid[1:] ** p.n - mid[:-1] ** p.n) / p.n
+        assert [res.name for res in results] == \
+            [f"weak_identity_{tf.name}" for tf in tfs]
+        for res, tf in zip(results, tfs):
+            s, sp = tf.value(r), tf.derivative(r)
+            lhs = -np.trapezoid(wtp * ((u * s[None, :]) @ wr), t)
+            flux = -np.trapezoid(wt * ((ur * sp[None, :]) @ wr), t)
+            react = np.trapezoid(wt * ((u * ur ** 3 * s[None, :]) @ wr), t)
+            written_out = (abs(float(lhs - flux - react)),
+                           abs(float(lhs)) + abs(float(flux)) + abs(float(react)))
+            row = (res.measured, res.extra["scale"])
+            assert [x.hex() for x in row] == \
+                [x.hex() for x in verify.weak_form_residual(n3_field, tf)] == \
+                [x.hex() for x in written_out]
+
     def test_inner_mass_dimension_two_skipped(self, n2_field):
         res = verify.check_inner_mass(n2_field, [0.2, 0.1, 0.08])
         assert res.status == "skipped" and res.passed
