@@ -45,10 +45,10 @@ def main():
         problem = initdata.make_epsilon_problem(params, datum, args.eps,
                                                 grid.nodes)
         fld_ie = solver.solve_annulus(
-            problem, grid, T, solver.SchemeConfig("implicit_euler", dt_initial=dt)
+            problem, grid, T, solver.SchemeConfig("implicit_euler", dt=dt)
         )
         fld_cn = solver.solve_annulus(
-            problem, grid, T, solver.SchemeConfig("crank_nicolson", dt_initial=dt)
+            problem, grid, T, solver.SchemeConfig("crank_nicolson", dt=dt)
         )
         sandwich = verify.check_sandwich(fld_ie).measured
         disagreement = float(np.max(np.abs(fld_ie.values - fld_cn.values)))

@@ -26,10 +26,7 @@ def main():
     policy = solver.GridPolicy(cfg.continuation.num_nodes,
                                cfg.continuation.grading_exponent)
     result = solver.continuation(
-        params, datum, cfg.continuation.eps_sequence, policy, T, cfg.scheme,
-        compact_r_fraction=cfg.continuation.compact_r_fraction,
-        compact_t_start=cfg.continuation.compact_t_start,
-    )
+        params, datum, cfg.continuation.eps_sequence, policy, T, cfg.scheme)
 
     print(f"# {cfg.name}: alpha/3 = {params.alpha / 3.0:.6f}, "
           f"mode rate = {params.decay_rate:.4f}")

@@ -1,10 +1,13 @@
 """Run configuration: flat INI-style files with one section per stage,
 plus the two built-in presets.
 
-A configuration fixes the model (dimension, geometry, mode), the initial
-datum family, the scheme, the shrinking-annulus sequence, the enabled
-checks, and output policy.  Exactly one of the radius and the rate is
-given; the other is derived against the admissibility gate.
+A configuration holds only what a run varies: the model (dimension and
+ball radius, from which the mode rate follows), the initial datum
+family, the time stepper and step, the shrinking-annulus sequence, the
+enabled checks, and output policy.  Each key is a field of its section's
+dataclass under the field's name.  The Newton controls and the compact
+comparison window are constants of :mod:`gradsing.solver`, and each
+check's bound is a constant of its check.
 """
 
 from __future__ import annotations
@@ -40,12 +43,11 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ModelConfig:
     n: int = 2
-    R: float | None = None
-    lam: float | None = None
+    R: float | None = None  # required; the mode rate is 0.9 x1 / R
 
     def validate(self):
-        if self.R is None and self.lam is None:
-            raise ConfigError("model.R or model.lambda: one must be given")
+        if self.R is None:
+            raise ConfigError("model.R: must be given")
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,6 @@ class ContinuationConfig:
     num_nodes: int = 400
     grading_exponent: float = 2.0
     horizon_efolds: float = 5.0
-    compact_r_fraction: float = 0.1
-    compact_t_start: float = 0.5
 
     def validate(self):
         seq = self.eps_sequence
@@ -125,14 +125,9 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
-# INI keys that differ from their field names
-_INI_KEY = {"lam": "lambda", "dt_initial": "dt"}
-
-
 def _keys(cls) -> list:
-    """(field, INI key) for each field of ``cls`` with a plain default."""
-    return [(f, _INI_KEY.get(f.name, f.name)) for f in fields(cls)
-            if f.default is not MISSING]
+    """The fields of ``cls`` with a plain default: its INI keys."""
+    return [f for f in fields(cls) if f.default is not MISSING]
 
 
 def _sections() -> list:
@@ -161,7 +156,7 @@ def _text(value) -> str:
 
 def _items(obj) -> dict:
     """INI key -> text for each field of ``obj`` that is not None."""
-    return {key: _text(getattr(obj, f.name)) for f, key in _keys(type(obj))
+    return {f.name: _text(getattr(obj, f.name)) for f in _keys(type(obj))
             if getattr(obj, f.name) is not None}
 
 
@@ -169,18 +164,18 @@ def _parse(cp, section: str, cls, **given):
     """Build ``cls`` from one INI section; absent keys keep their defaults
     and an undeclared key is an error."""
     raw = cp[section] if cp.has_section(section) else {}
-    declared = {cp.optionxform(key) for _, key in _keys(cls)}
+    declared = {cp.optionxform(f.name) for f in _keys(cls)}
     for key in raw:
         if key not in declared:
             raise ConfigError(f"{section}.{key}: unknown key")
-    for f, key in _keys(cls):
-        value = raw.get(key)
+    for f in _keys(cls):
+        value = raw.get(f.name)
         if value is None:
             continue
         try:
             given[f.name] = _cast(f.default, value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{section}.{key}: {exc}") from None
+            raise ConfigError(f"{section}.{f.name}: {exc}") from None
     try:
         return cls(**given)
     except ValueError as exc:
@@ -190,9 +185,8 @@ def _parse(cp, section: str, cls, **given):
 def load_config(path_or_text) -> RunConfig:
     """Parse a run configuration from an INI file path or literal text.
 
-    Every field of a section is a key of that section (``model.lambda`` and
-    ``scheme.dt`` are the two renamed ones); an unknown section or key is
-    a :class:`ConfigError`.
+    Every field of a section is a key of that section, under its name; an
+    unknown section or key is a :class:`ConfigError`.
     """
     cp = configparser.ConfigParser()
     try:
@@ -217,7 +211,7 @@ def load_config(path_or_text) -> RunConfig:
 # Presets: the n = 2 configuration sits close to the tight end of the
 # dimension-only radius bound; n = 3 unlocks the distributional identity.
 # The n = 3 radius is chosen so the decay horizon 5 / lam^2 comfortably
-# exceeds the compact window start of 0.5.
+# exceeds the start 0.5 of solver.compact_window.
 PRESETS = {
     "n2-standard": RunConfig(
         name="n2-standard",

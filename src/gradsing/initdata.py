@@ -483,7 +483,7 @@ class EpsilonProblem:
         p = self.params
         return u_eps - p.C * np.exp(-p.lam ** 2 * t) * psi_eps
 
-    def outer_bc(self, t=None) -> float:
+    def outer_bc(self) -> float:
         return float(analytic.u_star(self.params, self.params.R))
 
     @property

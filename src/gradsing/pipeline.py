@@ -76,9 +76,8 @@ def build_model(config: RunConfig):
     The mode amplitude is fitted from the datum; a fitted zero (degenerate
     datum) is clamped to 0.05 so that downstream envelopes stay nontrivial.
     """
-    m = config.model
     params0 = analytic.make_params(
-        m.n, R=m.R, lam=m.lam, C=config.initdata.deficit_amplitude)
+        config.model.n, R=config.model.R, C=config.initdata.deficit_amplitude)
     datum = initdata.make_initial_datum(
         params0,
         family=config.initdata.family,
@@ -147,9 +146,7 @@ def run_pipeline(config: RunConfig, only: str | None = None,
     try:
         cont = solver.continuation(
             params, datum, cont_cfg.eps_sequence, policy, result.horizon,
-            config.scheme, compact_r_fraction=cont_cfg.compact_r_fraction,
-            compact_t_start=cont_cfg.compact_t_start,
-        )
+            config.scheme)
     except ValueError as exc:  # a precondition the configuration breaks
         raise ConfigError(f"continuation: {exc}") from None
     result.continuation = cont

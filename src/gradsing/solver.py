@@ -15,11 +15,14 @@ the trapezoidal rule (config name ``crank_nicolson``; the gradient
 nonlinearity is solved implicitly here too, because treating it
 explicitly is advectively unstable on the graded mesh, whose smallest
 cell scales like (R - eps)/M^2).  Newton failure, a singular or
-non-finite system included, halves the step to a depth cap, then aborts.
+non-finite system included, halves the step, at most MAX_HALVINGS deep,
+then aborts.  Newton stops when its increment is within NEWTON_TOL of
+1 + max|u|, and fails after NEWTON_MAX_ITER iterations.
 
 The continuation solves a decreasing sequence of inner radii, reports
-sup-norm differences of consecutive fields on a common compact window,
-and appends the origin value 0 to the finest field as the limit estimate.
+sup-norm differences of consecutive fields on the compact window of
+:func:`compact_window`, and appends the origin value 0 to the finest
+field as the limit estimate.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 from . import initdata as idata
-from .analytic import ModelParams, u_star
+from .analytic import ModelParams, u_star, v_mode
 from .initdata import EpsilonProblem, InitialDatum
 
 __all__ = [
@@ -47,8 +50,16 @@ __all__ = [
     "solve_banded",
     "step",
     "solve_annulus",
+    "compact_window",
     "continuation",
 ]
+
+# Newton controls, read at call time: the increment tolerance relative to
+# 1 + max|u|, the iterations per step, and the step halvings after a
+# Newton failure before the solve aborts.
+NEWTON_TOL = 1e-11
+NEWTON_MAX_ITER = 14
+MAX_HALVINGS = 6
 
 _STEPPER_THETA = {
     "implicit_euler": 1.0,
@@ -187,17 +198,10 @@ def discretize_operator(grid: RadialGrid, n: int) -> LaplacianOperator:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Time-stepping controls.
-
-    ``dt_control`` caps the number of emergency step halvings after a
-    Newton failure before the run aborts.
-    """
+    """Time stepper and step; the Newton controls are module constants."""
 
     time_stepper: str = "implicit_euler"
-    dt_initial: float = 1e-3
-    dt_control: int = 6
-    newton_tol: float = 1e-11
-    newton_max_iter: int = 14
+    dt: float = 1e-3
 
     def __post_init__(self):
         if self.time_stepper not in _STEPPER_THETA:
@@ -205,16 +209,12 @@ class SchemeConfig:
                 f"unknown stepper {self.time_stepper!r}; choose from "
                 f"{sorted(_STEPPER_THETA)}"
             )
-        if self.dt_initial <= 0 or self.newton_tol <= 0:
-            raise ValueError("tolerances and steps must be positive")
+        if self.dt <= 0:
+            raise ValueError("step must be positive")
 
     @property
     def theta(self) -> float:
         return _STEPPER_THETA[self.time_stepper]
-
-    @property
-    def order(self) -> int:
-        return 2 if self.theta == 0.5 else 1
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,6 @@ class _Stepper:
     def __init__(self, problem: EpsilonProblem, grid: RadialGrid,
                  scheme: SchemeConfig):
         self.problem = problem
-        self.scheme = scheme
         self.theta = scheme.theta
         self.op = discretize_operator(grid, problem.params.n)
         self.weights = np.array(grid.derivative_weights[0])
@@ -288,15 +287,15 @@ class _Stepper:
         g, du, f = self._residual(u, u_old_in, old, inner, dt)
         # Convergence is judged by the Newton increment: the residual itself
         # carries dt/h_min^2-amplified rounding on the graded mesh and never
-        # reaches newton_tol in absolute terms.
-        for _ in range(self.scheme.newton_max_iter):
+        # reaches NEWTON_TOL in absolute terms.
+        for _ in range(NEWTON_MAX_ITER):
             try:
                 delta = solve_banded(*self._jacobian_banded(u, du, f, dt), -g)
             except (ValueError, LinAlgError):  # non-finite or singular system
                 raise _NewtonFailure from None
             scale = 1.0 + float(np.abs(u).max())
             step_size = float(np.abs(delta).max())
-            if step_size <= self.scheme.newton_tol * scale:
+            if step_size <= NEWTON_TOL * scale:
                 return u + delta
             norm = float(np.abs(g).max())
             s = 1.0
@@ -309,7 +308,7 @@ class _Stepper:
                     break
                 s *= 0.5
             else:
-                if step_size <= 1e4 * self.scheme.newton_tol * scale:
+                if step_size <= 1e4 * NEWTON_TOL * scale:
                     return u + delta  # stagnated at the rounding floor
                 raise _NewtonFailure
         raise _NewtonFailure
@@ -318,10 +317,10 @@ class _Stepper:
         try:
             return self.newton_step(u_old, t_old, t_new)
         except _NewtonFailure:
-            if depth >= self.scheme.dt_control:
+            if depth >= MAX_HALVINGS:
                 raise SolverAbort(
                     f"Newton stalled at t={t_new:.6g} after "
-                    f"{self.scheme.dt_control} step halvings",
+                    f"{MAX_HALVINGS} step halvings",
                     eps=self.problem.epsilon, time=t_new,
                 )
             t_mid = 0.5 * (t_old + t_new)
@@ -395,8 +394,6 @@ class SpacetimeField:
         return u_star(self.problem.params, self.grid.nodes)
 
     def mode_matrix(self) -> np.ndarray:
-        from .analytic import v_mode  # local import to keep module load light
-
         return v_mode(
             self.problem.params,
             self.grid.nodes[None, :],
@@ -414,14 +411,14 @@ def solve_annulus(problem: EpsilonProblem, grid: RadialGrid, T: float,
     """
     if not np.array_equal(grid.nodes, problem.nodes):
         raise ValueError("grid does not match the problem's datum grid")
-    if scheme.dt_initial > T:
+    if scheme.dt > T:
         raise ValueError("step exceeds the integration horizon")
     if grid.nodes_per_inner_decade < 3:
         raise ValueError(
             "grid resolves fewer than 3 nodes in the first radial decade; "
             "increase the node count or the grading exponent"
         )
-    n_steps = max(1, int(round(T / scheme.dt_initial)))
+    n_steps = max(1, int(round(T / scheme.dt)))
     times = np.linspace(0.0, T, n_steps + 1)
     values = np.empty((n_steps + 1, grid.nodes.size))
     values[0] = problem.u0eps.values
@@ -445,7 +442,8 @@ def solve_annulus(problem: EpsilonProblem, grid: RadialGrid, T: float,
 
 def _check_apriori_box(field_out: SpacetimeField) -> None:
     p = field_out.problem.params
-    bound = abs(u_star(p, p.R)) + float(np.max(field_out.mode_matrix()[0])) + 1e-9
+    v0 = v_mode(p, field_out.grid.nodes, 0.0)
+    bound = abs(u_star(p, p.R)) + float(np.max(v0)) + 1e-9
     worst = float(np.max(np.abs(field_out.values)))
     if worst > bound * (1.0 + 1e-6):
         raise SolverAbort(
@@ -505,6 +503,12 @@ def compact_difference(a: SpacetimeField, b: SpacetimeField,
     return float(np.max(np.abs(va - vb)))
 
 
+def compact_window(R: float, T: float) -> tuple:
+    """The compact window (r_window, t_window) = ([0.1 R, R], [min(0.5, T/2), T])
+    on which fields of different inner radii or schemes are compared."""
+    return (0.1 * R, R), (min(0.5, 0.5 * T), T)
+
+
 def continuation(
     params: ModelParams,
     datum: InitialDatum,
@@ -512,22 +516,21 @@ def continuation(
     policy: GridPolicy,
     T: float,
     scheme: SchemeConfig,
-    compact_r_fraction: float = 0.1,
-    compact_t_start: float = 0.5,
 ) -> ContinuationResult:
     """Solve the annulus problems for a decreasing eps sequence.
 
-    Consecutive fields are compared in sup norm on the compact window
-    [compact_r_fraction * R, R] x [compact_t_start, T]; an abort ends the
-    sequence and is returned with the fields solved before it.
+    Consecutive fields are compared in sup norm on :func:`compact_window`,
+    which every eps must lie below; an abort ends the sequence and is
+    returned with the fields solved before it.
     """
     eps_sequence = [float(e) for e in eps_sequence]
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise ValueError("eps sequence must be strictly decreasing")
-    if eps_sequence[0] >= compact_r_fraction * params.R:
+    r_window, t_window = compact_window(params.R, T)
+    if eps_sequence[0] >= r_window[0]:
         raise ValueError(
             "largest eps reaches into the compact comparison window; "
-            "shrink eps or widen the window"
+            f"every eps must lie below {r_window[0]:.6g}"
         )
     fields = []
     aborted = None
@@ -542,8 +545,6 @@ def continuation(
     if not fields:
         return ContinuationResult(fields=[], consecutive_diffs=[], limit=None,
                                   aborted=aborted)
-    r_window = (compact_r_fraction * params.R, params.R)
-    t_window = (min(compact_t_start, 0.5 * T), T)
     diffs = [
         compact_difference(a, b, r_window, t_window)
         for a, b in zip(fields, fields[1:])

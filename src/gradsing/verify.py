@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from . import analytic, initdata, solver
 from .report import CheckResult, VerificationReport
-from .solver import SpacetimeField, compact_difference
+from .solver import SpacetimeField, compact_difference, compact_window
 
 __all__ = [
     "CHECKS",
@@ -215,10 +215,9 @@ def check_weighted_bernstein(field: SpacetimeField, p: int) -> CheckResult:
     )
 
 
-def check_pointwise_gradient(field: SpacetimeField, p: int = 28) -> CheckResult:
-    """Uniform bound for |u_r| r^((p+3)/p) on (2 eps, R) x [0, T]."""
-    if p < 4 or p % 2 != 0:
-        raise ValueError("weight exponent must be an even integer >= 4")
+def check_pointwise_gradient(field: SpacetimeField) -> CheckResult:
+    """Uniform bound for |u_r| r^((p+3)/p) on (2 eps, R) x [0, T], p = 28."""
+    p = 28
     eps = field.eps
     q = (p + 3.0) / p
     window = (field.grid.nodes > 2.0 * eps) & (field.grid.nodes < field.problem.params.R)
@@ -342,13 +341,17 @@ def check_shape_functional(field: SpacetimeField) -> CheckResult:
 
 # -- large-time convergence ---------------------------------------------------
 
+def _distance_to_stationary(field: SpacetimeField) -> np.ndarray:
+    """sup_r |u - u*| at each stored time."""
+    return np.max(np.abs(field.values - field.u_star_row()[None, :]), axis=1)
+
+
 def fit_decay(field: SpacetimeField) -> ExponentFit:
     """Log-linear fit of sup_r |u - u*| on the late half of the run.
 
     The fitted ``exponent`` is the decay rate (positive for decay).
     """
-    us = field.u_star_row()
-    D = np.max(np.abs(field.values - us[None, :]), axis=1)
+    D = _distance_to_stationary(field)
     t = field.times
     late = t >= 0.5 * t[-1]
     if np.max(D) == 0.0:
@@ -366,9 +369,9 @@ def check_decay_envelope(field: SpacetimeField) -> CheckResult:
     with tol = :func:`tol_sandwich`."""
     tol = tol_sandwich(field)
     p = field.problem.params
-    us = field.u_star_row()
-    D = np.max(np.abs(field.values - us[None, :]), axis=1)
-    env = np.exp(-p.decay_rate * field.times) * float(np.max(field.mode_matrix()[0]))
+    D = _distance_to_stationary(field)
+    v0 = analytic.v_mode(p, field.grid.nodes, 0.0)
+    env = np.exp(-p.decay_rate * field.times) * float(np.max(v0))
     worst, status = float(np.max(D - env)), "ok"
     if p.C == 0.0:  # no mode: the field must sit on the stationary profile
         worst, status = float(np.max(D)), "exact"
@@ -400,8 +403,7 @@ def check_decay_rate(field: SpacetimeField) -> CheckResult:
             tolerance=need, passed=True, status="exact",
         )
     fit = fit_decay(field)
-    us = field.u_star_row()
-    D = np.max(np.abs(field.values - us[None, :]), axis=1)
+    D = _distance_to_stationary(field)
     floor = float(np.min(D))
     window_peak = float(np.max(D[field.times >= 0.5 * field.times[-1]]))
     if fit.exponent < need and window_peak <= 10.0 * floor:
@@ -483,7 +485,6 @@ def weak_form_residual(field: SpacetimeField, tf: TestFunction) -> tuple[float, 
 
 def _weak_form_residuals(field, test_functions):
     """:func:`weak_form_residual` per test function; u u_r^3 is formed once."""
-    p = field.problem.params
     r = field.grid.nodes
     t = field.times
     T = float(t[-1])
@@ -492,8 +493,7 @@ def _weak_form_residuals(field, test_functions):
     reaction = u * ur ** 3
     wt = (t * (T - t) / (T * T / 4.0)) ** 2
     wtp = 2.0 * (t * (T - t)) * (T - 2.0 * t) / (T * T / 4.0) ** 2
-    mid = np.concatenate(([r[0]], 0.5 * (r[1:] + r[:-1]), [r[-1]]))
-    wr = (mid[1:] ** p.n - mid[:-1] ** p.n) / p.n
+    wr = _radial_volumes(field, np.inf)
     out = []
     for tf in test_functions:
         s, sp = tf.value(r), tf.derivative(r)
@@ -533,13 +533,18 @@ def check_weak_identity(field: SpacetimeField) -> list[CheckResult]:
     ]
 
 
-def inner_mass_integral(field: SpacetimeField, eps_tilde: float) -> float:
-    """(1 / e) int_0^T int_0^e r^(n-1) |u_r| dr dt  at e = eps_tilde."""
-    p = field.problem.params
+def _radial_volumes(field: SpacetimeField, upto: float) -> np.ndarray:
+    """Weights of int r^(n-1) dr over the dual (midpoint) cell of each node,
+    with the cells cut at r = upto (np.inf: uncut)."""
+    n = field.problem.params.n
     r = field.grid.nodes
     mid = np.concatenate(([r[0]], 0.5 * (r[1:] + r[:-1]), [r[-1]]))
-    wr = (np.minimum(mid[1:], eps_tilde) ** p.n
-          - np.minimum(mid[:-1], eps_tilde) ** p.n) / p.n
+    return (np.minimum(mid[1:], upto) ** n - np.minimum(mid[:-1], upto) ** n) / n
+
+
+def inner_mass_integral(field: SpacetimeField, eps_tilde: float) -> float:
+    """(1 / e) int_0^T int_0^e r^(n-1) |u_r| dr dt  at e = eps_tilde."""
+    wr = _radial_volumes(field, eps_tilde)
     ur = np.abs(field.gradient_matrix())
     return float(np.trapezoid(ur @ wr, field.times) / eps_tilde)
 
@@ -565,20 +570,16 @@ def check_inner_mass(field: SpacetimeField,
 
 # -- scheme comparison and continuation ---------------------------------------
 
-def check_uniqueness_surrogate(field_a: SpacetimeField, field_b: SpacetimeField,
-                               tol: float = 1e-3,
-                               r_fraction: float = 0.1,
-                               t_start: float = 0.5) -> CheckResult:
-    """Fields from two distinct schemes agree on the compact window."""
-    R = field_a.problem.params.R
-    T = float(field_a.times[-1])
-    diff = compact_difference(
-        field_a, field_b, (r_fraction * R, R), (min(t_start, 0.5 * T), T)
-    )
+def check_uniqueness_surrogate(field_a: SpacetimeField,
+                               field_b: SpacetimeField) -> CheckResult:
+    """Fields from two distinct schemes agree within 1e-3 on the compact
+    window of :func:`solver.compact_window`."""
+    window = compact_window(field_a.problem.params.R, float(field_a.times[-1]))
+    diff = compact_difference(field_a, field_b, *window)
     return CheckResult(
         name="uniqueness_surrogate",
         claim="independent schemes converge to the same monotone solution",
-        measured=diff, tolerance=tol, passed=diff <= tol,
+        measured=diff, tolerance=1e-3, passed=diff <= 1e-3,
         extra={"schemes": (field_a.scheme_name, field_b.scheme_name)},
     )
 
@@ -666,15 +667,13 @@ def _pointwise_gradient(run) -> list[CheckResult]:
 
 
 def _uniqueness(run) -> list[CheckResult]:
-    finest, cont_cfg = run.continuation.finest, run.config.continuation
+    finest = run.continuation.finest
     other = ("crank_nicolson" if run.config.scheme.time_stepper == "implicit_euler"
              else "implicit_euler")
     return _rerun_check(
         run, "uniqueness_surrogate", f"the {other} rerun", finest.problem,
         finest.grid, replace(run.config.scheme, time_stepper=other),
-        lambda fld: check_uniqueness_surrogate(
-            finest, fld, r_fraction=cont_cfg.compact_r_fraction,
-            t_start=cont_cfg.compact_t_start))
+        lambda fld: check_uniqueness_surrogate(finest, fld))
 
 
 def _continuation_cauchy(run) -> list[CheckResult]:

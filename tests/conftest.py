@@ -25,7 +25,7 @@ def small_policy():
 
 @pytest.fixture(scope="session")
 def small_scheme():
-    return solver.SchemeConfig("implicit_euler", dt_initial=2e-3)
+    return solver.SchemeConfig("implicit_euler", dt=2e-3)
 
 
 def _solve(params, datum, eps, policy, scheme, horizon_efolds=3.0):
@@ -44,7 +44,7 @@ def n2_field(n2_bundle, small_policy, small_scheme):
 @pytest.fixture(scope="session")
 def n2_field_cn(n2_bundle, small_policy):
     params, datum = n2_bundle
-    cn = solver.SchemeConfig("crank_nicolson", dt_initial=2e-3)
+    cn = solver.SchemeConfig("crank_nicolson", dt=2e-3)
     return _solve(params, datum, 0.04, small_policy, cn)
 
 

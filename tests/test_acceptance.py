@@ -73,8 +73,7 @@ def n2_refined(n2):
     problem = initdata.make_epsilon_problem(
         params, datum, cfg.continuation.reference_eps, grid.nodes
     )
-    scheme = SchemeConfig("implicit_euler",
-                          dt_initial=cfg.scheme.dt_initial / 2.0)
+    scheme = SchemeConfig("implicit_euler", dt=cfg.scheme.dt / 2.0)
     return solver.solve_annulus(problem, grid, T, scheme)
 
 
@@ -85,7 +84,7 @@ def n3_levels(n3):
     levels = []
     for num_nodes, dt in ((100, 4e-3), (200, 2e-3), (400, 1e-3)):
         policy = GridPolicy(num_nodes, cfg.continuation.grading_exponent)
-        scheme = SchemeConfig("implicit_euler", dt_initial=dt)
+        scheme = SchemeConfig("implicit_euler", dt=dt)
         levels.append(solver.continuation(
             params, datum, cfg.continuation.eps_sequence, policy, T, scheme,
         ))
@@ -216,10 +215,10 @@ def test_criterion_05_gradient_sign_and_box(n2, n2_reference):
 
 def test_criterion_06_weighted_gradient_bounds(n2_reference, n2_continuation):
     bern = [verify.check_weighted_bernstein(n2_reference, p=p) for p in (4, 28)]
-    point_ref = verify.check_pointwise_gradient(n2_reference, p=28)
+    point_ref = verify.check_pointwise_gradient(n2_reference)
     half = next(f for f in n2_continuation.fields
                 if abs(f.eps - n2_reference.eps / 2.0) < 1e-12)
-    point_half = verify.check_pointwise_gradient(half, p=28)
+    point_half = verify.check_pointwise_gradient(half)
     stability = verify.check_pointwise_stability(point_ref, point_half)
     ok = all(b.passed for b in bern) and point_ref.passed and stability.passed
     verdict(
@@ -298,9 +297,9 @@ def test_criterion_10_uniqueness_surrogate(n2, n2_continuation):
     cfg, params, _ = n2
     finest = n2_continuation.finest
     T = cfg.continuation.horizon_efolds / params.decay_rate
-    cn = SchemeConfig("crank_nicolson", dt_initial=cfg.scheme.dt_initial)
+    cn = SchemeConfig("crank_nicolson", dt=cfg.scheme.dt)
     other = solver.solve_annulus(finest.problem, finest.grid, T, cn)
-    res = verify.check_uniqueness_surrogate(finest, other, tol=1e-3)
+    res = verify.check_uniqueness_surrogate(finest, other)
     verdict(
         10, res.passed,
         f"trapezoidal and backward-Euler limit fields agree to "

@@ -42,7 +42,6 @@ reference_eps = 0.04
 num_nodes = 120
 grading_exponent = 2.0
 horizon_efolds = 2.0
-compact_t_start = 0.2
 
 [verify]
 enabled = analytic_residuals, sandwich, monotone, gradient_box
@@ -52,7 +51,8 @@ directory = quickrun
 save_every = 20
 """
 
-# the keys that once set bounds, powers, fractions and the amplitude policy
+# the keys that once set bounds, powers, fractions, the amplitude policy,
+# the mode rate, the Newton controls and the compact window
 RETIRED_KEYS = [
     ("model", "lambda_fraction = 0.9"),
     ("model", "R_fraction = 0.9"),
@@ -65,6 +65,12 @@ RETIRED_KEYS = [
     ("verify", "uniqueness_tol = 1e-3"),
     ("verify", "tol_sandwich = 1e-12"),
     ("verify", "tol_grad = 1e-12"),
+    ("model", "lambda = 2.5"),
+    ("scheme", "dt_control = 6"),
+    ("scheme", "newton_tol = 1e-11"),
+    ("scheme", "newton_max_iter = 14"),
+    ("continuation", "compact_r_fraction = 0.1"),
+    ("continuation", "compact_t_start = 0.5"),
 ]
 
 # (text in QUICK_CONFIG, its replacement, start of the error message); keys
@@ -79,19 +85,16 @@ CONFIG_ERRORS = [
      "verify.enabled: names no check"),
 ]
 
-# every field of every section away from its default, both R and lambda set
+# every field of every section away from its default
 EVERY_FIELD = RunConfig(
     name="every-field",
-    model=ModelConfig(n=3, R=1.2, lam=2.5),
+    model=ModelConfig(n=3, R=1.2),
     initdata=InitdataConfig(family="polynomial_blend", deficit_amplitude=0.1,
                             blend_exponent=3.0),
-    scheme=solver.SchemeConfig(time_stepper="crank_nicolson", dt_initial=5e-4,
-                               dt_control=3, newton_tol=1e-10,
-                               newton_max_iter=9),
+    scheme=solver.SchemeConfig(time_stepper="crank_nicolson", dt=5e-4),
     continuation=ContinuationConfig(
         eps_sequence=(0.03, 0.015), reference_eps=0.015, num_nodes=200,
-        grading_exponent=1.5, horizon_efolds=4.0, compact_r_fraction=0.2,
-        compact_t_start=0.25),
+        grading_exponent=1.5, horizon_efolds=4.0),
     verify=VerifyConfig(enabled=("sandwich", "decay")),
     output=OutputConfig(directory="runs/every", save_every=5),
 )
@@ -104,9 +107,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("name, digest", [
         ("n2-standard",
-         "903e4a519addde26a705f528ccae5acc8c44ccd03bb35ceb384b86ec8e949d02"),
+         "cbe058303049c6dc9f2b895273b167862f23e2780f7dac540eb8b3d0c9cece1e"),
         ("n3-weak",
-         "42f4933410cdc10fc30c1d62d74dcb4100ed3880742d3752cad34a61e6e94863"),
+         "70132dd14ad7c4c3ac59dcc69aebcbab29f3901e33fc52f0b34b2d31522bbbdd"),
     ])
     def test_preset_hash_pinned(self, name, digest):
         assert preset(name).content_hash() == digest
@@ -199,7 +202,8 @@ class TestConfig:
             load_config(QUICK_CONFIG.replace("0.05, 0.04", "0.04, 0.05"))
 
     def test_one_of_R_lambda_required(self):
-        with pytest.raises(ConfigError, match="model.R or model.lambda"):
+        """The ball radius is required; the mode rate follows from it."""
+        with pytest.raises(ConfigError, match="^model.R: must be given"):
             load_config(QUICK_CONFIG.replace("R = 0.6", "")).validate()
 
 
@@ -403,10 +407,12 @@ class TestCsvWriter:
 # continuation differences, per time stepper.  Recorded before the Newton
 # fast paths (cached inner boundary constants, exact-cube cutoff, reused
 # residuals) went in: a pure speed-up of the solver must not move a bit.
+# The continuation_diffs digests are taken on solver.compact_window, which
+# starts at min(0.5, T/2) = 0.259 here.
 QUICK_DIGESTS = {
     "implicit_euler": {
         "continuation_diffs":
-            "c7dad7b89b8897738c57249b1bfae9b3c2eb65c7dfec9a7ffc3e872ff1095951",
+            "e6ea48ca8f9c879a4d5d6df231d5ae11e2ceb23beac6ae06a4357bb8e9eaca59",
         "field_eps0.04.csv":
             "c811489bb11b1881df3f611aea50a048a7733d8bf1acea28da1fe4bd22134ecb",
         "field_eps0.05.csv":
@@ -416,7 +422,7 @@ QUICK_DIGESTS = {
     },
     "crank_nicolson": {
         "continuation_diffs":
-            "ba411ae81978694d4a90f8d971ad59cbc1d19409c0f13d04b8ec2afacc31a8cb",
+            "db28cb164a896358dac9a9e47c5a1fb81e0c9cf93a6fd5b06e26522af18108d6",
         "field_eps0.04.csv":
             "0c32b6b9b705bf964adaebe86449be3344d95ed6f5a541d9e29c9b10b7044789",
         "field_eps0.05.csv":
@@ -451,7 +457,7 @@ def test_quick_newton_solve_bitwise_equals_scipy():
                              cfg.continuation.grading_exponent).build(eps, params.R)
     problem = initdata.make_epsilon_problem(params, datum, eps, grid.nodes)
     stepper = solver._Stepper(problem, grid, cfg.scheme)
-    dt = cfg.scheme.dt_initial
+    dt = cfg.scheme.dt
     u_old = problem.u0eps.values
     inner = problem.inner_bc(dt)
     u = u_old.copy()

@@ -190,8 +190,6 @@ class TestSchemeConfig:
             SchemeConfig(time_stepper="imex_cn")
 
     def test_orders(self):
-        assert SchemeConfig("implicit_euler").order == 1
-        assert SchemeConfig("crank_nicolson").order == 2
         assert SchemeConfig("crank_nicolson").theta == 0.5
 
 
@@ -246,9 +244,9 @@ class TestStepping:
         every stored step of a solve, inside the exact-cube range or with
         u_r steepened past c* at one node."""
         prob, grid = n2_field.problem, n2_field.grid
-        scheme = SchemeConfig(time_stepper, dt_initial=2e-3)
+        scheme = SchemeConfig(time_stepper, dt=2e-3)
         stepper = solver._Stepper(prob, grid, scheme)
-        th, dt, op, cutoff = scheme.theta, scheme.dt_initial, stepper.op, prob.cutoff
+        th, dt, op, cutoff = scheme.theta, scheme.dt, stepper.op, prob.cutoff
         (d_m, d_0, d_p), _ = grid.derivative_weights
 
         def full_rhs(v):
@@ -285,16 +283,15 @@ class TestStepping:
             assert [b.tobytes() for b in bands] == [b.tobytes() for b in bands_ref]
 
     def test_newton_failure_aborts_with_diagnostics(self, n2_bundle,
-                                                    small_policy):
+                                                    small_policy, monkeypatch):
         params, datum = n2_bundle
         grid = small_policy.build(0.04, params.R)
         prob = initdata.make_epsilon_problem(params, datum, 0.04, grid.nodes)
-        crippled = SchemeConfig(
-            "implicit_euler", dt_initial=2e-3, dt_control=2,
-            newton_tol=1e-30, newton_max_iter=1,
-        )
+        monkeypatch.setattr(solver, "NEWTON_TOL", 1e-30)
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr(solver, "MAX_HALVINGS", 2)
         with pytest.raises(SolverAbort):
-            solve_annulus(prob, grid, 0.01, crippled)
+            solve_annulus(prob, grid, 0.01, SchemeConfig("implicit_euler", dt=2e-3))
 
 
 class TestSolveAnnulus:
@@ -358,7 +355,7 @@ class TestSolveAnnulus:
         grid = small_policy.build(0.04, params.R)
         prob = initdata.make_epsilon_problem(params, datum, 0.04, grid.nodes)
         with pytest.raises(ValueError, match="horizon"):
-            solve_annulus(prob, grid, 0.5 * small_scheme.dt_initial,
+            solve_annulus(prob, grid, 0.5 * small_scheme.dt,
                           small_scheme)
 
     def test_under_resolved_inner_decade_rejected(self, n2_bundle,
@@ -405,7 +402,7 @@ class TestContinuation:
         params, datum = n2_bundle
         T = 2.0 / params.decay_rate
         res = continuation(params, datum, [0.04, 0.02, 0.01], small_policy, T,
-                           small_scheme, compact_t_start=0.25 * T)
+                           small_scheme)
         d = res.consecutive_diffs
         assert len(d) == 2 and d[1] < d[0]
 
@@ -429,7 +426,7 @@ class TestRefinementConvergence:
             grid = policy.build(0.04, params.R)
             prob = initdata.make_epsilon_problem(params, datum, 0.04, grid.nodes)
             fields.append(solve_annulus(
-                prob, grid, T, SchemeConfig("implicit_euler", dt_initial=dt)
+                prob, grid, T, SchemeConfig("implicit_euler", dt=dt)
             ))
         window_r = (0.1 * params.R, params.R)
         window_t = (0.25 * T, T)
@@ -451,7 +448,7 @@ class TestCompactDifference:
 
     def test_requires_shared_times(self, n2_field, n2_bundle, small_policy):
         params, datum = n2_bundle
-        odd = solver.SchemeConfig("implicit_euler", dt_initial=1.7e-3)
+        odd = solver.SchemeConfig("implicit_euler", dt=1.7e-3)
         grid = small_policy.build(0.04, params.R)
         prob = initdata.make_epsilon_problem(params, datum, 0.04, grid.nodes)
         other = solve_annulus(prob, grid, 0.05, odd)

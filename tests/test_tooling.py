@@ -5,8 +5,12 @@ The traced benchmark wraps gradsing entry points by name.  A renamed or
 removed entry point must fail here instead of silently dropping out of
 the per-layer split, and so must an annulus solve whose result lacks what
 the tracer's solve probe reads, or a Newton loop that does not call
-``solver.solve_banded`` through the module.  The README's table of checks
-must name every check, and its table of configuration keys every key.
+``solver.solve_banded`` through the module.  ``perfbench/selftest.py``
+runs here too, so a change that breaks what the benchmark builds from the
+program (the config fields it replaces, the signature of
+``solve_annulus``, the tracer's probes) fails the tests.  The README's
+table of checks must name every check, and its table of configuration
+keys every key.
 """
 
 import ast
@@ -14,6 +18,7 @@ import importlib.util
 import json
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,8 +66,9 @@ def test_readme_config_table_names_every_key():
     section = readme.split("### Configuration files")[1].split("\n### ")[0]
     rows = re.findall(r"^\| `(\w+\.\w+)` \|", section, re.M)
     sections = [("run", config.RunConfig), *config._sections()]
-    assert rows == [f"{name}.{key}" for name, cls in sections
-                    for _, key in config._keys(cls)]
+    assert rows == [f"{name}.{f.name}" for name, cls in sections
+                    for f in config._keys(cls)]
+    assert len(rows) == 16  # run.name and the 15 section keys
 
 
 def test_solve_exposes_what_the_solve_probe_reads():
@@ -73,7 +79,7 @@ def test_solve_exposes_what_the_solve_probe_reads():
     grid = solver.GridPolicy(num_nodes=60).build(0.05, params.R)
     problem = initdata.make_epsilon_problem(params, datum, 0.05, grid.nodes)
     out = solver.solve_annulus(problem, grid, 0.02,
-                               solver.SchemeConfig(dt_initial=5e-3))
+                               solver.SchemeConfig(dt=5e-3))
     assert out.times.size - 1 == 4
     assert out.max_abs_gradient == float(np.max(np.abs(out.gradient_matrix())))
     assert 0.0 < out.max_abs_gradient / out.problem.c_star_eps < 1.0
@@ -92,8 +98,16 @@ def test_every_newton_iteration_calls_solver_solve_banded(monkeypatch):
     grid = solver.GridPolicy(num_nodes=60).build(0.05, params.R)
     problem = initdata.make_epsilon_problem(params, datum, 0.05, grid.nodes)
     out = solver.solve_annulus(problem, grid, 0.02,
-                               solver.SchemeConfig(dt_initial=5e-3))
+                               solver.SchemeConfig(dt=5e-3))
     assert len(calls) >= out.times.size - 1 == 4
+
+
+def test_perfbench_selftest_passes():
+    """The benchmark's own self-test: a reduced preset run with counted
+    solves, then a traced run with an injected abort."""
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def _bench_script():

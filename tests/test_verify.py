@@ -110,8 +110,8 @@ class TestWeightedBernstein:
 class TestPointwiseGradient:
     def test_bound_finite_and_stable_under_eps_halving(self, n2_field,
                                                        n2_field_half_eps):
-        a = verify.check_pointwise_gradient(n2_field, p=28)
-        b = verify.check_pointwise_gradient(n2_field_half_eps, p=28)
+        a = verify.check_pointwise_gradient(n2_field)
+        b = verify.check_pointwise_gradient(n2_field_half_eps)
         assert a.passed and b.passed
         stab = verify.check_pointwise_stability(a, b)
         assert stab.passed
@@ -131,7 +131,7 @@ class TestPointwiseGradient:
             return (2 * eps) ** (31.0 / 28.0 - 1.5)
 
         a = dataclasses.replace(
-            verify.check_pointwise_gradient(n2_field, p=28),
+            verify.check_pointwise_gradient(n2_field),
             measured=fake_bound(0.04),
         )
         b = dataclasses.replace(a, measured=fake_bound(0.02))
