@@ -106,19 +106,11 @@ def max_admissible_R(n: int, lam: float) -> float:
     return min(zeros.x1 / lam, radius_bound(n))
 
 
-def make_params(
-    n: int,
-    R: float | None = None,
-    lam: float | None = None,
-    C: float = 0.0,
-    R_fraction: float = 0.9,
-) -> ModelParams:
-    """Build an admissible parameter set.
+def make_params(n: int, R: float, C: float = 0.0) -> ModelParams:
+    """Build an admissible parameter set on the ball of radius ``R``.
 
-    Exactly one of ``R`` and ``lam`` may be given; the other is derived so
-    that the gate holds with margin (lam = 0.9 x1 / R, or
-    R = R_fraction * max admissible radius).  Passing both is allowed but
-    then the pair itself must pass the gate.
+    The mode rate is lam = 0.9 x1 / R, so the x1 / lam part of the gate
+    holds with margin; ``R`` must still lie below radius_bound(n).
     """
     if n < 2 or int(n) != n:
         raise ValueError(f"dimension must be an integer >= 2, got {n}")
@@ -127,16 +119,8 @@ def make_params(
     nu = specfn.nu_of(n)
     alpha = specfn.alpha_of(n)
     zeros = specfn.first_zeros(BesselOrder(nu))
-    if R is None and lam is None:
-        raise ValueError("one of R, lam is required")
-    if R is None:
-        if not 0 < R_fraction < 1:
-            raise ValueError("R_fraction must lie in (0, 1)")
-        R = R_fraction * min(zeros.x1 / lam, radius_bound(n))
-    elif lam is None:
-        lam = 0.9 * zeros.x1 / R
     params = ModelParams(
-        n=int(n), R=float(R), lam=float(lam), C=float(C),
+        n=int(n), R=float(R), lam=float(0.9 * zeros.x1 / R), C=float(C),
         alpha=alpha, nu=nu, x0=zeros.x0, x1=zeros.x1,
     )
     ensure_admissible(params)

@@ -66,9 +66,7 @@ def _cmd_specfn_probe(args) -> int:
 
 
 def _cmd_analytic_check(args) -> int:
-    params = analytic.make_params(
-        args.n, R=args.R, lam=getattr(args, "lambda"), C=args.C,
-    )
+    params = analytic.make_params(args.n, args.R, args.C)
     r, t = analytic.probe_lattice(params, radii=args.radii)
     res = analytic.residual_linearized(params, r, t) if params.C > 0 else \
         analytic.residual_stationary(params, r)
@@ -96,10 +94,10 @@ def _cmd_solve(args) -> int:
     eps = args.eps if args.eps is not None else cfg.continuation.reference_eps
     policy = solver.GridPolicy(cfg.continuation.num_nodes,
                                cfg.continuation.grading_exponent)
-    grid = policy.build(eps, params.R)
-    problem = initdata.make_epsilon_problem(params, datum, eps, grid.nodes)
     T = cfg.continuation.horizon_efolds / params.decay_rate
     try:
+        grid = policy.build(eps, params.R)
+        problem = initdata.make_epsilon_problem(params, datum, eps, grid.nodes)
         fld = solver.solve_annulus(problem, grid, T, cfg.scheme)
     except ValueError as exc:  # a precondition the configuration breaks
         raise ConfigError(f"solve: {exc}") from None
@@ -167,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk = s2.add_parser("check", help="residual report on the probe lattice")
     chk.add_argument("--n", type=int, required=True)
     chk.add_argument("--R", type=float, required=True)
-    chk.add_argument("--lambda", type=float, default=None, dest="lambda")
     chk.add_argument("--C", type=float, default=1.0)
     chk.add_argument("--radii", type=int, default=50)
     chk.set_defaults(func=_cmd_analytic_check)

@@ -115,28 +115,21 @@ def _family_closures(params: ModelParams, family: str, k: float, amplitude: floa
 
 
 def make_initial_datum(
-    params: ModelParams,
-    family: str = "mode_deficit",
-    k: float = 2.0,
-    amplitude: float | None = None,
+    params: ModelParams, family: str, k: float, amplitude: float
 ) -> InitialDatum:
     """Construct and validate a member of one of the datum families.
 
-    mode_deficit:      u0 = u* - a * psi(r) (1 - (r/R)^k)  with a = params.C
+    mode_deficit:      u0 = u* - a * psi(r) (1 - (r/R)^k)
     polynomial_blend:  u0 = u* - a * r^(n-3/2+nu) (1 - (r/R)^k)
 
-    ``amplitude`` defaults to ``params.C`` for mode_deficit and must be given
-    for polynomial_blend.  Raises :class:`InitialDataError` naming the first
-    violated condition if the resulting profile is not admissible (possible
-    for aggressive amplitudes or exponents, where the deficit recovers
-    faster near R than the stationary slope allows).  The reference samples
-    are 1200 log-spaced radii over the four decades [1e-4 R, R], 300 per
-    decade, which the near-origin conditions compare decade by decade.
+    with a = ``amplitude``.  Raises :class:`InitialDataError` naming the
+    first violated condition if the resulting profile is not admissible
+    (possible for aggressive amplitudes or exponents, where the deficit
+    recovers faster near R than the stationary slope allows).  The
+    reference samples are 1200 log-spaced radii over the four decades
+    [1e-4 R, R], 300 per decade, which the near-origin conditions compare
+    decade by decade.
     """
-    if family == "mode_deficit" and amplitude is None:
-        amplitude = params.C
-    if amplitude is None:
-        raise ValueError("polynomial_blend requires an explicit amplitude")
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
     value, slope = _family_closures(params, family, float(k), float(amplitude))
@@ -191,14 +184,7 @@ def validate_initial_datum(
         measured=growth, tolerance=1.8, passed=growth <= 1.8,
     ))
 
-    # (b) radial symmetry holds by construction of 1-D profiles
-    report.add(CheckResult(
-        name="radial_symmetry",
-        claim="profile is a function of radius alone",
-        measured=0.0, tolerance=0.0, passed=True, status="exact",
-    ))
-
-    # (c) datum below the stationary profile
+    # (b) datum below the stationary profile
     worst_above = float(np.max(u0 - us))
     report.add(CheckResult(
         name="below_stationary",
@@ -206,7 +192,7 @@ def validate_initial_datum(
         measured=worst_above, tolerance=tol, passed=worst_above <= tol,
     ))
 
-    # (d) weighted closeness near the origin: the functional on the finest
+    # (c) weighted closeness near the origin: the functional on the finest
     # decade must not grow compared with the next decade
     w = r ** (1.5 - params.n - params.nu) * (us - u0)
     dec1 = np.abs(w[r <= 10.0 * r[0]])
@@ -221,7 +207,7 @@ def validate_initial_datum(
         extra={"decade_growth": ratio},
     ))
 
-    # (e) exact match at the outer boundary
+    # (d) exact match at the outer boundary
     mismatch = abs(float(u0[-1] - us[-1]))
     report.add(CheckResult(
         name="outer_boundary_match",
@@ -229,7 +215,7 @@ def validate_initial_datum(
         measured=mismatch, tolerance=tol, passed=mismatch <= tol,
     ))
 
-    # (f) slope squeeze 0 >= u0' >= -C r^(-2/3)
+    # (e) slope squeeze 0 >= u0' >= -C r^(-2/3)
     worst_pos = float(np.max(u0r))
     weighted = -u0r * r ** (2.0 / 3.0)
     report.add(CheckResult(

@@ -119,13 +119,12 @@ def analytic_checks(params: ModelParams) -> list[CheckResult]:
     return out
 
 
-def run_pipeline(config: RunConfig, only: str | None = None,
-                 write: bool = True) -> PipelineResult:
-    """Execute the full pipeline for one configuration.
+def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:
+    """Execute the full pipeline for one configuration and persist the
+    fields, report and manifest under the resolved output directory.
 
     ``only='analytic'`` stops after the closed-form residual gates
-    (seconds instead of minutes).  With ``write`` the fields, report and
-    manifest are persisted under the resolved output directory.
+    (seconds instead of minutes).
     """
     config.validate()
     params, datum = build_model(config)
@@ -137,8 +136,7 @@ def run_pipeline(config: RunConfig, only: str | None = None,
     result = PipelineResult(config=config, params=params, datum=datum,
                             report=report)
     if only == "analytic":
-        if write:
-            _persist(result)
+        _persist(result)
         return result
 
     cont_cfg = config.continuation
@@ -163,8 +161,7 @@ def run_pipeline(config: RunConfig, only: str | None = None,
         for name, check in verify.CHECKS.items():
             if name in enabled:
                 report.checks.extend(check(result))
-    if write:
-        _persist(result)
+    _persist(result)
     return result
 
 

@@ -79,7 +79,7 @@ class SolverAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing radial nodes with power-law clustering."""
+    """Strictly increasing radial nodes, at least 4 of them."""
 
     nodes: np.ndarray
 
@@ -90,16 +90,6 @@ class RadialGrid:
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
-
-    @classmethod
-    def make(cls, eps: float, R: float, num_nodes: int = 400,
-             grading_exponent: float = 2.0) -> "RadialGrid":
-        if not 0 <= eps < R:
-            raise ValueError("need 0 <= eps < R")
-        i = np.arange(num_nodes + 1) / num_nodes
-        nodes = eps + (R - eps) * i ** grading_exponent
-        nodes[0], nodes[-1] = eps, R  # exact endpoints
-        return cls(nodes=nodes)
 
     @property
     def h_max(self) -> float:
@@ -219,11 +209,19 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class GridPolicy:
-    num_nodes: int = 400
-    grading_exponent: float = 2.0
+    """The graded mesh r_i = eps + (R - eps) (i/M)^gamma, i = 0..M, with
+    M = ``num_nodes`` and gamma = ``grading_exponent``."""
+
+    num_nodes: int
+    grading_exponent: float
 
     def build(self, eps: float, R: float) -> RadialGrid:
-        return RadialGrid.make(eps, R, self.num_nodes, self.grading_exponent)
+        if not 0 <= eps < R:
+            raise ValueError("need 0 <= eps < R")
+        i = np.arange(self.num_nodes + 1) / self.num_nodes
+        nodes = eps + (R - eps) * i ** self.grading_exponent
+        nodes[0], nodes[-1] = eps, R  # exact endpoints
+        return RadialGrid(nodes=nodes)
 
 
 class _Stepper:

@@ -553,11 +553,14 @@ def check_inner_mass(field: SpacetimeField,
                      eps_values: Sequence[float]) -> CheckResult:
     """The averaged inner slope mass must decrease toward 0 along the
     given decreasing inner radii.  Needs n >= 3 (skipped for n = 2, as the
-    weak identity is)."""
+    weak identity is) and at least two radii to compare (skipped below)."""
     claim = "averaged slope mass near the origin vanishes in the limit"
     if not field.problem.params.weak_form_ok:
         return _unjudged("inner_slope_mass", claim, "skipped",
                          "needs dimension >= 3")
+    if len(eps_values) < 2:
+        return _unjudged("inner_slope_mass", claim, "skipped",
+                         "needs at least 2 inner radii")
     values = [inner_mass_integral(field, e) for e in eps_values]
     decreasing = all(b < a for a, b in zip(values, values[1:]))
     return CheckResult(

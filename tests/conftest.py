@@ -13,7 +13,8 @@ from gradsing import analytic, initdata, solver
 @pytest.fixture(scope="session")
 def n2_bundle():
     params = analytic.make_params(2, R=0.6, C=0.25)
-    datum = initdata.make_initial_datum(params, "mode_deficit", k=2.0)
+    datum = initdata.make_initial_datum(params, "mode_deficit", k=2.0,
+                                         amplitude=params.C)
     fitted = params.replace(C=initdata.choose_amplitude_C(params, datum))
     return fitted, datum
 
@@ -66,7 +67,8 @@ def c0_field(small_policy, small_scheme):
 @pytest.fixture(scope="session")
 def n3_bundle():
     params = analytic.make_params(3, R=1.5, C=0.2)
-    datum = initdata.make_initial_datum(params, "mode_deficit", k=2.0)
+    datum = initdata.make_initial_datum(params, "mode_deficit", k=2.0,
+                                         amplitude=params.C)
     fitted = params.replace(C=initdata.choose_amplitude_C(params, datum))
     return fitted, datum
 

@@ -128,9 +128,9 @@ class TestLinearizedResidual:
         assert np.max(np.abs(res) / np.maximum(1.0, np.abs(v))) < 1e-8
 
     def test_spot_configs(self):
-        p = make_params(2, lam=1.0, C=1.0, R_fraction=0.9)
+        p = make_params(2, R=0.55, C=1.0)
         assert abs(analytic.residual_linearized(p, 0.3, 0.1)) < 1e-8
-        p = make_params(3, lam=0.5, C=2.0, R_fraction=0.9)
+        p = make_params(3, R=4.7, C=2.0)
         r_probe = min(1.0, 0.9 * p.R)
         assert abs(analytic.residual_linearized(p, r_probe, 1.0)) < 1e-8
 
@@ -173,13 +173,18 @@ class TestAdmissibility:
             analytic.radius_bound(2), abs=1e-14
         )
 
-    def test_make_params_requires_one_of_R_lam(self):
-        with pytest.raises(ValueError):
+    def test_make_params_requires_R(self):
+        """lam follows from R alone; it is not a parameter."""
+        with pytest.raises(TypeError):
             make_params(2)
+        with pytest.raises(TypeError):
+            make_params(2, R=0.6, lam=1.0)
+        p = make_params(2, R=0.6)
+        assert p.lam == 0.9 * p.x1 / 0.6
 
     def test_make_params_rejects_inadmissible_pair(self):
         with pytest.raises(AdmissibilityError):
-            make_params(2, R=0.62, lam=1e-6)  # R above the n=2 radius bound
+            make_params(2, R=0.62)  # R above the n=2 radius bound 0.612
 
     def test_weak_form_flag(self):
         assert not make_params(2, R=0.6).weak_form_ok

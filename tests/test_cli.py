@@ -269,9 +269,10 @@ class TestPipeline:
             assert (run_dir / name).read_bytes() == blob
         assert (run_dir / "manifest.json").read_bytes() == manifest_before
 
-    def test_only_analytic_skips_solves(self):
+    def test_only_analytic_skips_solves(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
         cfg = load_config(QUICK_CONFIG)
-        result = pipeline.run_pipeline(cfg, only="analytic", write=False)
+        result = pipeline.run_pipeline(cfg, only="analytic")
         assert result.continuation is None
         assert {c.name for c in result.report.checks} == {
             "stationary_residual", "linearized_residual", "subsolution_sign",
@@ -621,7 +622,7 @@ class TestSolverAbort:
             ("0.01", "false", "ok")
         assert rows[5]["pass"] == "true"
         assert manifest["all_checks_passed"] is False
-        report = pipeline.run_pipeline(load_config(RERUN_CONFIG), write=False).report
+        report = pipeline.run_pipeline(load_config(RERUN_CONFIG)).report
         assert report["cutoff_inactive_rerun"].extra == \
             {"eps": 0.04, "step": 4, "t": 0.01}
 
@@ -639,16 +640,17 @@ class TestSolverAbort:
             ("0.01", "false", "ok")
         assert rows[6]["status"] == "skipped"
         assert manifest["all_checks_passed"] is False
-        report = pipeline.run_pipeline(load_config(RERUN_CONFIG), write=False).report
+        report = pipeline.run_pipeline(load_config(RERUN_CONFIG)).report
         assert report["uniqueness_surrogate"].extra == \
             {"eps": 0.04, "step": 4, "t": 0.01}
 
-    def test_cauchy_skip_states_radii_solved(self, monkeypatch):
+    def test_cauchy_skip_states_radii_solved(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
         _abort_at(monkeypatch, 0.03)
         cfg = load_config(
             QUICK_CONFIG.replace("0.05, 0.04", "0.05, 0.04, 0.03")
             .replace("sandwich, monotone, gradient_box", "continuation_cauchy"))
-        result = pipeline.run_pipeline(cfg, write=False)
+        result = pipeline.run_pipeline(cfg)
         res = result.report["continuation_cauchy"]
         assert res.status == "skipped"
         assert res.extra["reason"] == \
@@ -660,13 +662,15 @@ TABLE_SUBSET = ["analytic_residuals", "sandwich", "monotone", "gradient_box",
 
 
 class TestCheckTable:
-    def test_report_follows_table_not_enabled_order(self):
+    def test_report_follows_table_not_enabled_order(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
         rows = []
         for enabled in (TABLE_SUBSET, TABLE_SUBSET[::-1]):
             cfg = load_config(QUICK_CONFIG.replace(
                 "analytic_residuals, sandwich, monotone, gradient_box",
                 ", ".join(enabled)))
-            report = pipeline.run_pipeline(cfg, write=False).report
+            report = pipeline.run_pipeline(cfg).report
             rows.append([(c.name, c.measured, c.tolerance, c.passed, c.status)
                          for c in report.checks])
         assert rows[0] == rows[1]
@@ -674,7 +678,8 @@ class TestCheckTable:
             "sandwich", "monotone_gradient", "gradient_box",
             "cutoff_inactive_rerun", "boundary_derivative_bands"]
 
-    def test_table_calls_checks_through_module_attribute(self, monkeypatch):
+    def test_table_calls_checks_through_module_attribute(self, tmp_path,
+                                                         monkeypatch):
         """The benchmark tracer counts checks by patching these attributes."""
         calls = []
         original = verify.check_sandwich
@@ -684,26 +689,30 @@ class TestCheckTable:
             return original(field)
 
         monkeypatch.setattr(verify, "check_sandwich", spy)
-        report = pipeline.run_pipeline(load_config(QUICK_CONFIG), write=False).report
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        report = pipeline.run_pipeline(load_config(QUICK_CONFIG)).report
         assert calls == [0.04]
         assert report["sandwich"].passed
 
-    def test_pointwise_stability_skipped_without_half_radius(self):
+    def test_pointwise_stability_skipped_without_half_radius(self, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
         cfg = load_config(QUICK_CONFIG.replace(
             "sandwich, monotone, gradient_box", "pointwise_gradient"))
-        result = pipeline.run_pipeline(cfg, write=False)
+        result = pipeline.run_pipeline(cfg)
         res = result.report["pointwise_gradient_stability"]
         assert res.status == "skipped"
         assert "0.02" in res.extra["reason"]
         assert result.exit_code == 0
 
     def test_pointwise_stability_inconclusive_when_half_radius_aborts(
-            self, monkeypatch):
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
         _abort_at(monkeypatch, 0.02)
         cfg = load_config(
             QUICK_CONFIG.replace("0.05, 0.04", "0.05, 0.04, 0.02")
             .replace("sandwich, monotone, gradient_box", "pointwise_gradient"))
-        result = pipeline.run_pipeline(cfg, write=False)
+        result = pipeline.run_pipeline(cfg)
         res = result.report["pointwise_gradient_stability"]
         assert res.status == "inconclusive"
         assert "0.02" in res.extra["reason"]
@@ -728,7 +737,7 @@ class TestCheckTable:
             QUICK_CONFIG.replace("0.05, 0.04", "0.05, 0.04, 0.03")
             .replace("sandwich, monotone, gradient_box",
                      "singularity, shape_functional"))
-        report = pipeline.run_pipeline(cfg, write=False).report
+        report = pipeline.run_pipeline(cfg).report
         for name in ("singularity_exponent", "shape_functional"):
             res = report[name]
             assert (res.status, res.passed) == ("inconclusive", False)
@@ -769,6 +778,14 @@ class TestCLI:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "r,t,residual"
         assert all(abs(float(line.split(",")[2])) < 1e-8 for line in out[1:])
+
+    def test_analytic_check_takes_no_lambda(self, capsys):
+        """The mode rate follows from R; --lambda is not an option."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analytic", "check", "--n", "2", "--R", "0.6",
+                      "--lambda", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lambda 1" in capsys.readouterr().err
 
     def test_initdata_validate_reports_conditions(self, capsys, tmp_path):
         cfg_path = tmp_path / "quick.ini"
@@ -827,6 +844,25 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "configuration error: solve: step exceeds the integration " \
             "horizon" in err
+        assert not list(tmp_path.rglob("field_*.csv"))
+
+    @pytest.mark.parametrize("eps, message", [
+        ("0.7", "need 0 <= eps < R"),
+        ("-0.1", "need 0 <= eps < R"),
+        ("0", "derivative of the stationary profile needs r > 0"),
+    ])
+    def test_solve_eps_outside_annulus_is_config_error(self, eps, message,
+                                                       capsys, tmp_path,
+                                                       monkeypatch):
+        """An inner radius outside (0, R) exits 2 naming the radius
+        condition, not 1 with a traceback, and writes no field."""
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "quick.ini"
+        cfg_path.write_text(QUICK_CONFIG)
+        assert cli.main(["solve", "--config", str(cfg_path),
+                         f"--eps={eps}"]) == 2
+        assert f"configuration error: solve: {message}" in \
+            capsys.readouterr().err
         assert not list(tmp_path.rglob("field_*.csv"))
 
     def test_run_line_shows_skip_reason(self, capsys, tmp_path, monkeypatch):

@@ -27,7 +27,7 @@ def params():
 
 @pytest.fixture(scope="module")
 def datum(params):
-    return make_initial_datum(params, "mode_deficit", k=2.0)
+    return make_initial_datum(params, "mode_deficit", k=2.0, amplitude=params.C)
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +60,13 @@ class TestFamilies:
     def test_aggressive_amplitude_rejected_naming_slope(self, params):
         # the deficit recovers faster near R than the stationary slope allows
         with pytest.raises(InitialDataError, match="slope_envelope"):
-            make_initial_datum(params.replace(C=1.0), "mode_deficit", k=2.0)
+            make_initial_datum(params.replace(C=1.0), "mode_deficit", k=2.0,
+                               amplitude=1.0)
 
     def test_untapered_deficit_rejected_naming_outer_boundary(self, params):
         with pytest.raises(InitialDataError, match="outer_boundary_match"):
-            make_initial_datum(params, "mode_deficit", k=0.0)
+            make_initial_datum(params, "mode_deficit", k=0.0,
+                               amplitude=params.C)
 
     def test_unknown_family_rejected(self, params):
         with pytest.raises(ValueError):
@@ -180,7 +182,8 @@ class TestGradientCeiling:
         """The ceiling of a built annulus problem exceeds 1 and the three
         slope bounds and satisfies the cubic inner-boundary inequality."""
         p0 = make_params(n, R=0.6, C=0.2)
-        datum_n = make_initial_datum(p0, "mode_deficit", k=2.0)
+        datum_n = make_initial_datum(p0, "mode_deficit", k=2.0,
+                                     amplitude=p0.C)
         p = p0.replace(C=choose_amplitude_C(p0, datum_n))
         problem = make_epsilon_problem(p, datum_n, eps, graded_nodes(eps, p.R))
         bounds, cubic_ok = initdata_module._ceiling_conditions(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gradsing import analytic, initdata, solver, verify
 from gradsing.solver import (
+    GridPolicy,
     RadialGrid,
     SchemeConfig,
     SolverAbort,
@@ -21,13 +22,13 @@ from gradsing.solver import (
 
 class TestRadialGrid:
     def test_endpoints_exact_and_monotone(self):
-        g = RadialGrid.make(0.02, 0.6, 400, 2.0)
+        g = GridPolicy(400, 2.0).build(0.02, 0.6)
         assert g.nodes[0] == 0.02 and g.nodes[-1] == 0.6
         assert np.all(np.diff(g.nodes) > 0)
         assert g.nodes.size == 401
 
     def test_grading_clusters_inner_nodes(self):
-        g = RadialGrid.make(0.02, 0.6, 100, 2.0)
+        g = GridPolicy(100, 2.0).build(0.02, 0.6)
         d = np.diff(g.nodes)
         assert d[0] < d[-1] / 50.0
 
@@ -46,12 +47,12 @@ class TestRadialGrid:
         M=st.integers(10, 200),
     )
     def test_make_always_valid(self, eps, gamma, M):
-        g = RadialGrid.make(eps, 0.6, M, gamma)
+        g = GridPolicy(M, gamma).build(eps, 0.6)
         assert np.all(np.diff(g.nodes) > 0)
         assert g.h_max <= (0.6 - eps) * gamma / M * 1.05
 
     def test_gradient_exact_for_quadratics(self):
-        g = RadialGrid.make(0.05, 0.7, 60, 1.7)
+        g = GridPolicy(60, 1.7).build(0.05, 0.7)
         r = g.nodes
         for u, du in ((np.ones_like(r), np.zeros_like(r)),
                       (r, np.ones_like(r)),
@@ -61,7 +62,7 @@ class TestRadialGrid:
     def test_gradient_second_order_on_cubics(self):
         errs = []
         for M in (100, 200):
-            g = RadialGrid.make(0.05, 0.7, M, 2.0)
+            g = GridPolicy(M, 2.0).build(0.05, 0.7)
             errs.append(np.max(np.abs(g.gradient(g.nodes ** 3) - 3 * g.nodes ** 2)))
         assert np.log2(errs[0] / errs[1]) > 1.8
 
@@ -74,7 +75,7 @@ class TestRadialGrid:
     def test_boundary_rows_bitwise_equal_one_sided_formula(self, size):
         """The vectorised end rows give the bits of the written-out
         one-sided stencils, for one state and for a matrix of states."""
-        g = RadialGrid.make(0.03, 0.6, size - 1, 2.0)
+        g = GridPolicy(size - 1, 2.0).build(0.03, 0.6)
         r = g.nodes
         u = np.random.default_rng(size).standard_normal((5, size))
         u[1, :3], u[2, -3:] = [np.nan, -0.0, 5e-324], [1e300, -0.0, np.inf]
@@ -147,7 +148,7 @@ class TestSolveBanded:
 
 class TestDiscreteOperator:
     def test_annihilates_constants(self):
-        g = RadialGrid.make(0.05, 0.7, 50, 2.0)
+        g = GridPolicy(50, 2.0).build(0.05, 0.7)
         op = discretize_operator(g, 3)
         out = op.apply(np.full(g.nodes.size, 4.2))
         # exact cancellation up to rounding scaled by the 1/h^2 stencil size
@@ -156,7 +157,7 @@ class TestDiscreteOperator:
     def test_exact_on_quadratic_n3(self):
         # Lap(r^2) = 2 + (2/r) 2r = 6 in three dimensions, and the stencil
         # is a three-point Lagrange derivative, exact for quadratics
-        g = RadialGrid.make(0.05, 0.7, 80, 2.0)
+        g = GridPolicy(80, 2.0).build(0.05, 0.7)
         op = discretize_operator(g, 3)
         out = op.apply(g.nodes ** 2)
         assert np.max(np.abs(out[1:-1] - 6.0)) < 1e-8
@@ -166,7 +167,7 @@ class TestDiscreteOperator:
         params = analytic.make_params(2, R=0.6, C=0.0)
         errs = []
         for M in (200, 400):
-            g = RadialGrid.make(0.05, 0.6, M, 2.0)
+            g = GridPolicy(M, 2.0).build(0.05, 0.6)
             op = discretize_operator(g, 2)
             r = g.nodes[1:-1]
             lap = op.apply(analytic.u_star(params, g.nodes))[1:-1]
@@ -175,7 +176,7 @@ class TestDiscreteOperator:
         assert np.log2(errs[0] / errs[1]) > 1.8
 
     def test_rejects_bad_dimension(self):
-        g = RadialGrid.make(0.05, 0.7, 20, 2.0)
+        g = GridPolicy(20, 2.0).build(0.05, 0.7)
         with pytest.raises(ValueError):
             discretize_operator(g, 1)
 
@@ -362,7 +363,7 @@ class TestSolveAnnulus:
                                                   small_scheme):
         params, datum = n2_bundle
         # ungraded coarse grid: a single node inside [eps, 10 eps)
-        grid = RadialGrid.make(0.004, params.R, 30, 1.0)
+        grid = GridPolicy(30, 1.0).build(0.004, params.R)
         prob = initdata.make_epsilon_problem(params, datum, 0.004, grid.nodes)
         with pytest.raises(ValueError, match="decade"):
             solve_annulus(prob, grid, 0.1, small_scheme)

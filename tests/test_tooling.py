@@ -8,7 +8,8 @@ the tracer's solve probe reads, or a Newton loop that does not call
 ``solver.solve_banded`` through the module.  ``perfbench/selftest.py``
 runs here too, so a change that breaks what the benchmark builds from the
 program (the config fields it replaces, the signature of
-``solve_annulus``, the tracer's probes) fails the tests.  The README's
+``solve_annulus``, the tracer's probes) fails the tests, and so does a
+change that breaks one of the scripts in scripts/.  The README's
 table of checks must name every check, and its table of configuration
 keys every key.
 """
@@ -16,6 +17,7 @@ keys every key.
 import ast
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -75,8 +77,9 @@ def test_solve_exposes_what_the_solve_probe_reads():
     """The tracer's solve probe reads ``times``, ``max_abs_gradient`` and
     ``problem.c_star_eps`` of each solved field."""
     params = analytic.make_params(2, R=0.6, C=0.25)
-    datum = initdata.make_initial_datum(params, "mode_deficit", k=2.0)
-    grid = solver.GridPolicy(num_nodes=60).build(0.05, params.R)
+    datum = initdata.make_initial_datum(params, "mode_deficit", k=2.0,
+                                         amplitude=params.C)
+    grid = solver.GridPolicy(num_nodes=60, grading_exponent=2.0).build(0.05, params.R)
     problem = initdata.make_epsilon_problem(params, datum, 0.05, grid.nodes)
     out = solver.solve_annulus(problem, grid, 0.02,
                                solver.SchemeConfig(dt=5e-3))
@@ -94,8 +97,9 @@ def test_every_newton_iteration_calls_solver_solve_banded(monkeypatch):
     monkeypatch.setattr(solver, "solve_banded",
                         lambda *args: calls.append(1) or original(*args))
     params = analytic.make_params(2, R=0.6, C=0.25)
-    datum = initdata.make_initial_datum(params, "mode_deficit", k=2.0)
-    grid = solver.GridPolicy(num_nodes=60).build(0.05, params.R)
+    datum = initdata.make_initial_datum(params, "mode_deficit", k=2.0,
+                                         amplitude=params.C)
+    grid = solver.GridPolicy(num_nodes=60, grading_exponent=2.0).build(0.05, params.R)
     problem = initdata.make_epsilon_problem(params, datum, 0.05, grid.nodes)
     out = solver.solve_annulus(problem, grid, 0.02,
                                solver.SchemeConfig(dt=5e-3))
@@ -108,6 +112,30 @@ def test_perfbench_selftest_passes():
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_refinement_study_prints_one_row_per_level():
+    proc = _run_script("refinement_study.py", "--levels", "1",
+                       "--base-nodes", "40", "--base-dt", "0.05")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line for line in proc.stdout.splitlines()
+            if line.split() and line.split()[0].isdigit()]
+    assert len(rows) == 1 and rows[0].split()[0] == "40"
+
+
+@pytest.mark.parametrize("name", ["run_preset.py", "singularity_study.py"])
+def test_script_help_exits_zero(name):
+    proc = _run_script(name, "--help")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("usage:")
 
 
 def _bench_script():

@@ -236,6 +236,14 @@ class TestWeakIdentity:
         vals = res.extra["values"]
         assert vals[0] > vals[1] > vals[2] > 0.0
 
+    def test_inner_mass_one_radius_skipped(self, n3_field):
+        """One radius leaves nothing to compare: skipped, never a pass
+        whose measurement is its own tolerance."""
+        res = verify.check_inner_mass(n3_field, [0.2])
+        assert res.status == "skipped" and res.passed
+        assert res.extra["reason"] == "needs at least 2 inner radii"
+        assert np.isnan(res.measured) and np.isnan(res.tolerance)
+
 
 class TestUniquenessSurrogate:
     def test_distinct_schemes_agree(self, n2_field, n2_field_cn):
