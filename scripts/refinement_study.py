@@ -7,6 +7,10 @@ Prints one table row per level.  The sandwich violation of the backward
 Euler scheme typically sits at the rounding floor (the discrete scheme
 inherits the comparison structure exactly); the trapezoidal scheme and
 the weak-form residual show the expected second/first-order decrease.
+
+Example:
+    python scripts/refinement_study.py --levels 2
+    python scripts/refinement_study.py --preset n2-standard --eps 0.02
 """
 
 import argparse
@@ -20,7 +24,9 @@ from gradsing.pipeline import build_model
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--preset", default="n3-weak")
     ap.add_argument("--levels", type=int, default=3)
     ap.add_argument("--base-nodes", type=int, default=100)

@@ -15,7 +15,9 @@ from gradsing.config import PRESETS, preset
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("preset", choices=sorted(PRESETS))
     ap.add_argument("--output", default=None)
     ap.add_argument("--plot-times", type=float, nargs="*", default=None,

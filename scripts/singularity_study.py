@@ -3,6 +3,10 @@
 continuation: per inner radius, the log-log slope exponent of |u_r| on
 [2 eps, 20 eps], its prefactor against the stationary alpha/3, the
 weighted-deficit functional, and the fitted decay rate of sup|u - u*|.
+
+Example:
+    python scripts/singularity_study.py
+    python scripts/singularity_study.py --preset n3-weak
 """
 
 import argparse
@@ -16,7 +20,9 @@ from gradsing.pipeline import build_model
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--preset", default="n2-standard")
     args = ap.parse_args()
 

@@ -185,13 +185,7 @@ def u_star_rr(params: ModelParams, r):
 # -- separated mode ---------------------------------------------------------
 
 def _bessel_triplet(params: ModelParams, r: np.ndarray):
-    order = BesselOrder(params.nu)
-    x = params.lam * r
-    return (
-        specfn.bessel_j(order, x),
-        specfn.bessel_j_prime(order, x),
-        specfn.bessel_j_second(order, x),
-    )
+    return specfn._derivatives(BesselOrder(params.nu), params.lam * r, (0, 1, 2))
 
 
 def psi(params: ModelParams, r):
@@ -211,10 +205,9 @@ def psi_prime(params: ModelParams, r):
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("psi_prime needs r > 0")
-    order = BesselOrder(params.nu)
-    x = params.lam * arr
-    return (params.n - 1.5) * arr ** (params.n - 2.5) * specfn.bessel_j(order, x) \
-        + params.lam * arr ** (params.n - 1.5) * specfn.bessel_j_prime(order, x)
+    j, jp = specfn._derivatives(BesselOrder(params.nu), params.lam * arr, (0, 1))
+    return (params.n - 1.5) * arr ** (params.n - 2.5) * j \
+        + params.lam * arr ** (params.n - 1.5) * jp
 
 
 def _psi_second(params: ModelParams, r: np.ndarray):

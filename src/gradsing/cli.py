@@ -52,16 +52,19 @@ def _load(args) -> "RunConfig":
 
 
 def _cmd_specfn_probe(args) -> int:
-    order = specfn.BesselOrder(args.nu)
-    for x in args.x:
-        j = specfn.bessel_j(order, x)
-        jp = specfn.bessel_j_prime(order, x) if x > 0 else float("nan")
-        if x > 0:
-            jpp = specfn.bessel_j_second(order, x)
-            residual = x * x * jpp + x * jp + (x * x - args.nu ** 2) * j
-        else:
-            residual = 0.0
-        print(f"{args.nu:.12g},{x:.12g},{j:.12e},{jp:.12e},{residual:.3e}")
+    try:
+        order = specfn.BesselOrder(args.nu)
+        for x in args.x:
+            j = specfn.bessel_j(order, x)
+            jp = specfn.bessel_j_prime(order, x) if x > 0 else float("nan")
+            if x > 0:
+                jpp = specfn.bessel_j_second(order, x)
+                residual = x * x * jpp + x * jp + (x * x - args.nu ** 2) * j
+            else:
+                residual = 0.0
+            print(f"{args.nu:.12g},{x:.12g},{j:.12e},{jp:.12e},{residual:.3e}")
+    except ValueError as exc:  # an order or argument outside the domain
+        raise ConfigError(f"specfn probe: {exc}") from None
     return 0
 
 

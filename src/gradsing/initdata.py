@@ -237,7 +237,8 @@ def choose_amplitude_C(params: ModelParams, datum: InitialDatum) -> float:
     """
     r = datum.profile.grid
     deficit = analytic.u_star(params, r) - datum.profile.values
-    ratios = deficit / analytic.psi(params, r)
+    psi = analytic.psi(params, r)
+    ratios = deficit / psi
     sup = float(np.max(ratios))
     if not np.isfinite(sup):
         raise InitialDataError(
@@ -247,7 +248,7 @@ def choose_amplitude_C(params: ModelParams, datum: InitialDatum) -> float:
     if sup <= 0.0:
         return 0.0
     C = 1.05 * sup
-    if np.any(deficit - C * analytic.psi(params, r) > _REL_TOL):
+    if np.any(deficit - C * psi > _REL_TOL):
         raise InitialDataError("amplitude fit failed the nodewise re-check")
     return C
 

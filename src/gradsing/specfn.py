@@ -17,7 +17,16 @@ Sums are accumulated in the widest hardware float (``np.longdouble``,
 to ~1e-13 absolute over the needed range (order <= ~7, argument <= ~50).
 Each evaluation carries an internal error estimate; crossing 1e-10
 triggers a :class:`BesselAccuracyWarning` rather than an exception, since
-callers in this package stay far inside the reliable region.
+callers in this package stay far inside the reliable region.  A NaN or
+infinite argument is a ValueError.
+
+Two things keep the cost down without moving a bit.  A series at one
+argument (every step of the zero search) runs on long-double scalars,
+which numpy computes with the same 80-bit operations as its arrays.  And
+J, J' and J'' are assembled from one evaluation per order (nu - 2,
+nu - 1, nu, nu + 2) on the distinct arguments of a call only; a loop's
+stopping point depends only on that set, so the bits are those of
+separate calls on the full argument array.
 """
 
 from __future__ import annotations
@@ -46,6 +55,9 @@ _ACCURACY_TARGET = 1e-10
 _SERIES_MAX_TERMS = 300
 _ZERO_SCAN_STEP = 0.1
 _ZERO_SCAN_SPAN = 20.0  # search horizon beyond the scan start
+# the k-th derivative of J_nu and the orders nu + s it is assembled from
+_NAMES = ("J", "J'", "J''")
+_SHIFTS = ((0.0,), (-1.0, 0.0), (-2.0, 0.0, 2.0))
 
 
 class BesselAccuracyWarning(UserWarning):
@@ -99,38 +111,40 @@ def _series(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the value and an absolute error estimate (cancellation plus
     truncation).  ``mu`` may be any real that is not a negative integer.
+    One argument runs the same loop on long-double scalars: the same 80-bit
+    operations in the same order, without numpy's per-array overhead.
     """
-    xl = x.astype(_L)
-    z = xl / 2
+    gamma = _L(math.gamma(mu + 1.0))
     # leading coefficient 1/Gamma(mu+1); Gamma may legitimately be negative
-    # for mu in (-2,-1) etc.
-    lead = np.zeros_like(xl)
-    pos = x > 0
-    lead[pos] = np.exp(_L(mu) * np.log(z[pos])) / _L(math.gamma(mu + 1.0))
-    # x == 0: (x/2)^mu is 0 for mu > 0, 1 for mu == 0; mu < 0 never reaches
-    # here with x == 0 (guarded by the public wrappers).
-    if mu == 0.0:
-        lead[~pos] = 1.0
-
-    term = np.ones_like(xl)
-    total = np.ones_like(xl)
-    max_term = np.ones_like(xl)
+    # for mu in (-2,-1) etc.  x == 0: (x/2)^mu is 0 for mu > 0, 1 for
+    # mu == 0; mu < 0 never reaches here with x == 0 (guarded by the public
+    # wrappers).
+    if x.size == 1:
+        z = _L(x[0]) / 2
+        lead = np.exp(_L(mu) * np.log(z)) / gamma if z > 0 else _L(mu == 0.0)
+        one, widest, settled = _L(1), max, bool
+    else:
+        z = x.astype(_L) / 2
+        lead = np.zeros_like(z)
+        pos = x > 0
+        lead[pos] = np.exp(_L(mu) * np.log(z[pos])) / gamma
+        if mu == 0.0:
+            lead[~pos] = 1.0
+        one, widest, settled = np.ones_like(z), np.maximum, np.ndarray.all
+    term = total = max_term = one
     z2 = -(z * z)
     k = 0
     while k < _SERIES_MAX_TERMS:
         k += 1
         term = term * z2 / (_L(k) * _L(mu + k))
         total = total + term
-        np.maximum(max_term, np.abs(term), out=max_term)
-        if np.all(np.abs(term) <= 1e-24 * (np.abs(total) + 1e-300)):
+        max_term = widest(max_term, abs(term))
+        if settled(abs(term) <= 1e-24 * (abs(total) + 1e-300)):
             break
     value = lead * total
     eps_l = float(np.finfo(_L).eps)
-    est = (
-        np.abs(lead) * (max_term * eps_l + np.abs(term))
-        + 2.3e-16 * np.abs(value)
-    )
-    return value.astype(float), est.astype(float)
+    est = abs(lead) * (max_term * eps_l + abs(term)) + 2.3e-16 * abs(value)
+    return np.atleast_1d(value).astype(float), np.atleast_1d(est).astype(float)
 
 
 def _asymptotic(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,58 +215,66 @@ def _check_accuracy(est: np.ndarray, value: np.ndarray, what: str) -> None:
             f"{what}: internal error estimate {worst:.2e} exceeds "
             f"{_ACCURACY_TARGET:.0e}",
             BesselAccuracyWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of bessel_j and its derivatives
         )
 
 
-def _as_array(x) -> tuple[np.ndarray, bool]:
+def _derivatives(order: BesselOrder, x, wanted: tuple[int, ...]) -> list:
+    """J_nu (0), J_nu' (1) and J_nu'' (2) at x, one result per entry of
+    ``wanted``: scalars for a scalar x, else arrays of x's shape.
+
+    J' = J_(nu-1) - (nu/x) J_nu; J'' = (J_(nu-2) - 2 J_nu + J_(nu+2)) / 4,
+    deliberately from the three-term recurrence rather than the defining
+    differential equation, so that residual checks of that equation remain
+    meaningful.  J' is unbounded as x -> 0+ when nu < 1 (it behaves like
+    nu (x/2)^(nu-1) / (2 Gamma(nu+1))), so the derivatives need x > 0.
+
+    Each order of J is evaluated once, on the distinct arguments only.  The
+    series and expansion loops stop when every argument has converged, so a
+    value depends on the set of arguments in the call, and that set is
+    unchanged; the results are bitwise those of one call per order on x.
+    """
     arr = np.asarray(x, dtype=float)
-    return np.atleast_1d(arr), arr.ndim == 0
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("Bessel functions need finite x")
+    if np.any(arr < 0.0) or (max(wanted) > 0 and np.any(arr == 0.0)):
+        raise ValueError("J_nu needs x >= 0 and its derivatives x > 0")
+    nu = order.nu
+    xu, inverse = np.unique(arr, return_inverse=True)
+    shifts = {s for k in wanted for s in _SHIFTS[k]}
+    raw = {s: _jv_raw(nu + s, xu) for s in shifts}
+    mid, e_mid = raw[0.0]
+    out = []
+    for k in wanted:
+        if k == 0:
+            value, est = mid, e_mid
+        elif k == 1:
+            low, e_low = raw[-1.0]
+            value = low - (nu / xu) * mid
+            est = e_low + (nu / xu) * e_mid
+        else:
+            (lo, e_lo), (hi, e_hi) = raw[-2.0], raw[2.0]
+            value = (lo - 2.0 * mid + hi) / 4.0
+            est = (e_lo + 2.0 * e_mid + e_hi) / 4.0
+        _check_accuracy(est, value, f"{_NAMES[k]}_{nu:g}")
+        out.append(float(value[0]) if arr.ndim == 0
+                   else value[inverse].reshape(arr.shape))
+    return out
 
 
 def bessel_j(order: BesselOrder, x):
-    """J_nu(x) for x >= 0.  Accepts scalars or arrays of arguments."""
-    arr, scalar = _as_array(x)
-    if np.any(arr < 0.0):
-        raise ValueError("bessel_j requires x >= 0")
-    value, est = _jv_raw(order.nu, arr)
-    _check_accuracy(est, value, f"J_{order.nu:g}")
-    return float(value[0]) if scalar else value
+    """J_nu(x) for finite x >= 0.  Accepts scalars or arrays of arguments."""
+    return _derivatives(order, x, (0,))[0]
 
 
 def bessel_j_prime(order: BesselOrder, x):
-    """d/dx J_nu(x) for x > 0, via J_nu' = J_(nu-1) - (nu/x) J_nu.
-
-    Unbounded as x -> 0+ when nu < 1 (the series term behaves like
-    nu (x/2)^(nu-1) / (2 Gamma(nu+1))); hence the strict x > 0 domain.
-    """
-    arr, scalar = _as_array(x)
-    if np.any(arr <= 0.0):
-        raise ValueError("bessel_j_prime requires x > 0")
-    low, est_l = _jv_raw(order.nu - 1.0, arr)
-    mid, est_m = _jv_raw(order.nu, arr)
-    value = low - (order.nu / arr) * mid
-    est = est_l + (order.nu / arr) * est_m
-    _check_accuracy(est, value, f"J'_{order.nu:g}")
-    return float(value[0]) if scalar else value
+    """d/dx J_nu(x) for finite x > 0, via J_nu' = J_(nu-1) - (nu/x) J_nu."""
+    return _derivatives(order, x, (1,))[0]
 
 
 def bessel_j_second(order: BesselOrder, x):
-    """d^2/dx^2 J_nu(x) for x > 0, via (J_(nu-2) - 2 J_nu + J_(nu+2)) / 4.
-
-    Deliberately assembled from the three-term recurrence rather than from
-    the defining differential equation, so that residual checks of that
-    equation remain meaningful.
-    """
-    arr, scalar = _as_array(x)
-    if np.any(arr <= 0.0):
-        raise ValueError("bessel_j_second requires x > 0")
-    lo, e1 = _jv_raw(order.nu - 2.0, arr)
-    mid, e2 = _jv_raw(order.nu, arr)
-    hi, e3 = _jv_raw(order.nu + 2.0, arr)
-    value = (lo - 2.0 * mid + hi) / 4.0
-    _check_accuracy((e1 + 2.0 * e2 + e3) / 4.0, value, f"J''_{order.nu:g}")
-    return float(value[0]) if scalar else value
+    """d^2/dx^2 J_nu(x) for finite x > 0, via (J_(nu-2) - 2 J_nu + J_(nu+2)) / 4."""
+    return _derivatives(order, x, (2,))[0]
 
 
 def _bisect(f, a: float, b: float) -> float:
@@ -281,8 +303,9 @@ def first_zeros(order: BesselOrder) -> BesselZeros:
     nu = order.nu
     j = lambda t: bessel_j(order, t)
     jp = lambda t: bessel_j_prime(order, t)
-    # second derivative from the defining equation, for the Newton step on jp
-    jpp = lambda t: -jp(t) / t - (1.0 - nu * nu / (t * t)) * j(t)
+    # second derivative from the defining equation, given d = jp(t), for
+    # the Newton step on jp
+    jpp = lambda t, d: -d / t - (1.0 - nu * nu / (t * t)) * j(t)
 
     def scan(f, start: float) -> tuple[float, float]:
         a = start
@@ -303,7 +326,8 @@ def first_zeros(order: BesselOrder) -> BesselZeros:
     start = max(nu, 0.1)
     a, b = scan(jp, start)
     x1 = _bisect(jp, a, b)
-    x1 -= jp(x1) / jpp(x1)
+    d = jp(x1)
+    x1 -= d / jpp(x1, d)
 
     a, b = scan(j, x1)
     x0 = _bisect(j, a, b)

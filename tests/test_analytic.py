@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from gradsing import analytic
+from gradsing import analytic, specfn
 from gradsing.analytic import AdmissibilityError, make_params
 
 
@@ -116,6 +116,32 @@ class TestMode:
             errs_t.append(abs(fd_t - exact_t))
         assert np.log2(errs_r[0] / errs_r[1]) > 1.9
         assert np.log2(errs_t[0] / errs_t[1]) > 1.9
+
+
+class TestBesselBits:
+    """Each order of J is evaluated once per distinct argument, with the
+    bits of separate public calls."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_triplet_on_probe_lattice_equals_row_by_row(self, n, params_by_n):
+        p = params_by_n[n]
+        r, _ = analytic.probe_lattice(p)
+        order = specfn.BesselOrder(p.nu)
+        lattice = analytic._bessel_triplet(p, r)
+        for row in range(r.shape[0]):
+            x = p.lam * r[row]
+            rowwise = (specfn.bessel_j(order, x), specfn.bessel_j_prime(order, x),
+                       specfn.bessel_j_second(order, x))
+            for whole, single in zip(lattice, rowwise):
+                assert whole[row].tobytes() == single.tobytes()
+
+    def test_psi_prime_equals_separate_calls(self, params_n2):
+        p = params_n2
+        r = np.geomspace(1e-4 * p.R, p.R, 300)
+        order = specfn.BesselOrder(p.nu)
+        expected = (p.n - 1.5) * r ** (p.n - 2.5) * specfn.bessel_j(order, p.lam * r) \
+            + p.lam * r ** (p.n - 1.5) * specfn.bessel_j_prime(order, p.lam * r)
+        assert analytic.psi_prime(p, r).tobytes() == expected.tobytes()
 
 
 class TestLinearizedResidual:

@@ -771,6 +771,20 @@ class TestCLI:
         assert float(j) == pytest.approx(2.0 / np.pi, abs=1e-10)
         assert abs(float(res)) < 1e-10
 
+    @pytest.mark.parametrize("x, message", [
+        ("nan", "Bessel functions need finite x"),
+        ("inf", "Bessel functions need finite x"),
+        ("-1", "J_nu needs x >= 0"),
+    ])
+    def test_specfn_probe_bad_argument_is_config_error(self, x, message,
+                                                       capsys):
+        """A non-finite or negative argument exits 2 naming the domain, not
+        0 with a NaN row or 1 with a traceback."""
+        assert cli.main(["specfn", "probe", "--nu", "0.6", f"--x={x}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"configuration error: specfn probe: {message}" in captured.err
+
     def test_analytic_check_csv(self, capsys):
         rc = cli.main(["analytic", "check", "--n", "2", "--R", "0.6",
                        "--C", "1.0", "--radii", "4"])

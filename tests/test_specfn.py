@@ -120,13 +120,22 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             specfn.bessel_j_prime(BesselOrder(1.0), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_argument(self, bad):
+        for f in (specfn.bessel_j, specfn.bessel_j_prime, specfn.bessel_j_second):
+            with pytest.raises(ValueError, match="finite"):
+                f(BesselOrder(0.6), bad)
+            with pytest.raises(ValueError, match="finite"):
+                f(BesselOrder(0.6), np.array([1.0, bad]))
+
     def test_accuracy_warning_in_cancellation_zone(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             specfn.bessel_j(BesselOrder(25.0), 49.0)
-        assert any(
-            issubclass(w.category, specfn.BesselAccuracyWarning) for w in caught
-        )
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (specfn.BesselAccuracyWarning,
+             "J_25: internal error estimate 2.58e-03 exceeds 1e-10", __file__)
+        ]
 
     def test_finite_difference_consistency(self):
         h = 1e-6
@@ -135,6 +144,52 @@ class TestEvaluation:
             for x in (0.7, 2.3, 5.1):
                 fd = (specfn.bessel_j(o, x + h) - specfn.bessel_j(o, x - h)) / (2 * h)
                 assert specfn.bessel_j_prime(o, x) == pytest.approx(fd, abs=1e-8)
+
+
+MODEL_ORDERS = [specfn.nu_of(n) + s for n in range(2, 7)
+                for s in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+
+
+class TestBitIdentity:
+    """The fast paths give the bits of the plain ones: a one-point series
+    runs on long-double scalars, and each order is evaluated once on the
+    distinct arguments of a call."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        mu=st.one_of(
+            st.sampled_from(MODEL_ORDERS),
+            st.floats(-5.0, -0.01).filter(lambda m: m != math.floor(m)),
+        ),
+        fraction=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    )
+    def test_one_point_series_equals_array_series(self, mu, fraction):
+        # two copies of one argument take the array loop over the same set;
+        # a tiny x with mu < 0 overflows a double in both alike
+        x = fraction * max(12.0, 2.0 * abs(mu))
+        with np.errstate(over="ignore"):
+            one_value, one_est = specfn._series(mu, np.array([x]))
+            pair_value, pair_est = specfn._series(mu, np.array([x, x]))
+        assert one_value.tobytes() == pair_value[:1].tobytes()
+        assert one_est.tobytes() == pair_est[:1].tobytes()
+
+    def test_repeated_arguments_take_the_bits_of_distinct_ones(self):
+        o = BesselOrder(NU_REF[3])
+        x = np.linspace(0.1, 30.0, 50)
+        tiled = np.tile(x, (3, 1))
+        for f in (specfn.bessel_j, specfn.bessel_j_prime, specfn.bessel_j_second):
+            assert f(o, tiled).tobytes() == np.tile(f(o, x), (3, 1)).tobytes()
+
+    @pytest.mark.parametrize("n, x0, x1", [
+        (2, "0x1.a454eeb7e15c5p+1", "0x1.4f5ace17d3641p+0"),
+        (3, "0x1.2b513a86b716dp+2", "0x1.50b45e62dbff3p+1"),
+        (4, "0x1.7cd92cf7c1decp+2", "0x1.e716212dfad48p+1"),
+        (5, "0x1.cb354ed41952dp+2", "0x1.3bda945828ee9p+2"),
+        (6, "0x1.0bcdd8ab9516fp+3", "0x1.82a6556280433p+2"),
+    ])
+    def test_first_zeros_pinned(self, n, x0, x1):
+        z = specfn.first_zeros(BesselOrder(specfn.nu_of(n)))
+        assert (z.x0.hex(), z.x1.hex()) == (x0, x1)
 
 
 class TestBesselEquationResidual:

@@ -131,11 +131,35 @@ def test_refinement_study_prints_one_row_per_level():
     assert len(rows) == 1 and rows[0].split()[0] == "40"
 
 
-@pytest.mark.parametrize("name", ["run_preset.py", "singularity_study.py"])
+@pytest.mark.parametrize("name", ["refinement_study.py", "run_preset.py",
+                                  "singularity_study.py"])
 def test_script_help_exits_zero(name):
+    """``--help`` keeps each line of the docstring's example block intact."""
     proc = _run_script(name, "--help")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("usage:")
+    doc = ast.get_docstring(ast.parse((ROOT / "scripts" / name).read_text()))
+    examples = [line for line in doc.split("Example:\n")[1].splitlines()
+                if line.strip()]
+    assert examples
+    help_lines = proc.stdout.splitlines()
+    for line in examples:
+        assert line in help_lines
+
+
+def test_gates_sweep_digest_matches_the_benchmark_reference():
+    """The model constants, gate verdicts and annulus set-up of the
+    benchmark's gates sweep are bitwise those recorded in
+    perfbench/reference.json, so a change that moves a bit of them fails
+    here, not only as ``outputs_identical = 0`` in a benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = workloads.run_sweep_once(workloads.sweep_configs(workloads.ANCHOR_SEED))
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    assert out.failures == []
+    assert out.digests["sweep"] == reference["gates-sweep"]["anchor_digest"]
 
 
 def _bench_script():
