@@ -210,7 +210,7 @@ def _jv_raw(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _check_accuracy(est: np.ndarray, value: np.ndarray, what: str) -> None:
     scale = np.maximum(1.0, np.abs(value))
     worst = float(np.max(est / scale)) if est.size else 0.0
-    if worst > _ACCURACY_TARGET:
+    if not worst <= _ACCURACY_TARGET:  # NaN (an overflowed value) warns too
         warnings.warn(
             f"{what}: internal error estimate {worst:.2e} exceeds "
             f"{_ACCURACY_TARGET:.0e}",
@@ -334,7 +334,7 @@ def first_zeros(order: BesselOrder) -> BesselZeros:
     x0 -= j(x0) / jp(x0)
 
     zeros = BesselZeros(x0=x0, x1=x1)
-    if abs(j(x0)) > _ACCURACY_TARGET or abs(jp(x1)) > _ACCURACY_TARGET:
+    if not (abs(j(x0)) <= _ACCURACY_TARGET and abs(jp(x1)) <= _ACCURACY_TARGET):
         raise RuntimeError(
             f"zero residuals out of tolerance: |J({x0})|={abs(j(x0)):.2e}, "
             f"|J'({x1})|={abs(jp(x1)):.2e}"

@@ -898,3 +898,16 @@ class TestCLI:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("1,2,")
+
+    def test_import_leaves_heavy_scipy_modules_unloaded(self):
+        # scipy.interpolate pulls in scipy.special and scipy.optimize and
+        # costs about half of every process's start-up; the CLI needs none
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, gradsing.cli; print(sorted(m for m in sys.modules if "
+             "m.split('.')[:2] in (['scipy', 'interpolate'], "
+             "['scipy', 'special'], ['scipy', 'optimize'])))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.interpolate import CubicSpline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -341,6 +342,16 @@ class TestSolveAnnulus:
         bound = abs(analytic.u_star(p, p.R)) + np.max(n2_field.mode_matrix()[0])
         assert np.max(np.abs(n2_field.values)) <= bound + 1e-9
 
+    def test_nan_field_leaves_apriori_box(self, n2_field):
+        values = n2_field.values.copy()
+        values[-1, 5] = np.nan
+        nan_field = solver.SpacetimeField(
+            grid=n2_field.grid, times=n2_field.times, values=values,
+            problem=n2_field.problem, scheme_name=n2_field.scheme_name,
+        )
+        with pytest.raises(SolverAbort, match="a-priori box"):
+            solver._check_apriori_box(nan_field)
+
     def test_grid_mismatch_rejected(self, n2_bundle, small_policy,
                                     small_scheme):
         params, datum = n2_bundle
@@ -455,3 +466,57 @@ class TestCompactDifference:
         other = solve_annulus(prob, grid, 0.05, odd)
         with pytest.raises(ValueError):
             compact_difference(n2_field, other, (0.1, 0.5), (0.01, 0.05))
+
+
+def _same_bits(x, rows, radii):
+    ours = solver._spline_at(x, rows, radii)
+    theirs = CubicSpline(x, rows, axis=1)(radii)
+    return ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+
+class TestSplineAt:
+    """solver._spline_at is bitwise scipy's not-a-knot CubicSpline."""
+
+    RADII = np.linspace(0.06, 0.6, 201)
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("eps", [0.04, 0.02, 0.01, 0.005])
+    def test_graded_grids(self, eps, gamma):
+        x = GridPolicy(400, gamma).build(eps, 0.6).nodes
+        rows = np.random.default_rng(7).standard_normal((9, x.size))
+        assert _same_bits(x, rows, self.RADII)
+
+    def test_solved_fields_and_origin_limit_grid(self, n2_field,
+                                                 n2_field_half_eps):
+        for fld in (n2_field, n2_field_half_eps,
+                    solver._append_origin(n2_field_half_eps)):
+            assert _same_bits(fld.grid.nodes, fld.values, self.RADII)
+
+    def test_radii_at_knots_and_both_ends(self):
+        x = np.concatenate(([0.0], GridPolicy(400, 2.0).build(0.01, 0.6).nodes))
+        rows = np.random.default_rng(3).standard_normal((4, x.size))
+        radii = np.concatenate((x, [x[0], x[-1]], 0.5 * (x[1:] + x[:-1])))
+        assert _same_bits(x, rows, radii)
+        # every knot but the last starts its interval, so z = 0 there
+        assert np.array_equal(solver._spline_at(x, rows, x)[:, :-1],
+                              rows[:, :-1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 60),
+           times=st.integers(1, 5))
+    def test_random_rows_and_knots(self, seed, m, times):
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(1e-3, 1.0, m))
+        rows = rng.standard_normal((times, m)) * 10.0 ** rng.uniform(-6, 6)
+        radii = np.sort(rng.uniform(x[0], x[-1], 50))
+        assert _same_bits(x, rows, radii)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        x = GridPolicy(400, 2.0).build(0.02, 0.6).nodes
+        rows = np.zeros((3, x.size))
+        rows[1, 17] = bad
+        with pytest.raises(ValueError):
+            CubicSpline(x, rows, axis=1)
+        with pytest.raises(ValueError):
+            solver._spline_at(x, rows, self.RADII)

@@ -137,6 +137,18 @@ class TestEvaluation:
              "J_25: internal error estimate 2.58e-03 exceeds 1e-10", __file__)
         ]
 
+    def test_accuracy_warning_on_overflow(self):
+        # J'' of order 0.6 overflows to -inf at 1e-300; its relative error
+        # estimate is inf/inf = NaN, which must warn, not pass.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = specfn.bessel_j_second(BesselOrder(0.6), 1e-300)
+        assert value == -math.inf
+        assert [(str(w.message), w.filename) for w in caught
+                if w.category is specfn.BesselAccuracyWarning] == [
+            ("J''_0.6: internal error estimate nan exceeds 1e-10", __file__)
+        ]
+
     def test_finite_difference_consistency(self):
         h = 1e-6
         for nu in (0.5, NU_REF[2], NU_REF[3]):
