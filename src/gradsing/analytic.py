@@ -22,7 +22,6 @@ widest hardware float.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -87,9 +86,6 @@ class ModelParams:
     def decay_rate(self) -> float:
         return self.lam * self.lam
 
-    def replace(self, **kw) -> "ModelParams":
-        return dataclasses.replace(self, **kw)
-
 
 def radius_bound(n: int) -> float:
     """The dimension-only part of the admissibility bound."""
@@ -112,8 +108,6 @@ def make_params(n: int, R: float, C: float = 0.0) -> ModelParams:
     The mode rate is lam = 0.9 x1 / R, so the x1 / lam part of the gate
     holds with margin; ``R`` must still lie below radius_bound(n).
     """
-    if n < 2 or int(n) != n:
-        raise ValueError(f"dimension must be an integer >= 2, got {n}")
     if C < 0:
         raise ValueError("mode amplitude C must be nonnegative")
     nu = specfn.nu_of(n)

@@ -18,6 +18,7 @@ The environment variable GRADSING_OUTPUT_ROOT prefixes all output paths.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -42,9 +43,7 @@ def _load(args) -> "RunConfig":
         cfg = preset(args.preset)
     else:
         raise ConfigError("one of --preset or --config is required")
-    if getattr(args, "output", None):
-        import dataclasses
-
+    if args.output:
         cfg = dataclasses.replace(
             cfg, output=dataclasses.replace(cfg.output, directory=args.output)
         )
@@ -56,12 +55,11 @@ def _cmd_specfn_probe(args) -> int:
         order = specfn.BesselOrder(args.nu)
         for x in args.x:
             j = specfn.bessel_j(order, x)
-            jp = specfn.bessel_j_prime(order, x) if x > 0 else float("nan")
+            jp, residual = float("nan"), 0.0
             if x > 0:
+                jp = specfn.bessel_j_prime(order, x)
                 jpp = specfn.bessel_j_second(order, x)
                 residual = x * x * jpp + x * jp + (x * x - args.nu ** 2) * j
-            else:
-                residual = 0.0
             print(f"{args.nu:.12g},{x:.12g},{j:.12e},{jp:.12e},{residual:.3e}")
     except ValueError as exc:  # an order or argument outside the domain
         raise ConfigError(f"specfn probe: {exc}") from None
@@ -115,8 +113,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_continuation(args) -> int:
     cfg = _load(args)
-    import dataclasses
-
     cfg = dataclasses.replace(
         cfg, verify=dataclasses.replace(cfg.verify, enabled=("continuation_cauchy",))
     )
@@ -132,17 +128,19 @@ def _cmd_run(args) -> int:
     cfg = _load(args)
     result = pipeline.run_pipeline(cfg, only=args.only)
     print(result.report.summary())
-    if result.artifacts:
-        print(f"# artifacts in {pipeline.resolve_output_dir(cfg)}")
+    print(f"# artifacts in {pipeline.resolve_output_dir(cfg)}")
     return result.exit_code
 
 
 def _cmd_report(args) -> int:
-    paths = pipeline.emit_plotdata(
-        args.run_dir, times=tuple(args.time or ()),
-        radius_fractions=tuple(args.radius_fraction or (0.1,)),
-        source=args.source,
-    )
+    try:
+        paths = pipeline.emit_plotdata(
+            args.run_dir, times=tuple(args.time or ()),
+            radius_fractions=tuple(args.radius_fraction or (0.1,)),
+            source=args.source,
+        )
+    except FileNotFoundError as exc:  # a run directory without its files
+        raise ConfigError(f"report: {exc}") from None
     for p in paths:
         print(p)
     return 0

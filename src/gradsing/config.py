@@ -183,14 +183,15 @@ def _parse(cp, section: str, cls, **given):
 
 
 def load_config(path_or_text) -> RunConfig:
-    """Parse a run configuration from an INI file path or literal text.
+    """Parse a run configuration from an INI file path or literal text;
+    an argument with a newline is text, any other a path.
 
     Every field of a section is a key of that section, under its name; an
     unknown section or key is a :class:`ConfigError`.
     """
     cp = configparser.ConfigParser()
     try:
-        if "\n" in str(path_or_text) or "=" in str(path_or_text):
+        if "\n" in str(path_or_text):
             cp.read_string(str(path_or_text))
         else:
             read = cp.read(str(path_or_text))

@@ -451,9 +451,13 @@ class EpsilonProblem:
 
     params: ModelParams
     epsilon: float
-    c_star_eps: float
     cutoff: CutoffCubic
     u0eps: RadialProfile
+
+    @property
+    def c_star_eps(self) -> float:
+        """The gradient ceiling, the cutoff's exact-cube bound."""
+        return self.cutoff.c_star
 
     @cached_property
     def _inner_constants(self) -> tuple[float, float]:
@@ -489,7 +493,5 @@ def make_epsilon_problem(
     u0eps = make_u0eps(params, eps, datum, nodes)
     ceiling = c_star_eps(params, eps, u0eps)
     cutoff = CutoffCubic(c_star=ceiling, support_radius=support_factor * ceiling)
-    return EpsilonProblem(
-        params=params, epsilon=float(eps), c_star_eps=ceiling,
-        cutoff=cutoff, u0eps=u0eps,
-    )
+    return EpsilonProblem(params=params, epsilon=float(eps), cutoff=cutoff,
+                          u0eps=u0eps)

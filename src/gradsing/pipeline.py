@@ -11,6 +11,7 @@ manifest records the configuration hash and per-file checksums.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -75,17 +76,28 @@ def build_model(config: RunConfig):
 
     The mode amplitude is fitted from the datum; a fitted zero (degenerate
     datum) is clamped to 0.05 so that downstream envelopes stay nontrivial.
+    A model or datum value outside its domain is a :class:`ConfigError`
+    naming its section.
     """
-    params0 = analytic.make_params(
-        config.model.n, R=config.model.R, C=config.initdata.deficit_amplitude)
-    datum = initdata.make_initial_datum(
-        params0,
-        family=config.initdata.family,
-        k=config.initdata.blend_exponent,
-        amplitude=config.initdata.deficit_amplitude,
-    )
+    try:
+        params0 = analytic.make_params(config.model.n, config.model.R)
+    except analytic.AdmissibilityError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"model.n: {exc}") from None
+    try:
+        datum = initdata.make_initial_datum(
+            params0,
+            family=config.initdata.family,
+            k=config.initdata.blend_exponent,
+            amplitude=config.initdata.deficit_amplitude,
+        )
+    except initdata.InitialDataError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"initdata: {exc}") from None
     C = initdata.choose_amplitude_C(params0, datum)
-    return params0.replace(C=C if C != 0.0 else 0.05), datum
+    return dataclasses.replace(params0, C=C if C != 0.0 else 0.05), datum
 
 
 def analytic_checks(params: ModelParams) -> list[CheckResult]:
@@ -99,12 +111,9 @@ def analytic_checks(params: ModelParams) -> list[CheckResult]:
         claim="cube-root profile annihilates the flow, relative to its scale",
         measured=worst_s, tolerance=1e-12, passed=worst_s <= 1e-12,
     )]
-    if params.C > 0:
-        res_l = analytic.residual_linearized(params, r, t)
-        v = analytic.v_mode(params, r, t)
-        worst_l = float(np.max(np.abs(res_l) / np.maximum(1.0, np.abs(v))))
-    else:
-        worst_l = 0.0
+    res_l = analytic.residual_linearized(params, r, t)
+    v = analytic.v_mode(params, r, t)
+    worst_l = float(np.max(np.abs(res_l) / np.maximum(1.0, np.abs(v))))
     defect = float(np.max(analytic.subsolution_defect(params, r, t)))
     out.append(CheckResult(
         name="linearized_residual",
@@ -303,8 +312,7 @@ def emit_plotdata(run_dir, times=(), radius_fractions=(0.1,),
         _write_csv(path, ("r", "u", "u_r", "u_star", "u_star_minus_v"), columns)
         written.append(str(path))
 
-    sup_v0 = float(np.max(analytic.v_mode(params, radii[pos], 0.0))) \
-        if params.C > 0 else 0.0
+    sup_v0 = float(np.max(analytic.v_mode(params, radii[pos], 0.0)))
     for frac in radius_fractions:
         r_req = frac * params.R
         j = int(np.argmin(np.abs(radii - r_req)))

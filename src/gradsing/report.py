@@ -12,8 +12,8 @@ class CheckResult:
 
     ``claim`` is a short self-describing statement of what was asserted
     (it doubles as the provenance column of serialized reports).
-    ``status`` is ``ok`` for a real measurement, ``exact`` when the check
-    holds identically, ``skipped``/``inconclusive`` when it did not apply.
+    ``status`` is ``ok`` for a real measurement, ``skipped`` when the check
+    does not apply and ``inconclusive`` when it could not be decided.
     """
 
     name: str
@@ -27,7 +27,7 @@ class CheckResult:
     def line(self) -> str:
         """One summary line; a ``reason`` in ``extra`` is appended."""
         flag = "PASS" if self.passed else "FAIL"
-        if self.status not in ("ok", "exact"):
+        if self.status != "ok":
             flag = self.status.upper()
         reason = f" ({self.extra['reason']})" if "reason" in self.extra else ""
         return (
@@ -53,10 +53,10 @@ class VerificationReport:
         raise KeyError(name)
 
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.status in ("ok", "exact"))
+        return all(c.passed for c in self.checks if c.status == "ok")
 
     def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed and c.status in ("ok", "exact")]
+        return [c for c in self.checks if not c.passed and c.status == "ok"]
 
     def summary(self) -> str:
         return "\n".join(c.line() for c in self.checks)

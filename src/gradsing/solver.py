@@ -573,9 +573,6 @@ def continuation(
         except SolverAbort as abort:
             aborted = abort
             break
-    if not fields:
-        return ContinuationResult(fields=[], consecutive_diffs=[], limit=None,
-                                  aborted=aborted)
     diffs = [
         compact_difference(a, b, r_window, t_window)
         for a, b in zip(fields, fields[1:])
@@ -583,6 +580,6 @@ def continuation(
     return ContinuationResult(
         fields=fields,
         consecutive_diffs=diffs,
-        limit=_append_origin(fields[-1]),
+        limit=_append_origin(fields[-1]) if fields else None,
         aborted=aborted,
     )

@@ -90,13 +90,13 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), max(0.0, min(1.0, r2))
 
 
-def _unjudged(name: str, claim: str, status: str,
-              reason: str | None = None) -> CheckResult:
+def _unjudged(name: str, claim: str, status: str, reason: str) -> CheckResult:
     """A row for a claim that was not judged: no measurement or tolerance,
-    and a pass only when ``skipped`` (the check does not apply)."""
+    a pass only when ``skipped`` (the check does not apply), and the
+    ``reason`` why."""
     return CheckResult(name=name, claim=claim, measured=float("nan"),
                        tolerance=float("nan"), passed=status == "skipped",
-                       status=status, extra={"reason": reason} if reason else {})
+                       status=status, extra={"reason": reason})
 
 
 # -- envelope and sign checks -------------------------------------------------
@@ -227,6 +227,7 @@ def check_pointwise_gradient(field: SpacetimeField) -> CheckResult:
         return CheckResult(
             name=name, claim=claim, measured=float("nan"), tolerance=float("inf"),
             passed=False, status="inconclusive",
+            extra={"reason": "no node between 2 eps and R"},
         )
     weighted = np.abs(field.gradient_matrix()[:, window]) * \
         field.grid.nodes[window][None, :] ** q
@@ -288,9 +289,9 @@ def check_singularity_shape(field: SpacetimeField) -> CheckResult:
     t_probes = _probe_times(field)
     try:
         fits = [fit_singularity(field, t) for t in t_probes]
-    except ValueError:
+    except ValueError as exc:
         return _unjudged("singularity_exponent", _SINGULARITY_CLAIM,
-                         "inconclusive")
+                         "inconclusive", str(exc))
     exponents = [f.exponent for f in fits]
     r2s = [f.r_squared for f in fits]
     ok = all(-0.70 <= e <= -0.63 for e in exponents) \
@@ -372,14 +373,11 @@ def check_decay_envelope(field: SpacetimeField) -> CheckResult:
     D = _distance_to_stationary(field)
     v0 = analytic.v_mode(p, field.grid.nodes, 0.0)
     env = np.exp(-p.decay_rate * field.times) * float(np.max(v0))
-    worst, status = float(np.max(D - env)), "ok"
-    if p.C == 0.0:  # no mode: the field must sit on the stationary profile
-        worst, status = float(np.max(D)), "exact"
+    worst = float(np.max(D - env))
     return CheckResult(
         name="decay_envelope",
         claim="difference to the stationary profile under the mode envelope",
         measured=max(worst, 0.0), tolerance=tol, passed=worst <= tol,
-        status=status,
     )
 
 
@@ -392,16 +390,13 @@ def check_decay_rate(field: SpacetimeField) -> CheckResult:
     discretization floor (its peak within 10 times the smallest difference)
     is ``inconclusive`` and does not pass.  A rate that meets the bound
     decides the claim whatever the window: the floor only explains a
-    shortfall.
+    shortfall.  Without a mode (C = 0) the row is ``skipped``.
     """
     p = field.problem.params
     claim = "uniform convergence to the stationary profile at mode rate"
     need = 0.9 * p.decay_rate
     if p.C == 0.0:
-        return CheckResult(
-            name="decay_rate", claim=claim, measured=float("inf"),
-            tolerance=need, passed=True, status="exact",
-        )
+        return _unjudged("decay_rate", claim, "skipped", "no mode: C = 0")
     fit = fit_decay(field)
     D = _distance_to_stationary(field)
     floor = float(np.min(D))
@@ -587,13 +582,15 @@ def check_uniqueness_surrogate(field_a: SpacetimeField,
     )
 
 
+_CAUCHY_CLAIM = "shrinking-annulus fields form a Cauchy sequence in sup norm"
+
+
 def check_continuation_cauchy(diffs: Sequence[float]) -> CheckResult:
     """Consecutive compact-window differences strictly decreasing."""
     diffs = [float(d) for d in diffs]
     ok = len(diffs) >= 2 and all(b < a for a, b in zip(diffs, diffs[1:]))
     return CheckResult(
-        name="continuation_cauchy",
-        claim="shrinking-annulus fields form a Cauchy sequence in sup norm",
+        name="continuation_cauchy", claim=_CAUCHY_CLAIM,
         measured=diffs[-1] if diffs else float("nan"),
         tolerance=diffs[0] if diffs else float("nan"),
         passed=bool(ok),
@@ -684,8 +681,7 @@ def _continuation_cauchy(run) -> list[CheckResult]:
     if len(cont.consecutive_diffs) >= 2:
         return [check_continuation_cauchy(cont.consecutive_diffs)]
     return [_unjudged(
-        "continuation_cauchy",
-        "shrinking-annulus fields form a Cauchy sequence in sup norm", "skipped",
+        "continuation_cauchy", _CAUCHY_CLAIM, "skipped",
         f"needs at least 3 inner radii; {len(cont.fields)}"
         f" of {len(run.config.continuation.eps_sequence)} solved")]
 

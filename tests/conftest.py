@@ -5,6 +5,8 @@ The unit-test bundles are deliberately smaller than the reference runs
 from the actual grid and step, so the assertions stay meaningful.
 """
 
+import dataclasses
+
 import pytest
 
 from gradsing import analytic, initdata, solver
@@ -15,7 +17,8 @@ def n2_bundle():
     params = analytic.make_params(2, R=0.6, C=0.25)
     datum = initdata.make_initial_datum(params, "mode_deficit", k=2.0,
                                          amplitude=params.C)
-    fitted = params.replace(C=initdata.choose_amplitude_C(params, datum))
+    fitted = dataclasses.replace(
+        params, C=initdata.choose_amplitude_C(params, datum))
     return fitted, datum
 
 
@@ -69,7 +72,8 @@ def n3_bundle():
     params = analytic.make_params(3, R=1.5, C=0.2)
     datum = initdata.make_initial_datum(params, "mode_deficit", k=2.0,
                                          amplitude=params.C)
-    fitted = params.replace(C=initdata.choose_amplitude_C(params, datum))
+    fitted = dataclasses.replace(
+        params, C=initdata.choose_amplitude_C(params, datum))
     return fitted, datum
 
 

@@ -7,6 +7,7 @@ weak-form study at three refinement levels; everything completes in a few
 minutes on a laptop-class machine.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -168,7 +169,8 @@ def test_criterion_03_subsolution_property(n2, n3):
         worst = max(worst, float(np.max(analytic.subsolution_defect(p, r, t))))
     _, params2, _ = n2
     try:
-        analytic.subsolution_defect(params2.replace(R=0.62), 0.1, 0.0)
+        analytic.subsolution_defect(
+            dataclasses.replace(params2, R=0.62), 0.1, 0.0)
         gate = False
     except analytic.AdmissibilityError:
         gate = True

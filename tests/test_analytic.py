@@ -1,5 +1,7 @@
 """Closed-form layer: stationary profile, linear mode, subsolution, gate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.special
@@ -180,7 +182,8 @@ class TestSubsolution:
         assert np.max(np.abs(analytic.subsolution_defect(p, r, 0.0))) < 1e-10
 
     def test_gate_rejects_before_evaluation(self, params_n2):
-        bloated = params_n2.replace(R=0.9 * params_n2.x1 / params_n2.lam * 2.0)
+        bloated = dataclasses.replace(
+            params_n2, R=0.9 * params_n2.x1 / params_n2.lam * 2.0)
         with pytest.raises(AdmissibilityError):
             analytic.subsolution_defect(bloated, 0.1, 0.0)
 

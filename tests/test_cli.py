@@ -83,6 +83,11 @@ CONFIG_ERRORS = [
     ("[verify]", "[verfiy]", "verfiy.enabled: unknown section [verfiy]"),
     ("analytic_residuals, sandwich, monotone, gradient_box", "",
      "verify.enabled: names no check"),
+    # values that parse but that the model or the datum rejects
+    ("n = 2", "n = 1", "model.n: dimension must be an integer >= 2, got 1"),
+    ("family = mode_deficit", "family = foo", "initdata: unknown family 'foo'"),
+    ("deficit_amplitude = 0.25", "deficit_amplitude = -0.1",
+     "initdata: amplitude must be nonnegative"),
 ]
 
 # every field of every section away from its default
@@ -146,16 +151,19 @@ class TestConfig:
                              ids=[message for *_, message in CONFIG_ERRORS])
     def test_config_error_names_the_key(self, old, new, message, tmp_path,
                                         capsys):
-        """A retired key, a typo or an empty check list must not run quietly
-        with the built-in values: load_config names the key, run exits 2."""
+        """A retired key, a typo, an empty check list or a value outside
+        the model's domain must not run quietly with the built-in values or
+        end in a traceback: load_config or build_model names the key, and
+        every command that builds the model exits 2."""
         text = QUICK_CONFIG.replace(old, new)
         with pytest.raises(ConfigError) as info:
-            load_config(text)
+            pipeline.build_model(load_config(text))
         assert str(info.value).startswith(message)
         cfg_path = tmp_path / "bad.ini"
         cfg_path.write_text(text)
-        assert cli.main(["run", "--config", str(cfg_path)]) == 2
-        assert message in capsys.readouterr().err
+        for command in (["run"], ["solve"], ["initdata", "validate"]):
+            assert cli.main([*command, "--config", str(cfg_path)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_retired_imex_cn_token_is_config_error(self, tmp_path, capsys):
         text = QUICK_CONFIG.replace("implicit_euler", "imex_cn")
@@ -181,6 +189,15 @@ class TestConfig:
     def test_missing_file_reported(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/conf.ini")
+
+    def test_path_with_equals_sign_is_a_path(self, tmp_path, monkeypatch):
+        """Only an argument with a newline is read as text."""
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "r=0.6.ini"
+        cfg_path.write_text(preset("n2-standard").canonical_text())
+        assert load_config(str(cfg_path)) == preset("n2-standard")
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--only", "analytic"]) == 0
 
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match="model.n"):
@@ -241,6 +258,8 @@ class TestPipeline:
         assert result.exit_code == 0
         names = [c.name for c in result.report.checks]
         assert "sandwich" in names and "gradient_box" in names
+        assert {c.status for c in result.report.checks} <= {
+            "ok", "skipped", "inconclusive"}
 
     def test_artifacts_written(self, quick_result):
         _, run_dir = quick_result
@@ -878,6 +897,24 @@ class TestCLI:
         assert f"configuration error: solve: {message}" in \
             capsys.readouterr().err
         assert not list(tmp_path.rglob("field_*.csv"))
+
+    @pytest.mark.parametrize("present, missing", [
+        ((), "field file missing: "),
+        (("field_limit.csv",), "manifest.json"),
+    ])
+    def test_report_without_run_files_is_config_error(self, present, missing,
+                                                      quick_result, tmp_path,
+                                                      capsys):
+        """A run directory without its field or manifest exits 2 with one
+        line, not 1 with a traceback."""
+        _, run_dir = quick_result
+        for name in present:
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        assert cli.main(["report", "--run-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: report: ")
+        assert missing in captured.err and captured.err.count("\n") == 1
 
     def test_run_line_shows_skip_reason(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))

@@ -1,5 +1,7 @@
 """Initial data families, the annulus bridge, the gradient ceiling, the cutoff."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,7 @@ def datum(params):
 
 @pytest.fixture(scope="module")
 def params_fitted(params, datum):
-    return params.replace(C=choose_amplitude_C(params, datum))
+    return dataclasses.replace(params, C=choose_amplitude_C(params, datum))
 
 
 def graded_nodes(eps, R, M=400, gamma=2.0):
@@ -60,8 +62,8 @@ class TestFamilies:
     def test_aggressive_amplitude_rejected_naming_slope(self, params):
         # the deficit recovers faster near R than the stationary slope allows
         with pytest.raises(InitialDataError, match="slope_envelope"):
-            make_initial_datum(params.replace(C=1.0), "mode_deficit", k=2.0,
-                               amplitude=1.0)
+            make_initial_datum(dataclasses.replace(params, C=1.0),
+                               "mode_deficit", k=2.0, amplitude=1.0)
 
     def test_untapered_deficit_rejected_naming_outer_boundary(self, params):
         with pytest.raises(InitialDataError, match="outer_boundary_match"):
@@ -90,7 +92,7 @@ class TestValidator:
     def test_full_mode_deficit_fails_outer_match_only(self, params):
         # u0 = u* - v(.,0) with a small amplitude keeps every condition
         # except the exact outer boundary value
-        p = params.replace(C=0.05)
+        p = dataclasses.replace(params, C=0.05)
         r = np.geomspace(1e-4 * p.R, p.R, 1200)
         val = lambda x: analytic.u_star(p, x) - analytic.v_mode(p, x, 0.0)
         slo = lambda x: analytic.u_star_r(p, x) - analytic.v_mode_r(p, x, 0.0)
@@ -128,7 +130,7 @@ class TestAmplitudeChoice:
         d = make_initial_datum(params, "polynomial_blend", k=2.0, amplitude=0.1)
         C = choose_amplitude_C(params, d)
         assert C > 0.0
-        p = params.replace(C=C)
+        p = dataclasses.replace(params, C=C)
         r = d.profile.grid
         lower = analytic.u_star(p, r) - analytic.v_mode(p, r, 0.0)
         assert np.all(d.profile.values >= lower - 1e-12)
@@ -184,7 +186,7 @@ class TestGradientCeiling:
         p0 = make_params(n, R=0.6, C=0.2)
         datum_n = make_initial_datum(p0, "mode_deficit", k=2.0,
                                      amplitude=p0.C)
-        p = p0.replace(C=choose_amplitude_C(p0, datum_n))
+        p = dataclasses.replace(p0, C=choose_amplitude_C(p0, datum_n))
         problem = make_epsilon_problem(p, datum_n, eps, graded_nodes(eps, p.R))
         bounds, cubic_ok = initdata_module._ceiling_conditions(
             p, eps, problem.u0eps)
@@ -347,6 +349,11 @@ class TestEpsilonProblem:
         assert prob.inner_bc(10.0) > prob.inner_bc(0.0)
         assert prob.c_star_eps > 1.0
         assert prob.cutoff.support_radius == pytest.approx(2 * prob.c_star_eps)
+        # the ceiling is stored once, in the cutoff
+        assert prob.c_star_eps == prob.cutoff.c_star == c_star_eps(
+            p, 0.02, prob.u0eps)
+        assert [f.name for f in dataclasses.fields(prob)] == [
+            "params", "epsilon", "cutoff", "u0eps"]
 
     def test_inner_bc_bitwise_equals_subsolution_trace(self, params_fitted, datum):
         p = params_fitted

@@ -164,6 +164,11 @@ class TestSingularityShape:
         )
         res = verify.check_singularity_shape(coarse)
         assert res.status == "inconclusive"
+        assert res.extra["reason"] == \
+            "singularity window under-resolved on this grid"
+        bound = verify.check_pointwise_gradient(coarse)
+        assert bound.status == "inconclusive"
+        assert bound.extra["reason"] == "no node between 2 eps and R"
 
 
 class TestDecay:
@@ -175,9 +180,10 @@ class TestDecay:
         assert res.passed and res.status == "ok"
         assert res.measured >= 0.9 * n2_field.problem.params.decay_rate
 
-    def test_stationary_run_reports_exact(self, c0_field):
+    def test_stationary_run_rate_skipped(self, c0_field):
         res = verify.check_decay_rate(c0_field)
-        assert res.status == "exact" and res.passed
+        assert res.status == "skipped" and res.passed
+        assert res.extra["reason"] == "no mode: C = 0"
 
     def test_difference_at_floor_is_inconclusive_not_passed(self, n2_field):
         flat = np.broadcast_to(n2_field.u_star_row() + 1e-12,
