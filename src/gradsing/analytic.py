@@ -106,12 +106,17 @@ def make_params(n: int, R: float, C: float = 0.0) -> ModelParams:
     """Build an admissible parameter set on the ball of radius ``R``.
 
     The mode rate is lam = 0.9 x1 / R, so the x1 / lam part of the gate
-    holds with margin; ``R`` must still lie below radius_bound(n).
+    holds with margin; ``R`` must still lie below radius_bound(n).  A
+    radius that is not positive and finite is an :class:`AdmissibilityError`
+    raised before the zero search.
     """
     if C < 0:
         raise ValueError("mode amplitude C must be nonnegative")
     nu = specfn.nu_of(n)
     alpha = specfn.alpha_of(n)
+    if not 0.0 < R < math.inf:  # before lam = 0.9 x1 / R divides by it
+        raise AdmissibilityError(
+            f"R={R:g} is not a positive finite domain radius for n={int(n)}")
     zeros = specfn.first_zeros(BesselOrder(nu))
     params = ModelParams(
         n=int(n), R=float(R), lam=float(0.9 * zeros.x1 / R), C=float(C),
@@ -263,8 +268,8 @@ def mode_lower_bound_c1(params: ModelParams) -> float:
 
 # -- residual evaluators ----------------------------------------------------
 
-def _upcast_pieces(params: ModelParams, r: np.ndarray, t: np.ndarray):
-    """All closed-form pieces on (r, t), accumulated in extended precision.
+def _stationary_pieces(params: ModelParams, r: np.ndarray) -> dict:
+    """u*, u*_r, u*_rr and r on r, accumulated in extended precision.
 
     alpha is recomputed from n in extended precision: the assembled defect
     cancels alpha^3 against 9n - 15, and a double-rounded alpha would leave
@@ -272,6 +277,19 @@ def _upcast_pieces(params: ModelParams, r: np.ndarray, t: np.ndarray):
     """
     rl = r.astype(_L)
     al = _L(9 * params.n - 15) ** (_L(1) / 3)
+    return {
+        "us": -al * rl ** (_L(1) / 3),
+        "usr": -(al / 3) * rl ** (-_L(2) / 3),
+        "usrr": (2 * al / 9) * rl ** (-_L(5) / 3),
+        "r": rl,
+    }
+
+
+def _upcast_pieces(params: ModelParams, r: np.ndarray, t: np.ndarray):
+    """All closed-form pieces on (r, t): the stationary ones and the mode
+    v with its derivatives, accumulated in extended precision."""
+    pieces = _stationary_pieces(params, r)
+    rl = pieces["r"]
     lam = _L(params.lam)
     ef = _L(params.C) * np.exp(-lam * lam * t.astype(_L))
     j, jp, jpp = _bessel_triplet(params, r)
@@ -283,16 +301,8 @@ def _upcast_pieces(params: ModelParams, r: np.ndarray, t: np.ndarray):
         + 2 * lam * d * rl ** (d - 1) * jp.astype(_L)
         + lam * lam * rl ** d * jpp.astype(_L)
     )
-    pieces = {
-        "us": -al * rl ** (_L(1) / 3),
-        "usr": -(al / 3) * rl ** (-_L(2) / 3),
-        "usrr": (2 * al / 9) * rl ** (-_L(5) / 3),
-        "v": ef * psi_v,
-        "vr": ef * psi_p,
-        "vrr": ef * psi_pp,
-        "vt": -lam * lam * ef * psi_v,
-        "r": rl,
-    }
+    pieces.update(v=ef * psi_v, vr=ef * psi_p, vrr=ef * psi_pp,
+                  vt=-lam * lam * ef * psi_v)
     return pieces
 
 
@@ -305,7 +315,7 @@ def residual_stationary(params: ModelParams, r):
     arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(arr <= 0):
         raise ValueError("residual_stationary needs r > 0")
-    p = _upcast_pieces(params, arr, np.zeros_like(arr))
+    p = _stationary_pieces(params, arr)
     lap = p["usrr"] + (params.n - 1) / p["r"] * p["usr"]
     res = (lap + p["us"] * p["usr"] ** 3).astype(float)
     return res if np.ndim(r) else float(res[0])

@@ -67,7 +67,12 @@ def _cmd_specfn_probe(args) -> int:
 
 
 def _cmd_analytic_check(args) -> int:
-    params = analytic.make_params(args.n, args.R, args.C)
+    try:
+        params = analytic.make_params(args.n, args.R, args.C)
+    except analytic.AdmissibilityError:
+        raise
+    except ValueError as exc:  # a dimension or amplitude outside its domain
+        raise ConfigError(f"analytic check: {exc}") from None
     r, t = analytic.probe_lattice(params, radii=args.radii)
     res = analytic.residual_linearized(params, r, t) if params.C > 0 else \
         analytic.residual_stationary(params, r)

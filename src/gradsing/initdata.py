@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import analytic
+from . import analytic, specfn
 from .analytic import ModelParams, RadialProfile
 from .report import CheckResult, VerificationReport
 
@@ -482,6 +482,7 @@ class EpsilonProblem:
         return self.u0eps.grid
 
 
+@specfn.shared_evaluations()
 def make_epsilon_problem(
     params: ModelParams,
     datum: InitialDatum,
@@ -489,7 +490,8 @@ def make_epsilon_problem(
     nodes: np.ndarray,
     support_factor: float = 2.0,
 ) -> EpsilonProblem:
-    """Assemble and cross-check a full annulus problem instance."""
+    """Assemble and cross-check a full annulus problem instance; Bessel
+    evaluations are shared within the call."""
     u0eps = make_u0eps(params, eps, datum, nodes)
     ceiling = c_star_eps(params, eps, u0eps)
     cutoff = CutoffCubic(c_star=ceiling, support_radius=support_factor * ceiling)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic, initdata, solver, verify
+from . import analytic, initdata, solver, specfn, verify
 from .analytic import ModelParams
 from .config import ConfigError, RunConfig
 from .report import CheckResult, VerificationReport
@@ -71,13 +71,14 @@ def resolve_output_dir(config: RunConfig) -> Path:
     return Path(root) / config.output.directory
 
 
+@specfn.shared_evaluations()
 def build_model(config: RunConfig):
     """Derive admissible parameters and a validated initial datum.
 
     The mode amplitude is fitted from the datum; a fitted zero (degenerate
     datum) is clamped to 0.05 so that downstream envelopes stay nontrivial.
     A model or datum value outside its domain is a :class:`ConfigError`
-    naming its section.
+    naming its section.  Bessel evaluations are shared within the call.
     """
     try:
         params0 = analytic.make_params(config.model.n, config.model.R)
@@ -100,8 +101,10 @@ def build_model(config: RunConfig):
     return dataclasses.replace(params0, C=C if C != 0.0 else 0.05), datum
 
 
+@specfn.shared_evaluations()
 def analytic_checks(params: ModelParams) -> list[CheckResult]:
-    """Closed-form residual gates on the probe lattice."""
+    """Closed-form residual gates on the probe lattice; Bessel evaluations
+    are shared within the call."""
     r, t = analytic.probe_lattice(params)
     res_s = analytic.residual_stationary(params, r[0])
     scale_s = analytic.stationary_residual_scale(params, r[0])

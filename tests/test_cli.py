@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gradsing import analytic, cli, initdata, pipeline, solver, verify
+from gradsing import analytic, cli, initdata, pipeline, solver, specfn, verify
 from gradsing.config import (
     ConfigError, ContinuationConfig, InitdataConfig, ModelConfig, OutputConfig,
     PRESETS, RunConfig, VerifyConfig, load_config, preset,
@@ -164,6 +164,20 @@ class TestConfig:
         for command in (["run"], ["solve"], ["initdata", "validate"]):
             assert cli.main([*command, "--config", str(cfg_path)]) == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("R", ["0", "-0.5"])
+    def test_nonpositive_radius_rejected_before_zero_search(
+            self, R, tmp_path, capsys, monkeypatch):
+        text = QUICK_CONFIG.replace("R = 0.6", f"R = {R}")
+        monkeypatch.setattr(specfn, "first_zeros", None)  # must not be reached
+        with pytest.raises(analytic.AdmissibilityError,
+                           match=f"^R={float(R):g} is not a positive finite"):
+            pipeline.build_model(load_config(text))
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(text)
+        for command in (["run"], ["solve"], ["initdata", "validate"]):
+            assert cli.main([*command, "--config", str(cfg_path)]) == 2
+            assert "rejected: R=" in capsys.readouterr().err
 
     def test_retired_imex_cn_token_is_config_error(self, tmp_path, capsys):
         text = QUICK_CONFIG.replace("implicit_euler", "imex_cn")
@@ -811,6 +825,28 @@ class TestCLI:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "r,t,residual"
         assert all(abs(float(line.split(",")[2])) < 1e-8 for line in out[1:])
+
+    @pytest.mark.parametrize("R", ["0", "-0.5"])
+    def test_analytic_check_nonpositive_radius_is_rejected(self, R, capsys):
+        """R <= 0 exits 2 before lam = 0.9 x1 / R is formed, not 1 with a
+        ZeroDivisionError or an interval with a negative end."""
+        assert cli.main(["analytic", "check", "--n", "2", f"--R={R}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"rejected: R={float(R):g} is not a positive "
+                                "finite domain radius for n=2\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "1"], "dimension must be an integer >= 2, got 1"),
+        (["--n", "2", "--C=-1"], "mode amplitude C must be nonnegative"),
+    ])
+    def test_analytic_check_bad_model_value_is_config_error(self, args,
+                                                           message, capsys):
+        """Exit 2 with one line, as run, solve and initdata validate give."""
+        assert cli.main(["analytic", "check", "--R", "0.6", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: analytic check: {message}\n"
 
     def test_analytic_check_takes_no_lambda(self, capsys):
         """The mode rate follows from R; --lambda is not an option."""

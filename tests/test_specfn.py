@@ -11,10 +11,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradsing import specfn
+from gradsing import initdata, pipeline, solver, specfn
+from gradsing.config import preset
 from gradsing.specfn import BesselOrder, BesselZeros
 
 # frozen with mpmath at 40 digits
@@ -289,3 +290,163 @@ class TestFirstZeros:
             BesselOrder(0.0)
         with pytest.raises(ValueError):
             BesselOrder(-1.3)
+
+
+def sequential_bisect(f, a, b):
+    """The plain bisection loop, one scalar call per midpoint: the
+    reference the replaying one must follow step by step."""
+    fa = f(a)
+    visited = []
+    for _ in range(200):
+        if b - a <= 1e-12 * max(1.0, abs(b)):
+            break
+        m = 0.5 * (a + b)
+        visited.append(m)
+        fm = f(m)
+        if fa * fm > 0.0:
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b), visited
+
+
+# decreasing through their root r: the secant point of a bracket is close
+# to r for the first, far off for the flat cube and the steep step
+MONOTONE = {
+    "linear": lambda r: lambda x: r - x,
+    "cube": lambda r: lambda x: (r - x) * (r - x) * (r - x),
+    "steep_tanh": lambda r: lambda x: math.tanh(40.0 * (r - x)),
+    "skewed_exp": lambda r: lambda x: math.expm1(3.0 * (r - x)),
+}
+
+
+class TestZeroSearchReplay:
+    """specfn._bisect reads f from vector calls over predicted paths, but
+    visits the midpoints of the sequential loop and ends where it ends."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(sorted(MONOTONE)),
+        a=st.floats(-50.0, 50.0),
+        width=st.floats(1e-6, 20.0),
+        at=st.floats(0.0, 1.0),
+    )
+    def test_replay_visits_the_sequential_midpoints(self, kind, a, width, at):
+        b = a + width
+        f = MONOTONE[kind](a + at * width)
+        fa, fb = f(a), f(b)
+        assume(fa > 0.0 and fb <= 0.0)  # a bracket of a sign change
+        calls = []
+
+        def vector(x):
+            calls.append(x.size)
+            return np.array([f(v) for v in x.tolist()])
+
+        root, visited = specfn._bisect(vector, a, fa, b, fb)
+        assert (root, visited) == sequential_bisect(f, a, b)
+        # each vector call advances the loop at least one midpoint
+        assert len(calls) <= max(1, len(visited))
+
+    def test_poor_secant_guess_predicts_again(self):
+        f = MONOTONE["cube"](0.3)
+        calls = []
+
+        def vector(x):
+            calls.append(x.size)
+            return np.array([f(v) for v in x.tolist()])
+
+        root, visited = specfn._bisect(vector, 0.0, f(0.0), 1.0, f(1.0))
+        assert (root, visited) == sequential_bisect(f, 0.0, 1.0)
+        assert 1 < len(calls) < len(visited)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_point_value_independent_of_the_call(self, n):
+        """J and J' of each point alone are bitwise those inside a 200-point
+        call spanning both the series and the Hankel ranges, with points
+        within 1e-12 of x0 and x1."""
+        o = BesselOrder(specfn.nu_of(n))
+        z = specfn.first_zeros(o)
+        near = [z.x0 + d for d in (-1e-12, -2.0 ** -45, 0.0, 1e-12)]
+        near += [z.x1 + d for d in (-1e-12, 0.0, 2.0 ** -45, 1e-12)]
+        x = np.concatenate([np.linspace(o.nu, o.nu + 20.0, 192), near])
+        j, jp = specfn._derivatives(o, x, (0, 1))
+        for xi, ji, jpi in zip(x.tolist(), j.tolist(), jp.tolist()):
+            alone = specfn._derivatives(o, xi, (0, 1))
+            assert [v.hex() for v in alone] == [ji.hex(), jpi.hex()], xi
+
+
+@pytest.fixture(scope="module")
+def n2_stage():
+    """A model, its datum and a 400-node annulus grid at eps = 0.02."""
+    cfg = preset("n2-standard")
+    params, datum = pipeline.build_model(cfg)
+    grid = solver.GridPolicy(400, 2.0).build(0.02, params.R)
+    return params, datum, grid.nodes
+
+
+@pytest.fixture
+def raw_calls(monkeypatch):
+    """The argument sizes of every raw evaluation, one entry per call."""
+    calls = []
+    raw = specfn._jv_raw
+
+    def counted(mu, x):
+        calls.append(x.size)
+        return raw(mu, x)
+
+    monkeypatch.setattr(specfn, "_jv_raw", counted)
+    return calls
+
+
+class TestSharedEvaluations:
+    """Each order runs once per argument set within a model build, the
+    closed-form gates or an annulus set-up, and nothing outlives the call."""
+
+    def test_annulus_set_up_evaluates_three_orders(self, n2_stage, raw_calls):
+        params, datum, nodes = n2_stage
+        initdata.make_epsilon_problem(params, datum, 0.02, nodes)
+        # J_nu and J_(nu-1) on the nodes, and J_nu(lam eps)
+        assert sorted(raw_calls) == [1, nodes.size, nodes.size]
+        assert specfn._SHARED.get() is None
+        initdata.make_epsilon_problem(params, datum, 0.02, nodes)
+        assert len(raw_calls) == 6  # evaluated afresh
+
+    def test_gates_evaluate_four_orders(self, n2_stage, raw_calls):
+        pipeline.analytic_checks(n2_stage[0])
+        assert raw_calls == [200] * 4  # nu - 2, nu - 1, nu, nu + 2
+        assert specfn._SHARED.get() is None
+
+    def test_model_build_evaluates_datum_orders_once(self, raw_calls):
+        pipeline.build_model(preset("n2-standard"))
+        assert raw_calls.count(1200) == 2  # J_nu and J_(nu-1)
+        assert specfn._SHARED.get() is None
+
+    def test_nested_blocks_share_the_outermost_memo(self, raw_calls):
+        o = BesselOrder(NU_REF[3])
+        with specfn.shared_evaluations():
+            with specfn.shared_evaluations():
+                specfn.bessel_j(o, 2.0)
+            assert specfn._SHARED.get()  # the inner exit keeps it
+            specfn.bessel_j_prime(o, 2.0)
+        assert specfn._SHARED.get() is None
+        assert len(raw_calls) == 2  # J_nu once, then J_(nu-1)
+
+    def test_memo_hit_still_warns(self, raw_calls):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with specfn.shared_evaluations():
+                for _ in range(2):
+                    specfn.bessel_j(BesselOrder(25.0), 49.0)
+        assert len(raw_calls) == 1
+        assert [w.category for w in caught] == [specfn.BesselAccuracyWarning] * 2
+
+    def test_scoped_set_up_has_the_bits_of_unscoped_calls(self, n2_stage):
+        params, datum, nodes = n2_stage
+        problem = initdata.make_epsilon_problem(params, datum, 0.02, nodes)
+        assert specfn._SHARED.get() is None
+        u0eps = initdata.make_u0eps(params, 0.02, datum, nodes)
+        ceiling = initdata.c_star_eps(params, 0.02, u0eps)
+        for name in ("grid", "values", "derivative"):
+            assert getattr(problem.u0eps, name).tobytes() == \
+                getattr(u0eps, name).tobytes()
+        assert problem.c_star_eps.hex() == ceiling.hex()
