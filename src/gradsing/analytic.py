@@ -200,23 +200,23 @@ def psi(params: ModelParams, r):
     return out if np.ndim(r) else float(out[0])
 
 
+def _psi_derivatives(d, lam, r, j, jp, jpp):
+    """psi' and psi'' of psi = r^d J(lam r), given J, J' and J'' at lam r,
+    in the precision of the arguments; psi'' is None when ``jpp`` is."""
+    rd1, rd = r ** (d - 1), r ** d
+    first = d * rd1 * j + lam * rd * jp
+    if jpp is None:
+        return first, None
+    return first, (d * (d - 1) * r ** (d - 2) * j + 2 * lam * d * rd1 * jp
+                   + lam ** 2 * rd * jpp)
+
+
 def psi_prime(params: ModelParams, r):
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("psi_prime needs r > 0")
     j, jp = specfn._derivatives(BesselOrder(params.nu), params.lam * arr, (0, 1))
-    return (params.n - 1.5) * arr ** (params.n - 2.5) * j \
-        + params.lam * arr ** (params.n - 1.5) * jp
-
-
-def _psi_second(params: ModelParams, r: np.ndarray):
-    j, jp, jpp = _bessel_triplet(params, r)
-    d = params.n - 1.5
-    return (
-        d * (d - 1.0) * r ** (d - 2.0) * j
-        + 2.0 * params.lam * d * r ** (d - 1.0) * jp
-        + params.lam ** 2 * r ** d * jpp
-    )
+    return _psi_derivatives(params.n - 1.5, params.lam, arr, j, jp, None)[0]
 
 
 def v_mode(params: ModelParams, r, t):
@@ -251,7 +251,9 @@ def v_mode_rr(params: ModelParams, r, t):
     if np.any(arr <= 0):
         raise ValueError("v_mode_rr needs r > 0")
     tt = np.asarray(t, dtype=float)
-    return params.C * np.exp(-params.lam ** 2 * tt) * _psi_second(params, arr)
+    _, psi_pp = _psi_derivatives(params.n - 1.5, params.lam, arr,
+                                 *_bessel_triplet(params, arr))
+    return params.C * np.exp(-params.lam ** 2 * tt) * psi_pp
 
 
 def mode_lower_bound_c1(params: ModelParams) -> float:
@@ -292,15 +294,10 @@ def _upcast_pieces(params: ModelParams, r: np.ndarray, t: np.ndarray):
     rl = pieces["r"]
     lam = _L(params.lam)
     ef = _L(params.C) * np.exp(-lam * lam * t.astype(_L))
-    j, jp, jpp = _bessel_triplet(params, r)
+    j, jp, jpp = (a.astype(_L) for a in _bessel_triplet(params, r))
     d = _L(params.n) - _L(1.5)
-    psi_v = rl ** d * j.astype(_L)
-    psi_p = d * rl ** (d - 1) * j.astype(_L) + lam * rl ** d * jp.astype(_L)
-    psi_pp = (
-        d * (d - 1) * rl ** (d - 2) * j.astype(_L)
-        + 2 * lam * d * rl ** (d - 1) * jp.astype(_L)
-        + lam * lam * rl ** d * jpp.astype(_L)
-    )
+    psi_v = rl ** d * j
+    psi_p, psi_pp = _psi_derivatives(d, lam, rl, j, jp, jpp)
     pieces.update(v=ef * psi_v, vr=ef * psi_p, vrr=ef * psi_pp,
                   vt=-lam * lam * ef * psi_v)
     return pieces
@@ -368,6 +365,8 @@ def probe_lattice(params: ModelParams, radii: int = 200):
     The logarithmic spacing exercises the singular r -> 0 factors.
     Returns broadcastable (r, t) arrays of shape (4, radii).
     """
+    if radii < 1:
+        raise ValueError(f"radii must be a count of at least 1, got {radii}")
     r = np.geomspace(1e-4 * params.R, 0.999 * params.R, radii)
     t = np.array([0.0, 0.1, 1.0, 5.0])
     return np.broadcast_arrays(r[None, :], t[:, None])

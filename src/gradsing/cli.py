@@ -6,7 +6,6 @@ Subcommands mirror the pipeline stages:
   analytic check      residual report for the closed-form objects
   initdata validate   per-condition report for the configured datum
   solve               single annulus run at one inner radius
-  continuation        full shrinking-annulus sequence
   run                 pipeline plus every enabled check (nonzero exit on
                       fail), with --only to stop early
   report              emit plot-ready columnar text from a finished run
@@ -69,11 +68,11 @@ def _cmd_specfn_probe(args) -> int:
 def _cmd_analytic_check(args) -> int:
     try:
         params = analytic.make_params(args.n, args.R, args.C)
+        r, t = analytic.probe_lattice(params, radii=args.radii)
     except analytic.AdmissibilityError:
         raise
-    except ValueError as exc:  # a dimension or amplitude outside its domain
+    except ValueError as exc:  # a dimension, amplitude or count out of domain
         raise ConfigError(f"analytic check: {exc}") from None
-    r, t = analytic.probe_lattice(params, radii=args.radii)
     res = analytic.residual_linearized(params, r, t) if params.C > 0 else \
         analytic.residual_stationary(params, r)
     print("r,t,residual")
@@ -114,19 +113,6 @@ def _cmd_solve(args) -> int:
     print(f"wrote {path} (max|u_r|={fld.max_abs_gradient:.4g}, "
           f"c*={fld.problem.c_star_eps:.4g})")
     return 0
-
-
-def _cmd_continuation(args) -> int:
-    cfg = _load(args)
-    cfg = dataclasses.replace(
-        cfg, verify=dataclasses.replace(cfg.verify, enabled=("continuation_cauchy",))
-    )
-    result = pipeline.run_pipeline(cfg)
-    diffs = result.continuation.consecutive_diffs
-    print("consecutive compact-window differences:",
-          ", ".join(f"{d:.4e}" for d in diffs))
-    print(result.report.summary())
-    return result.exit_code
 
 
 def _cmd_run(args) -> int:
@@ -185,10 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_source(p)
     p.add_argument("--eps", type=float, default=None)
     p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("continuation", help="shrinking-annulus sequence")
-    _add_config_source(p)
-    p.set_defaults(func=_cmd_continuation)
 
     p = sub.add_parser("run", help="full pipeline (--only analytic to stop early)")
     _add_config_source(p)

@@ -20,22 +20,13 @@ triggers a :class:`BesselAccuracyWarning` rather than an exception, since
 callers in this package stay far inside the reliable region.  A NaN or
 infinite argument is a ValueError.
 
-Three things keep the cost down without moving a bit.  A series at one
-argument runs on long-double scalars, which numpy computes with the same
-80-bit operations as its arrays.  J, J' and J'' are assembled from one
-evaluation per order (nu - 2, nu - 1, nu, nu + 2) on the distinct
-arguments of a call, and inside a :func:`shared_evaluations` block (a
-model build, the closed-form gates, an annulus set-up) once per block,
-which replays an evaluation on the very same arguments.  And the zero
-search evaluates its scan grid and its bisection midpoints in a few
-vector calls.  The distinct-argument evaluation and the vector zero
-search rest on one fact: a point's value does not depend on the other
-points of its call.  A series term that meets the 1e-24 stop lies below
-half a long-double ulp of the sum, so the terms a longer loop adds for
-other points change nothing; the Hankel expansion adds exact zeros on
-lanes that have stopped.  Only the error estimates can differ, and only
-by the size of a stopped term (below 1e-24), so no call warns that would
-not warn alone.
+A point's value does not depend on the other points of its call, so
+one call may serve many points with the bits of one call per point.  A
+series term that meets the 1e-24 stop lies below half a long-double ulp
+of the sum, so the terms a longer loop adds for other points change
+nothing; the Hankel expansion adds exact zeros on lanes that have
+stopped.  Only the error estimates can differ, and only by the size of a
+stopped term (below 1e-24), so no call warns that would not warn alone.
 """
 
 from __future__ import annotations
@@ -346,13 +337,11 @@ def _bisect(f, a: float, fa: float, b: float,
     """Bisect [a, b] with f(a) > 0 >= f(b) until b - a <= 1e-12 max(1, |b|).
 
     Returns the final midpoint 0.5 (a + b) and the midpoints visited, in
-    order.  ``f`` maps an array of points to their values.  The loop is
-    the plain sequential one, but it reads f(m) from one vector call over
-    the path predicted from a secant estimate of the root; at the first
-    midpoint the prediction missed, it predicts again from the true
-    bracket.  A round's first midpoint is always the true one, so every
-    round advances, and the midpoints visited are those of one scalar
-    call per midpoint.
+    order.  ``f`` maps an array of points to their values; it runs on the
+    midpoints predicted from the secant root of the bracket, and again
+    from the true bracket at the first midpoint the prediction missed.  A
+    round's first midpoint is always the true one, so every round
+    advances and the midpoints are those of one scalar call each.
     """
     pending = iter(())
     visited = []
@@ -379,8 +368,7 @@ def first_zeros(order: BesselOrder) -> BesselZeros:
     Scans with step 0.1 from max(nu, 0.1) -- both roots exceed nu -- for a
     sign change, bisects the bracket to 1e-12 and applies one Newton
     polish.  The scan takes one vector call per 32 cells and the bisection
-    one per predicted path (:func:`_bisect`): about 15 Bessel calls per
-    order instead of about 110 one-point calls, with the same roots.
+    one per predicted path (:func:`_bisect`).
     Deterministic: repeated calls are bit-identical.  Raises
     :class:`ZeroBracketingError` if no bracket appears within 20.0 above
     the scan start (far beyond the true roots for any practical order).

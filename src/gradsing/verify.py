@@ -426,45 +426,28 @@ def check_decay_rate(field: SpacetimeField) -> CheckResult:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Radial bump with exact derivative, compactly supported in (0, R)."""
+    """Radial bump (1 - ((r - center) / width)^2)_+^3 with its exact
+    derivative; the cube makes two derivatives vanish at the support edge."""
 
     name: str
-    value: Callable
-    derivative: Callable
+    center: float
+    width: float
+
+    def value(self, r):
+        return np.clip(1.0 - ((r - self.center) / self.width) ** 2, 0.0, None) ** 3
+
+    def derivative(self, r):
+        z = (r - self.center) / self.width
+        return -6.0 * z / self.width * np.clip(1.0 - z ** 2, 0.0, None) ** 2
 
 
 def default_test_functions(params) -> list[TestFunction]:
     """Two origin-centered bumps plus one shell kept away from both
-    boundaries; all are cubes of parabolic profiles, so two continuous
-    derivatives vanish at the support edge."""
+    boundaries, all supported in [0, R)."""
     R = params.R
-
-    def bump(rho):
-        def s(r):
-            return np.clip(1.0 - (r / rho) ** 2, 0.0, None) ** 3
-
-        def sp(r):
-            return -6.0 * r / rho ** 2 * np.clip(1.0 - (r / rho) ** 2, 0.0, None) ** 2
-
-        return s, sp
-
-    def shell(center, width):
-        def s(r):
-            return np.clip(1.0 - ((r - center) / width) ** 2, 0.0, None) ** 3
-
-        def sp(r):
-            z = (r - center) / width
-            return -6.0 * z / width * np.clip(1.0 - z ** 2, 0.0, None) ** 2
-
-        return s, sp
-
-    out = []
-    for label, rho in (("origin_bump_narrow", 0.35 * R), ("origin_bump_wide", 0.7 * R)):
-        s, sp = bump(rho)
-        out.append(TestFunction(label, s, sp))
-    s, sp = shell(0.45 * R, 0.25 * R)
-    out.append(TestFunction("interior_shell", s, sp))
-    return out
+    return [TestFunction("origin_bump_narrow", 0.0, 0.35 * R),
+            TestFunction("origin_bump_wide", 0.0, 0.7 * R),
+            TestFunction("interior_shell", 0.45 * R, 0.25 * R)]
 
 
 def weak_form_residual(field: SpacetimeField, tf: TestFunction) -> tuple[float, float]:

@@ -145,6 +145,26 @@ class TestBesselBits:
             + p.lam * r ** (p.n - 1.5) * specfn.bessel_j_prime(order, p.lam * r)
         assert analytic.psi_prime(p, r).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n, bits", [
+        (2, ("0x1.87d9fa2b06342p+0", "-0x1.a95cf8dd4c7a4p-1", "-0x1.d9e0f74ec75e6p+0",
+             "0x1.efebed6b2e886p-1", "-0x1.0d2ab0a50e333p-1", "-0x1.2bddf90f88872p+0")),
+        (3, ("0x1.1a3339aa74d30p-1", "0x1.17585c077f2b7p+1", "0x1.2205109daf680p-3",
+             "0x1.dbe063423d4f6p-4", "0x1.d70fec1e8b6e2p-2", "0x1.e9101b8a5ad3cp-6")),
+        (4, ("0x1.8e3d90c4b3ffdp-7", "0x1.41ff10e4b4f77p+0", "0x1.a90b5bb2d9049p+0",
+             "0x1.ea1a4d2275484p-12", "0x1.8c4576bf79792p-5", "0x1.058b73ee60ce9p-4")),
+        (5, ("0x1.786819e5f67a5p-13", "0x1.d0d7acd5e2750p-2", "0x1.0df7cfb076dcbp+1",
+             "0x1.91af3fafe6b1ep-21", "0x1.f00f340c8a7dep-10", "0x1.20191371849e4p-7")),
+        (6, ("0x1.2929505741230p-19", "0x1.13a4752f021d1p-3", "0x1.ebb2c564beed9p+0",
+             "0x1.4a41b08c5ffa5p-31", "0x1.32574e40eeca6p-15", "0x1.113acc1d5c759p-11")),
+    ])
+    def test_v_mode_rr_pinned(self, n, bits, params_by_n):
+        """v_mode_rr at r = 0.1, 0.5 and 0.9 R and t = 0 and 0.1."""
+        p = params_by_n[n]
+        r = np.array([0.1, 0.5, 0.9]) * p.R
+        got = tuple(float(v).hex() for t in (0.0, 0.1)
+                    for v in analytic.v_mode_rr(p, r, t))
+        assert got == bits
+
 
 class TestLinearizedResidual:
     @pytest.mark.parametrize("n", range(2, 7))

@@ -839,6 +839,7 @@ class TestCLI:
     @pytest.mark.parametrize("args, message", [
         (["--n", "1"], "dimension must be an integer >= 2, got 1"),
         (["--n", "2", "--C=-1"], "mode amplitude C must be nonnegative"),
+        (["--n", "2", "--radii", "0"], "radii must be a count of at least 1, got 0"),
     ])
     def test_analytic_check_bad_model_value_is_config_error(self, args,
                                                            message, capsys):

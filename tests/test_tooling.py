@@ -10,10 +10,11 @@ runs here too, so a change that breaks what the benchmark builds from the
 program (the config fields it replaces, the signature of
 ``solve_annulus``, the tracer's probes) fails the tests, and so does a
 change that breaks one of the scripts in scripts/.  The README's
-table of checks must name every check, and its table of configuration
-keys every key.
+table of checks must name every check, its table of configuration keys
+every key, and its command-line block every subcommand.
 """
 
+import argparse
 import ast
 import importlib.util
 import json
@@ -27,7 +28,7 @@ import pytest
 
 import numpy as np
 
-from gradsing import analytic, config, initdata, solver, verify
+from gradsing import analytic, cli, config, initdata, solver, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -71,6 +72,24 @@ def test_readme_config_table_names_every_key():
     assert rows == [f"{name}.{f.name}" for name, cls in sections
                     for f in config._keys(cls)]
     assert len(rows) == 16  # run.name and the 15 section keys
+
+
+def _subcommands(parser, prefix=()):
+    """Each command path of an argparse parser, such as ("analytic", "check")."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix}
+    return {path for name, sub in subs[0].choices.items()
+            for path in _subcommands(sub, prefix + (name,))}
+
+
+def test_readme_command_block_names_every_subcommand():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```")[1]
+    commands = _subcommands(cli.build_parser())
+    named = [next((c for c in commands if line.split()[1:1 + len(c)] == list(c)), line)
+             for line in block.strip().splitlines()]
+    assert set(named) == commands
 
 
 def test_solve_exposes_what_the_solve_probe_reads():
