@@ -130,7 +130,7 @@ def _cmd_report(args) -> int:
             radius_fractions=tuple(args.radius_fraction or (0.1,)),
             source=args.source,
         )
-    except FileNotFoundError as exc:  # a run directory without its files
+    except (FileNotFoundError, ValueError) as exc:  # missing files, bad input
         raise ConfigError(f"report: {exc}") from None
     for p in paths:
         print(p)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analytic, initdata, solver, specfn, verify
 from .analytic import ModelParams
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, load_config
 from .report import CheckResult, VerificationReport
 
 __all__ = [
@@ -275,12 +275,16 @@ def _read_field_csv(path: Path):
     return times, radii, u.reshape(shape), ur.reshape(shape)
 
 
-def _params_from_manifest(run_dir: Path) -> ModelParams:
-    meta = json.loads((run_dir / "manifest.json").read_text())["params"]
-    return ModelParams(
+def _read_manifest(run_dir: Path) -> tuple[ModelParams, float]:
+    """The model parameters of a finished run and the horizon it ran to."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    meta = manifest["params"]
+    params = ModelParams(
         n=int(meta["n"]), R=meta["R"], lam=meta["lambda"], C=meta["C"],
         alpha=meta["alpha"], nu=meta["nu"], x0=meta["x0"], x1=meta["x1"],
     )
+    efolds = load_config(manifest["config"]).continuation.horizon_efolds
+    return params, efolds / params.decay_rate
 
 
 def emit_plotdata(run_dir, times=(), radius_fractions=(0.1,),
@@ -291,13 +295,19 @@ def emit_plotdata(run_dir, times=(), radius_fractions=(0.1,),
     stationary and subsolution overlays) and one time-series file per
     requested radius fraction (columns t, u, difference to the stationary
     profile, and the decaying mode envelope).  An empty time selection
-    produces just the header.
+    produces just the header.  A radius fraction outside [0, 1] or a time
+    outside [0, T], T the horizon of the run, is a ValueError raised before
+    any file is written.
     """
     run_dir = Path(run_dir)
     src = run_dir / source
     if not src.exists():
         raise FileNotFoundError(f"field file missing: {src}")
-    params = _params_from_manifest(run_dir)
+    params, horizon = _read_manifest(run_dir)
+    if not all(0.0 <= f <= 1.0 for f in radius_fractions):  # NaN fails too
+        raise ValueError(f"radius fractions must lie in [0, 1]: {list(radius_fractions)}")
+    if not all(0.0 <= t <= horizon for t in times):
+        raise ValueError(f"times must lie in [0, {horizon:.17g}]: {list(times)}")
     stored_t, radii, u, ur = _read_field_csv(src)
     written = []
 

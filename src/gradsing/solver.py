@@ -69,7 +69,7 @@ _STEPPER_THETA = {
 class SolverAbort(RuntimeError):
     """Newton failed to converge after exhausting the step-halving budget."""
 
-    def __init__(self, message, eps=None, step_index=None, time=None):
+    def __init__(self, message, eps, step_index, time):
         super().__init__(message)
         self.eps = eps
         self.step_index = step_index
@@ -318,7 +318,7 @@ class _Stepper:
                 raise SolverAbort(
                     f"Newton stalled at t={t_new:.6g} after "
                     f"{MAX_HALVINGS} step halvings",
-                    eps=self.problem.epsilon, time=t_new,
+                    eps=self.problem.epsilon, step_index=None, time=t_new,
                 )
             t_mid = 0.5 * (t_old + t_new)
             u_mid = self.advance(u_old, t_old, t_mid, depth + 1)
@@ -445,7 +445,7 @@ def _check_apriori_box(field_out: SpacetimeField) -> None:
     if not worst <= bound * (1.0 + 1e-6):  # NaN leaves the box too
         raise SolverAbort(
             f"solution left the a-priori box: max|u|={worst:.3g} > {bound:.3g}",
-            eps=field_out.problem.epsilon,
+            eps=field_out.problem.epsilon, step_index=None, time=None,
         )
 
 

@@ -62,6 +62,8 @@ _ZERO_SCAN_CHUNK = 32  # scan cells per vector call
 # the k-th derivative of J_nu and the orders nu + s it is assembled from
 _NAMES = ("J", "J'", "J''")
 _SHIFTS = ((0.0,), (-1.0, 0.0), (-2.0, 0.0, 2.0))
+# each order's first zeros and the warnings their search raised
+_ZEROS: dict[BesselOrder, tuple[BesselZeros, list]] = {}
 # raw evaluations shared inside an open shared_evaluations() block, keyed
 # by (order, bytes of the distinct arguments); None outside any block
 _SHARED: ContextVar[dict | None] = ContextVar("specfn_shared", default=None)
@@ -317,61 +319,46 @@ def bessel_j_second(order: BesselOrder, x):
     return _derivatives(order, x, (2,))[0]
 
 
-def _predicted_path(a: float, fa: float, b: float, fb: float) -> list[float]:
-    """The midpoints bisection of [a, b] visits if the root lies at the
-    secant point of (a, fa) and (b, fb)."""
-    s = a + fa * (b - a) / (fa - fb)
-    path = []
-    while not b - a <= 1e-12 * max(1.0, abs(b)):
-        m = 0.5 * (a + b)
-        path.append(m)
-        if m < s:
-            a = m
-        else:
-            b = m
-    return path
-
-
-def _bisect(f, a: float, fa: float, b: float,
-            fb: float) -> tuple[float, list[float]]:
-    """Bisect [a, b] with f(a) > 0 >= f(b) until b - a <= 1e-12 max(1, |b|).
-
-    Returns the final midpoint 0.5 (a + b) and the midpoints visited, in
-    order.  ``f`` maps an array of points to their values; it runs on the
-    midpoints predicted from the secant root of the bracket, and again
-    from the true bracket at the first midpoint the prediction missed.  A
-    round's first midpoint is always the true one, so every round
-    advances and the midpoints are those of one scalar call each.
-    """
-    pending = iter(())
-    visited = []
+def _bisect(f, a: float, fa: float, b: float) -> float:
+    """Bisect [a, b] with f(a) > 0 >= f(b) until b - a <= 1e-12 max(1, |b|)
+    and return the final midpoint 0.5 (a + b); one scalar call of ``f``
+    per midpoint."""
     for _ in range(200):
         if b - a <= 1e-12 * max(1.0, abs(b)):
             break
         m = 0.5 * (a + b)
-        predicted, fm = next(pending, (None, None))
-        if predicted != m:
-            path = _predicted_path(a, fa, b, fb)
-            pending = zip(path, f(np.array(path)).tolist())
-            predicted, fm = next(pending)
-        visited.append(m)
+        fm = f(m)
         if fa * fm > 0.0:
             a, fa = m, fm
         else:
-            b, fb = m, fm
-    return 0.5 * (a + b), visited
+            b = m
+    return 0.5 * (a + b)
 
 
 def first_zeros(order: BesselOrder) -> BesselZeros:
-    """First positive roots of J_nu' (x1) and J_nu (x0).
+    """First positive roots of J_nu' (x1) and J_nu (x0), searched once per
+    order and process.  A repeated call re-issues the warnings the search
+    raised; a search that raised is not kept.
+    """
+    zeros, caught = _ZEROS.get(order, (None, []))
+    try:
+        if zeros is None:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                zeros = _search_zeros(order)
+            _ZEROS[order] = zeros, caught
+        return zeros
+    finally:  # a search that raised passes its warnings on too
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
-    Scans with step 0.1 from max(nu, 0.1) -- both roots exceed nu -- for a
-    sign change, bisects the bracket to 1e-12 and applies one Newton
-    polish.  The scan takes one vector call per 32 cells and the bisection
-    one per predicted path (:func:`_bisect`).
-    Deterministic: repeated calls are bit-identical.  Raises
-    :class:`ZeroBracketingError` if no bracket appears within 20.0 above
-    the scan start (far beyond the true roots for any practical order).
+
+def _search_zeros(order: BesselOrder) -> BesselZeros:
+    """Scans with step 0.1 from max(nu, 0.1) -- both roots exceed nu -- for a
+    sign change in vector calls of 32 cells, bisects the bracket to 1e-12
+    and applies one Newton polish.  Raises :class:`ZeroBracketingError` if
+    no bracket appears within 20.0 above the scan start (far beyond the
+    true roots for any practical order).
     """
     nu = order.nu
     j = lambda t: bessel_j(order, t)
@@ -380,10 +367,10 @@ def first_zeros(order: BesselOrder) -> BesselZeros:
     # the Newton step on jp
     jpp = lambda t, d: -d / t - (1.0 - nu * nu / (t * t)) * j(t)
 
-    def scan(f, start: float) -> tuple[float, float, float, float]:
+    def scan(f, start: float) -> tuple[float, float, float]:
         # the first cell (a, b) of the grid start + i * step, i = 0..200,
-        # with f(a) > 0 >= f(b), and the values there; one vector call per
-        # chunk of cells
+        # with f(a) > 0 >= f(b), and f(a); one vector call per chunk of
+        # cells
         steps = int(_ZERO_SCAN_SPAN / _ZERO_SCAN_STEP)
         for lo in range(0, steps, _ZERO_SCAN_CHUNK):
             x = start + np.arange(lo, min(lo + _ZERO_SCAN_CHUNK, steps) + 1) \
@@ -391,18 +378,18 @@ def first_zeros(order: BesselOrder) -> BesselZeros:
             x, fx = x.tolist(), f(x).tolist()
             for a, fa, b, fb in zip(x, fx, x[1:], fx[1:]):
                 if fa > 0.0 and fb <= 0.0:
-                    return a, fa, b, fb
+                    return a, fa, b
         raise ZeroBracketingError(
             f"no sign change of order-{nu:g} function in "
             f"[{start:g}, {start + _ZERO_SCAN_SPAN:g}] (search horizon "
             f"{_ZERO_SCAN_SPAN:g} above scan start)"
         )
 
-    x1, _ = _bisect(jp, *scan(jp, max(nu, 0.1)))
+    x1 = _bisect(jp, *scan(jp, max(nu, 0.1)))
     d = jp(x1)
     x1 -= d / jpp(x1, d)
 
-    x0, _ = _bisect(j, *scan(j, x1))
+    x0 = _bisect(j, *scan(j, x1))
     x0 -= j(x0) / jp(x0)
 
     zeros = BesselZeros(x0=x0, x1=x1)

@@ -370,7 +370,7 @@ class TestCsvWriter:
         (tmp_path / "manifest.json").write_text(json.dumps({"params": {
             "n": params.n, "R": params.R, "lambda": params.lam, "C": params.C,
             "alpha": params.alpha, "nu": params.nu, "x0": params.x0,
-            "x1": params.x1}}))
+            "x1": params.x1}, "config": QUICK_CONFIG}))
         return tmp_path, fld
 
     def test_field_bytes_match_csv_module(self, synthetic_run):
@@ -427,7 +427,7 @@ class TestCsvWriter:
                                                  radius_fractions=(0.4,))
         assert Path(profile).read_bytes() == \
             b"r,u,u_r,u_star,u_star_minus_v\r\n"
-        params = pipeline._params_from_manifest(run_dir)
+        params = pipeline._read_manifest(run_dir)[0]
         us = analytic.u_star(params, 0.25)
         v0 = float(np.max(analytic.v_mode(params, fld.grid.nodes[1:], 0.0)))
         rows = [(t, fld.values[k, 2], fld.values[k, 2] - us,
@@ -952,6 +952,41 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err.startswith("configuration error: report: ")
         assert missing in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["--radius-fraction", "5"], "radius fractions must lie in [0, 1]"),
+        (["--radius-fraction", "-0.1"], "radius fractions must lie in [0, 1]"),
+        (["--radius-fraction", "nan"], "radius fractions must lie in [0, 1]"),
+        (["--time", "-3"], "times must lie in [0, "),
+        (["--time", "1e3"], "times must lie in [0, "),
+        (["--time", "nan"], "times must lie in [0, "),
+        (["--time", "inf"], "times must lie in [0, "),
+    ])
+    def test_report_out_of_range_input_is_config_error(self, args, message,
+                                                       quick_result, tmp_path,
+                                                       capsys):
+        """A radius fraction outside [0, 1] or a time outside the stored
+        span exits 2 with one line, before any file is written."""
+        _, run_dir = quick_result
+        present = {"field_limit.csv", "manifest.json"}
+        for name in present:
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        assert cli.main(["report", "--run-dir", str(tmp_path), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: report: {message}")
+        assert captured.err.count("\n") == 1
+        assert {p.name for p in tmp_path.iterdir()} == present
+
+    def test_report_accepts_the_ends_of_the_ranges(self, quick_result):
+        """The horizon lies past the last stored time unless the step
+        count is a multiple of save_every; it is still a time of the run."""
+        result, run_dir = quick_result
+        assert pipeline._read_manifest(run_dir)[1] == result.horizon
+        paths = pipeline.emit_plotdata(run_dir, times=(0.0, result.horizon),
+                                       radius_fractions=(0.0, 1.0))
+        assert [Path(p).name for p in paths] == [
+            "profile_0.csv", "profile_1.csv", "series_r0.csv", "series_r1.csv"]
 
     def test_run_line_shows_skip_reason(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradsing import initdata, pipeline, solver, specfn
@@ -33,6 +33,18 @@ ALPHA_REF = {
     5: 3.107232505953859,
     6: 3.3912114430141668,
 }
+# (n, x0, x1) as hex, the bits of the zero search before it was cached
+ZERO_BITS = [
+    (2, "0x1.a454eeb7e15c5p+1", "0x1.4f5ace17d3641p+0"),
+    (3, "0x1.2b513a86b716dp+2", "0x1.50b45e62dbff3p+1"),
+    (4, "0x1.7cd92cf7c1decp+2", "0x1.e716212dfad48p+1"),
+    (5, "0x1.cb354ed41952dp+2", "0x1.3bda945828ee9p+2"),
+    (6, "0x1.0bcdd8ab9516fp+3", "0x1.82a6556280433p+2"),
+    (7, "0x1.3150d8f22ce34p+3", "0x1.c87babcba32dcp+2"),
+    (8, "0x1.564f3c6702811p+3", "0x1.06d1dd63036ecp+3"),
+    (9, "0x1.7ae538cffc08ap+3", "0x1.2924f799a3b92p+3"),
+    (10, "0x1.9f2656d12f6fdp+3", "0x1.4b453b8b94a6bp+3"),
+]
 J11_ZERO = 3.8317059702075123        # first root of J_1
 J11_PRIME_ZERO = 1.8411837813406593  # first root of J_1'
 
@@ -281,6 +293,40 @@ class TestFirstZeros:
         b = specfn.first_zeros(BesselOrder(NU_REF[2]))
         assert (a.x0, a.x1) == (b.x0, b.x1)
 
+    def test_cached_once_per_order(self, monkeypatch):
+        """Fresh and cached zeros keep their bits for n = 2..10; a search
+        that raised is not cached; a cached search re-issues its warnings."""
+        monkeypatch.setattr(specfn, "_ZEROS", {})
+        for n, x0, x1 in ZERO_BITS:
+            o = BesselOrder(specfn.nu_of(n))
+            for _ in range(2):
+                z = specfn.first_zeros(o)
+                assert (z.x0.hex(), z.x1.hex()) == (x0, x1), n
+        assert len(specfn._ZEROS) == len(ZERO_BITS)
+
+        def loud(est, value, what):
+            warnings.warn(f"{what}: forced", specfn.BesselAccuracyWarning,
+                          stacklevel=4)
+
+        monkeypatch.setattr(specfn, "_check_accuracy", loud)
+        o = BesselOrder(1.25)
+        with monkeypatch.context() as m, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m.setattr(specfn, "_ZERO_SCAN_SPAN", 0.1)  # no bracket in reach
+            with pytest.raises(specfn.ZeroBracketingError):
+                specfn.first_zeros(o)
+        assert caught and o not in specfn._ZEROS
+        seen = []
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                specfn.first_zeros(o)
+            seen.append([(w.category, str(w.message), w.filename, w.lineno)
+                         for w in caught])
+        assert seen[0] and seen[1] == seen[0]
+        assert {c for c, *_ in seen[0]} == {specfn.BesselAccuracyWarning}
+
     def test_zeros_type_validates_ordering(self):
         with pytest.raises(ValueError):
             BesselZeros(x0=1.0, x1=2.0)
@@ -292,72 +338,9 @@ class TestFirstZeros:
             BesselOrder(-1.3)
 
 
-def sequential_bisect(f, a, b):
-    """The plain bisection loop, one scalar call per midpoint: the
-    reference the replaying one must follow step by step."""
-    fa = f(a)
-    visited = []
-    for _ in range(200):
-        if b - a <= 1e-12 * max(1.0, abs(b)):
-            break
-        m = 0.5 * (a + b)
-        visited.append(m)
-        fm = f(m)
-        if fa * fm > 0.0:
-            a, fa = m, fm
-        else:
-            b = m
-    return 0.5 * (a + b), visited
-
-
-# decreasing through their root r: the secant point of a bracket is close
-# to r for the first, far off for the flat cube and the steep step
-MONOTONE = {
-    "linear": lambda r: lambda x: r - x,
-    "cube": lambda r: lambda x: (r - x) * (r - x) * (r - x),
-    "steep_tanh": lambda r: lambda x: math.tanh(40.0 * (r - x)),
-    "skewed_exp": lambda r: lambda x: math.expm1(3.0 * (r - x)),
-}
-
-
 class TestZeroSearchReplay:
-    """specfn._bisect reads f from vector calls over predicted paths, but
-    visits the midpoints of the sequential loop and ends where it ends."""
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        kind=st.sampled_from(sorted(MONOTONE)),
-        a=st.floats(-50.0, 50.0),
-        width=st.floats(1e-6, 20.0),
-        at=st.floats(0.0, 1.0),
-    )
-    def test_replay_visits_the_sequential_midpoints(self, kind, a, width, at):
-        b = a + width
-        f = MONOTONE[kind](a + at * width)
-        fa, fb = f(a), f(b)
-        assume(fa > 0.0 and fb <= 0.0)  # a bracket of a sign change
-        calls = []
-
-        def vector(x):
-            calls.append(x.size)
-            return np.array([f(v) for v in x.tolist()])
-
-        root, visited = specfn._bisect(vector, a, fa, b, fb)
-        assert (root, visited) == sequential_bisect(f, a, b)
-        # each vector call advances the loop at least one midpoint
-        assert len(calls) <= max(1, len(visited))
-
-    def test_poor_secant_guess_predicts_again(self):
-        f = MONOTONE["cube"](0.3)
-        calls = []
-
-        def vector(x):
-            calls.append(x.size)
-            return np.array([f(v) for v in x.tolist()])
-
-        root, visited = specfn._bisect(vector, 0.0, f(0.0), 1.0, f(1.0))
-        assert (root, visited) == sequential_bisect(f, 0.0, 1.0)
-        assert 1 < len(calls) < len(visited)
+    """The zero search reads its points from vector calls (the scan) and
+    scalar calls (the bisection) alike."""
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_point_value_independent_of_the_call(self, n):
@@ -395,6 +378,7 @@ def raw_calls(monkeypatch):
         return raw(mu, x)
 
     monkeypatch.setattr(specfn, "_jv_raw", counted)
+    monkeypatch.setattr(specfn, "_ZEROS", {})  # counts do not hang on the cache
     return calls
 
 
