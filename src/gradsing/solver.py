@@ -27,12 +27,15 @@ field as the limit estimate.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from importlib.machinery import PathFinder
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+import scipy
+from numpy.linalg import LinAlgError
 
 from . import initdata as idata
 from .analytic import ModelParams, u_star, v_mode
@@ -280,8 +283,10 @@ class _Stepper:
         u = u_old.copy()
         u[0] = inner
         u[-1] = self.outer
-        # An accepted line-search trial's residual is the next iterate's.
+        # An accepted line-search trial's residual and its norm are the next
+        # iterate's.
         g, du, f = self._residual(u, u_old_in, old, inner, dt)
+        norm = float(np.abs(g).max())
         # Convergence is judged by the Newton increment: the residual itself
         # carries dt/h_min^2-amplified rounding on the graded mesh and never
         # reaches NEWTON_TOL in absolute terms.
@@ -294,20 +299,21 @@ class _Stepper:
             step_size = float(np.abs(delta).max())
             if step_size <= NEWTON_TOL * scale:
                 return u + delta
-            norm = float(np.abs(g).max())
-            s = 1.0
-            while s >= 1.0 / 256.0:
-                trial = u + s * delta
+            s, trial = 1.0, u + delta  # 1.0 * delta is delta, bit for bit
+            while True:
                 g_trial, du_trial, f_trial = self._residual(
                     trial, u_old_in, old, inner, dt)
-                if float(np.abs(g_trial).max()) <= (1.0 - 0.25 * s) * norm:
+                norm_trial = float(np.abs(g_trial).max())
+                if norm_trial <= (1.0 - 0.25 * s) * norm:
                     u, g, du, f = trial, g_trial, du_trial, f_trial
+                    norm = norm_trial
                     break
                 s *= 0.5
-            else:
-                if step_size <= 1e4 * NEWTON_TOL * scale:
-                    return u + delta  # stagnated at the rounding floor
-                raise _NewtonFailure
+                if s < 1.0 / 256.0:
+                    if step_size <= 1e4 * NEWTON_TOL * scale:
+                        return u + delta  # stagnated at the rounding floor
+                    raise _NewtonFailure
+                trial = u + s * delta
         raise _NewtonFailure
 
     def advance(self, u_old, t_old, t_new, depth=0):
@@ -329,6 +335,30 @@ class _NewtonFailure(Exception):
     pass
 
 
+def _load_dgtsv(linalg_dir):
+    """LAPACK ``dgtsv`` from the ``_flapack`` extension in ``linalg_dir``.
+
+    The extension is loaded as a plain shared object, without importing it,
+    and the symbol is looked up through its link to the LAPACK library:
+    ``scipy_dgtsv_`` (the name in scipy's OpenBLAS build), else
+    ``dgtsv_``.  That is the machine code scipy's own wrapper runs.
+    """
+    spec = PathFinder.find_spec("_flapack", [linalg_dir])
+    if spec is not None:
+        lib = ctypes.CDLL(spec.origin)
+        dgtsv = getattr(lib, "scipy_dgtsv_", None) or getattr(lib, "dgtsv_", None)
+        if dgtsv is not None:
+            # dgtsv(n, nrhs, dl, d, du, b, ldb, info), all by reference
+            dgtsv.argtypes = (ctypes.c_void_p,) * 8
+            dgtsv.restype = None
+            return dgtsv
+    raise ImportError(f"no LAPACK dgtsv in a _flapack library under {linalg_dir}")
+
+
+_DGTSV = _load_dgtsv(os.path.join(scipy.__path__[0], "linalg"))
+_INTS = ctypes.c_int * 3
+
+
 def solve_banded(sub, diag, sup, rhs) -> np.ndarray:
     """Solve the tridiagonal system with diagonals (sub, diag, sup).
 
@@ -336,16 +366,32 @@ def solve_banded(sub, diag, sup, rhs) -> np.ndarray:
     ``scipy.linalg.solve_banded((1, 1), ab, rhs)`` dispatches to, on the
     three diagonals directly, so the result is bitwise the same, and keeps
     that function's validation: ValueError for a non-finite entry in any
-    input, LinAlgError for a singular matrix.
+    input or mismatched sizes, LinAlgError for a singular matrix.  ``rhs``
+    is a vector or an (n, nrhs) matrix; the inputs are left untouched.
     """
-    if not np.isfinite(np.concatenate((sub, diag, sup, rhs), axis=None)).all():
+    rhs = np.asarray(rhs)
+    n = len(diag)
+    # The one copy that LAPACK overwrites, right-hand side columns contiguous
+    # (Fortran order); it is also the finiteness test.
+    work = np.concatenate((sub, diag, sup, rhs.T), axis=None, dtype=float)
+    # LAPACK reads 3n - 2 band entries and then n * nrhs right-hand sides.
+    if (rhs.ndim not in (1, 2) or len(rhs) != n or len(sub) != n - 1
+            or len(sup) != n - 1 or work.size != 3 * n - 2 + rhs.size):
+        raise ValueError("tridiagonal bands and right-hand side do not match")
+    if not np.isfinite(work).all():
         raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = dgtsv(sub, diag, sup, rhs)
+    ints = _INTS(n, rhs.size // n, 0)  # n (also ldb), nrhs, info
+    i = ctypes.addressof(ints)
+    b = ctypes.addressof(ctypes.c_double.from_buffer(work))
+    _DGTSV(i, i + 4, b, b + 8 * (n - 1), b + 8 * (2 * n - 1),
+           b + 8 * (3 * n - 2), i, i + 8)
+    info = ints[2]
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-    return x
+    x = work[3 * n - 2:]
+    return x if rhs.ndim == 1 else x.reshape(rhs.shape[::-1]).T
 
 
 def step(u, t, dt, problem: EpsilonProblem, grid: RadialGrid,

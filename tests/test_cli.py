@@ -1009,13 +1009,15 @@ class TestCLI:
         assert proc.stdout.startswith("1,2,")
 
     def test_import_leaves_heavy_scipy_modules_unloaded(self):
-        # scipy.interpolate pulls in scipy.special and scipy.optimize and
-        # costs about half of every process's start-up; the CLI needs none
+        # scipy.interpolate pulls in scipy.special and scipy.optimize, and
+        # scipy.linalg pulls in numpy.f2py; each costs a large share of every
+        # process's start-up, and the CLI needs none of them
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, gradsing.cli; print(sorted(m for m in sys.modules if "
              "m.split('.')[:2] in (['scipy', 'interpolate'], "
-             "['scipy', 'special'], ['scipy', 'optimize'])))"],
+             "['scipy', 'special'], ['scipy', 'optimize'], "
+             "['scipy', 'linalg'], ['numpy', 'f2py'])))"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,10 @@
 """Grids, the discrete operator, time stepping, and the continuation."""
 
+import _ctypes
+import ctypes
+import shutil
+from importlib.machinery import EXTENSION_SUFFIXES
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -121,11 +126,53 @@ class TestSolveBanded:
             lhs[:-1] += sup * x[1:]
             assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("nrhs", [1, 3, 700])
+    def test_matrix_rhs_bitwise_equal_to_scipy(self, nrhs, order):
+        sub, diag, sup, _ = self._system(401, nrhs)
+        rhs = np.asarray(np.random.default_rng(nrhs).standard_normal((401, nrhs)),
+                         order=order)
+        system = (sub, diag, sup, rhs)
+        copies = [a.copy(order="K") for a in system]
+        x = solver.solve_banded(*system)
+        expected = self._scipy(*system)
+        assert (x.shape, x.dtype) == (expected.shape, expected.dtype)
+        assert x.tobytes() == expected.tobytes()
+        # the inputs are left untouched, layout included
+        assert all(a.tobytes("A") == b.tobytes("A") and a.strides == b.strides
+                   for a, b in zip(system, copies))
+
     def test_inputs_untouched(self):
         system = self._system(61)
         copies = [a.copy() for a in system]
         solver.solve_banded(*system)
         assert all(np.array_equal(a, b) for a, b in zip(system, copies))
+
+    @pytest.mark.parametrize("which, shape", [
+        (0, (59,)), (0, (60, 0)), (1, (60,)), (1, (61, 2)), (2, (61, 1)),
+        (3, (60,)), (3, (61, 2, 1)), (3, ()),
+    ])
+    def test_mismatched_shapes_rejected(self, which, shape):
+        system = list(self._system(61))
+        system[which] = np.ones(shape)
+        with pytest.raises(ValueError, match="do not match"):
+            solver.solve_banded(*system)
+
+    def test_dgtsv_is_scipys_own(self):
+        """The routine called is the very function scipy's LAPACK wrapper
+        reaches: the symbol as resolved from the imported _flapack file."""
+        lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
+        address = lambda f: ctypes.cast(f, ctypes.c_void_p).value
+        assert address(solver._DGTSV) == address(getattr(lib, solver._DGTSV.__name__))
+
+    @pytest.mark.parametrize("library", [None, _ctypes.__file__])
+    def test_loader_failure_names_the_searched_path(self, tmp_path, library):
+        # an empty directory, and a _flapack library without dgtsv
+        if library is not None:
+            shutil.copy(library, tmp_path / f"_flapack{EXTENSION_SUFFIXES[0]}")
+        with pytest.raises(ImportError, match="dgtsv") as err:
+            solver._load_dgtsv(str(tmp_path))
+        assert str(tmp_path) in str(err.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", range(4))
