@@ -192,7 +192,8 @@ def _write_field_csv(path: Path, fld: solver.SpacetimeField, save_every: int):
 
     The bytes are those of ``_write_csv`` on the four columns, but each
     stored time and each node is formatted once, not once per row: only
-    u and u_r are formatted per cell.  Each write is at most
+    u and u_r are formatted per cell, and u_r is reconstructed for the
+    written times only.  Each write is at most
     ``_ROWS_PER_WRITE`` rows; strings of a whole stored time (35 kB on
     400 nodes) fragment the heap, and peak RSS then grows over repeated
     runs in one process.
@@ -206,7 +207,7 @@ def _write_field_csv(path: Path, fld: solver.SpacetimeField, save_every: int):
     with open(path, "w", newline="") as fh:
         fh.write(_DELIMITER.join(("t", "r", "u", "u_r")) + _NEWLINE)
         for t, u, ur in zip(fld.times[rows].tolist(), fld.values[rows],
-                            fld.gradient_matrix()[rows]):
+                            fld.grid.gradient(fld.values[rows])):
             head = _FLOAT_FMT % t
             values = np.column_stack((u, ur)).ravel().tolist()
             for start, stop, group in groups:
@@ -244,7 +245,9 @@ def _persist(result: PipelineResult) -> None:
         _write_field_csv(out_dir / name, fld, result.config.output.save_every)
         artifacts[name] = _sha256(out_dir / name)
     result.report.write_csv(out_dir / "report.csv")
-    artifacts["report.csv"] = _sha256(out_dir / "report.csv")
+    result.report.write_json(out_dir / "report.json")
+    for name in ("report.csv", "report.json"):
+        artifacts[name] = _sha256(out_dir / name)
     p = result.params
     manifest = {
         "name": result.config.name,

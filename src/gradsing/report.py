@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -78,3 +80,24 @@ class VerificationReport:
                         c.status,
                     ]
                 )
+
+    def write_json(self, path) -> None:
+        """One object per row: its name, status and ``extra``, keys sorted.
+        A non-finite float is written as the string "nan", "inf" or
+        "-inf", so the file is strict JSON."""
+        rows = [{"name": c.name, "status": c.status, "extra": _strict(c.extra)}
+                for c in self.checks]
+        with open(path, "w") as fh:
+            json.dump(rows, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+
+
+def _strict(value):
+    """``value`` with tuples as lists and non-finite floats as strings."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    return value

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib.machinery import PathFinder
 
@@ -53,6 +53,7 @@ __all__ = [
     "step",
     "solve_annulus",
     "compact_window",
+    "blockwise_max",
     "continuation",
 ]
 
@@ -62,6 +63,11 @@ __all__ = [
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 14
 MAX_HALVINGS = 6
+
+# Rows of a (time, radius) array that the row-blocked passes handle at once
+# (RadialGrid.gradient, compact_difference, blockwise_max): their
+# temporaries stay one block in size however many times a field stores.
+ROW_BLOCK = 64
 
 _STEPPER_THETA = {
     "implicit_euler": 1.0,
@@ -137,14 +143,23 @@ class RadialGrid:
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """First derivative along the last axis: central nonuniform inside,
-        one-sided second order at the two boundary nodes."""
+        one-sided second order at the two boundary nodes.  Rows are done
+        ROW_BLOCK at a time; a row's bits do not depend on the others."""
         u = np.asarray(u, dtype=float)
-        out = np.empty_like(u)
+        out = np.empty(u.shape)
         (d_m, d_0, d_p), (index, weights) = self.derivative_weights
-        out[..., 1:-1] = d_m * u[..., :-2] + d_0 * u[..., 1:-1] + d_p * u[..., 2:]
-        # Nodes 0 and -1 (the stride-(N-1) slice).  A three-term sum adds in
-        # order, so this is bitwise w0*u0 + w1*u1 + w2*u2 at each end.
-        out[..., ::u.shape[-1] - 1] = (weights * u.take(index, axis=-1)).sum(axis=-2)
+        n = u.shape[-1]
+        rows, out_rows = u.reshape(-1, n), out.reshape(-1, n)
+        for k in range(0, len(rows), ROW_BLOCK):
+            b, o = rows[k:k + ROW_BLOCK], out_rows[k:k + ROW_BLOCK]
+            # d_m*u[i-1] + d_0*u[i] + d_p*u[i+1], summed left to right in place
+            inner = o[:, 1:-1]
+            np.multiply(d_m, b[:, :-2], out=inner)
+            inner += d_0 * b[:, 1:-1]
+            inner += d_p * b[:, 2:]
+            # Nodes 0 and -1 (the stride-(n-1) slice).  A three-term sum adds
+            # in order, so this is bitwise w0*u0 + w1*u1 + w2*u2 at each end.
+            o[:, ::n - 1] = (weights * b.take(index, axis=-1)).sum(axis=-2)
         return out
 
 
@@ -408,7 +423,8 @@ class SpacetimeField:
 
     Boundary columns reproduce the Dirichlet closures exactly at every
     stored time.  Everything derived, the gradient included, is computed
-    from ``values`` on request, so a check always judges the stored field.
+    from ``values`` on request and not kept, so a check always judges the
+    stored field and a field holds nothing beyond its inputs.
     """
 
     grid: RadialGrid
@@ -416,7 +432,6 @@ class SpacetimeField:
     values: np.ndarray
     problem: EpsilonProblem
     scheme_name: str
-    _gradient: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def eps(self) -> float:
@@ -424,14 +439,12 @@ class SpacetimeField:
 
     def gradient_matrix(self) -> np.ndarray:
         """u_r reconstructed with the solver stencil, one row per time."""
-        if self._gradient is None:
-            self._gradient = self.grid.gradient(self.values)
-        return self._gradient
+        return self.grid.gradient(self.values)
 
     @property
     def max_abs_gradient(self) -> float:
         """sup |u_r| over every stored (r, t)."""
-        return float(np.max(np.abs(self.gradient_matrix())))
+        return blockwise_max(np.abs, self.gradient_matrix())
 
     def u_star_row(self) -> np.ndarray:
         return u_star(self.problem.params, self.grid.nodes)
@@ -483,11 +496,21 @@ def solve_annulus(problem: EpsilonProblem, grid: RadialGrid, T: float,
     return field_out
 
 
+def blockwise_max(fn, *arrays) -> float:
+    """The maximum of ``fn(*blocks)`` over the blocks of ROW_BLOCK rows of
+    ``arrays`` (of equal length), so the arrays ``fn`` makes stay one block
+    in size.  The maximum of the block maxima is the maximum, and a NaN
+    still propagates.  ``fn`` must not write into its arguments."""
+    blocks = range(0, len(arrays[0]), ROW_BLOCK)
+    return float(np.max([np.max(fn(*(a[k:k + ROW_BLOCK] for a in arrays)))
+                         for k in blocks]))
+
+
 def _check_apriori_box(field_out: SpacetimeField) -> None:
     p = field_out.problem.params
     v0 = v_mode(p, field_out.grid.nodes, 0.0)
     bound = abs(u_star(p, p.R)) + float(np.max(v0)) + 1e-9
-    worst = float(np.max(np.abs(field_out.values)))
+    worst = blockwise_max(np.abs, field_out.values)
     if not worst <= bound * (1.0 + 1e-6):  # NaN leaves the box too
         raise SolverAbort(
             f"solution left the a-priori box: max|u|={worst:.3g} > {bound:.3g}",
@@ -567,7 +590,8 @@ def compact_difference(a: SpacetimeField, b: SpacetimeField,
     Radial sampling is not-a-knot cubic-spline interpolation
     (:func:`_spline_at`, bitwise scipy's ``CubicSpline``): the fields live
     on different graded grids and linear interpolation would contribute
-    O(h^2) noise comparable to the smallest genuine differences.
+    O(h^2) noise comparable to the smallest genuine differences.  The
+    shared times are fitted ROW_BLOCK at a time.
     """
     radii = np.linspace(r_window[0], r_window[1], 201)
     mask_a = (a.times >= t_window[0] - 1e-12) & (a.times <= t_window[1] + 1e-12)
@@ -575,9 +599,15 @@ def compact_difference(a: SpacetimeField, b: SpacetimeField,
     common = np.intersect1d(a.times[mask_a], b.times[mask_b])
     if common.size == 0:
         raise ValueError("fields share no stored times in the window")
-    va = _spline_at(a.grid.nodes, a.values[np.isin(a.times, common)], radii)
-    vb = _spline_at(b.grid.nodes, b.values[np.isin(b.times, common)], radii)
-    return float(np.max(np.abs(va - vb)))
+
+    def block_diff(rows_a, rows_b):
+        # every row's spline is its own, and dgtsv gives the same bits for
+        # any grouping of right-hand sides, so blocks change no bit
+        return np.abs(_spline_at(a.grid.nodes, a.values[rows_a], radii)
+                      - _spline_at(b.grid.nodes, b.values[rows_b], radii))
+
+    return blockwise_max(block_diff, np.flatnonzero(np.isin(a.times, common)),
+                         np.flatnonzero(np.isin(b.times, common)))
 
 
 def compact_window(R: float, T: float) -> tuple:

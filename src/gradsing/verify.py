@@ -151,7 +151,8 @@ def check_cutoff_inactive(field: SpacetimeField,
     """Doubling the cutoff support changes no value by more than 1e-10."""
     if field.values.shape != field_wide.values.shape:
         raise ValueError("fields must share grid and time lattice")
-    diff = float(np.max(np.abs(field.values - field_wide.values)))
+    diff = solver.blockwise_max(lambda a, b: np.abs(a - b), field.values,
+                                field_wide.values)
     return CheckResult(
         name="cutoff_inactive_rerun",
         claim="field invariant under widening the cutoff support",
@@ -265,7 +266,7 @@ def fit_singularity(field: SpacetimeField, t_probe: float) -> ExponentFit:
     if np.count_nonzero(window) < 8:
         raise ValueError("singularity window under-resolved on this grid")
     k = int(np.argmin(np.abs(field.times - t_probe)))
-    grad = np.abs(field.gradient_matrix()[k, window])
+    grad = np.abs(field.grid.gradient(field.values[k])[window])
     slope, logc, r2 = _linear_fit(np.log(r[window]), np.log(grad))
     return ExponentFit(
         exponent=slope, prefactor=float(np.exp(logc)), r_squared=r2,

@@ -599,7 +599,7 @@ class TestSolverAbort:
             ("0", "2", "false")
         assert manifest["all_checks_passed"] is False
         assert manifest["continuation_diffs"] == []
-        assert sorted(manifest["artifacts"]) == ["report.csv"]
+        assert sorted(manifest["artifacts"]) == ["report.csv", "report.json"]
 
     def test_persistent_non_finite_jacobian_aborts(self, tmp_path, monkeypatch):
         """An inf in every Jacobian at the reference radius is a Newton
@@ -777,6 +777,55 @@ class TestCheckTable:
             assert "0.03" in res.extra["reason"]
 
 
+def _strict_json(blob):
+    def reject(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+    return json.loads(blob, parse_constant=reject)
+
+
+class TestReportJson:
+    def test_two_runs_write_the_same_bytes_with_reasons(
+            self, tmp_path, monkeypatch):
+        """report.json holds each row's name, status and extra, the reason
+        of a skipped row included; a second run of the config writes the
+        same bytes, which the manifest lists with their checksum."""
+        config = QUICK_CONFIG.replace("sandwich, monotone, gradient_box",
+                                      "pointwise_gradient, continuation_cauchy")
+        blobs = []
+        for side in ("first", "second"):
+            (tmp_path / side).mkdir()
+            code, rows, manifest = _run_rows(monkeypatch, tmp_path / side, config)
+            assert code == 0
+            blobs.append((tmp_path / side / "quickrun" / "report.json").read_bytes())
+            assert manifest["artifacts"]["report.json"] == \
+                hashlib.sha256(blobs[-1]).hexdigest()
+        assert blobs[0] == blobs[1]
+        report = _strict_json(blobs[0])
+        assert [(r["name"], r["status"]) for r in report] == \
+            [(r["name"], r["status"]) for r in rows]
+        assert all(sorted(r) == ["extra", "name", "status"] for r in report)
+        by_name = {r["name"]: r for r in report}
+        assert by_name["pointwise_gradient_stability"] == {
+            "name": "pointwise_gradient_stability", "status": "skipped",
+            "extra": {"reason": "eps = 0.02 not in the eps sequence"}}
+        assert by_name["continuation_cauchy"]["extra"] == {
+            "reason": "needs at least 3 inner radii; 2 of 2 solved"}
+
+    def test_non_finite_numbers_are_strings(self, tmp_path):
+        report = verify.VerificationReport([verify.CheckResult(
+            name="probe", claim="c", measured=float("nan"),
+            tolerance=float("inf"), passed=False, status="inconclusive",
+            extra={"b": [float("inf"), -np.inf, 1.5], "a": np.float64("nan"),
+                   "window": (0.0, 2), "step": None})])
+        report.write_json(tmp_path / "report.json")
+        text = (tmp_path / "report.json").read_text()
+        assert _strict_json(text) == [{
+            "name": "probe", "status": "inconclusive",
+            "extra": {"a": "nan", "b": ["inf", "-inf", 1.5],
+                      "step": None, "window": [0.0, 2]}}]
+        assert text.index('"a"') < text.index('"b"') < text.index('"step"')
+
+
 class TestStaleFields:
     def test_aborted_rerun_removes_fields_of_the_earlier_run(
             self, tmp_path, monkeypatch):
@@ -788,7 +837,7 @@ class TestStaleFields:
         _abort_at(monkeypatch, 0.05)
         code, _, manifest = _run_rows(monkeypatch, tmp_path, QUICK_CONFIG)
         assert code == 1
-        assert sorted(manifest["artifacts"]) == ["report.csv"]
+        assert sorted(manifest["artifacts"]) == ["report.csv", "report.json"]
         assert sorted(p.name for p in run_dir.glob("field_*.csv")) == \
             [unlisted.name]
         with pytest.raises(FileNotFoundError):

@@ -2,7 +2,9 @@
 
 import _ctypes
 import ctypes
+import dataclasses
 import shutil
+import tracemalloc
 from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
@@ -513,6 +515,109 @@ class TestCompactDifference:
         other = solve_annulus(prob, grid, 0.05, odd)
         with pytest.raises(ValueError):
             compact_difference(n2_field, other, (0.1, 0.5), (0.01, 0.05))
+
+
+BLOCK_ROWS = (1, solver.ROW_BLOCK - 1, solver.ROW_BLOCK, solver.ROW_BLOCK + 1,
+              2 * solver.ROW_BLOCK + 3)
+
+
+def _with_rows(fld, times, seed):
+    """``fld`` with the given stored times and random values on its grid."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((times.size, fld.grid.nodes.size))
+    return dataclasses.replace(fld, times=times, values=values)
+
+
+class TestRowBlocks:
+    """The row-blocked passes give the bits of the one-shot formulas and
+    write into no field."""
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    def test_compact_difference_equals_one_shot(self, rows, n2_field,
+                                                n2_field_half_eps):
+        times = np.linspace(0.0, 1.0, rows + 3)
+        # b stores every time of a plus the midpoints inside the window
+        extra = 0.5 * (times[3:] + times[2:-1])
+        a = _with_rows(n2_field, times, rows)
+        b = _with_rows(n2_field_half_eps, np.sort(np.concatenate((times, extra))),
+                       rows + 1)
+        r_window, t_window = (0.06, 0.6), (times[3], 1.0)
+        radii = np.linspace(r_window[0], r_window[1], 201)
+        in_a = (a.times >= t_window[0] - 1e-12) & (a.times <= t_window[1] + 1e-12)
+        in_b = (b.times >= t_window[0] - 1e-12) & (b.times <= t_window[1] + 1e-12)
+        common = np.intersect1d(a.times[in_a], b.times[in_b])
+        assert common.size == rows
+        va = solver._spline_at(a.grid.nodes, a.values[np.isin(a.times, common)], radii)
+        vb = solver._spline_at(b.grid.nodes, b.values[np.isin(b.times, common)], radii)
+        expected = float(np.max(np.abs(va - vb)))
+        assert compact_difference(a, b, r_window, t_window).hex() == expected.hex()
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    def test_gradient_equals_full_array_stencil(self, rows):
+        g = GridPolicy(60, 2.0).build(0.03, 0.6)
+        u = np.random.default_rng(rows).standard_normal((rows, g.nodes.size))
+        u[0, :2], u[-1, -2:] = [np.nan, -0.0], [np.inf, 5e-324]
+        (d_m, d_0, d_p), (index, weights) = g.derivative_weights
+        full = np.empty_like(u)
+        full[:, 1:-1] = d_m * u[:, :-2] + d_0 * u[:, 1:-1] + d_p * u[:, 2:]
+        full[:, ::u.shape[-1] - 1] = (weights * u.take(index, axis=-1)).sum(axis=-2)
+        assert g.gradient(u).tobytes() == full.tobytes()
+        assert g.gradient(u.T.copy().T).tobytes() == full.tobytes()
+
+    def test_cutoff_inactive_writes_into_neither_field(self, n2_field):
+        wide = dataclasses.replace(n2_field, values=n2_field.values + 1e-9)
+        before = n2_field.values.tobytes(), wide.values.tobytes()
+        for pair in ((n2_field, wide), (wide, n2_field), (n2_field, n2_field)):
+            res = verify.check_cutoff_inactive(*pair)
+            expected = np.max(np.abs(pair[0].values - pair[1].values))
+            assert res.measured == expected
+            assert (n2_field.values.tobytes(), wide.values.tobytes()) == before
+
+
+def _peak_bytes(fn):
+    """Peak of the memory ``fn()`` allocates (numpy arrays included),
+    measured on a second call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryGuard:
+    """A pass over a field holds the field's own arrays plus one block's
+    working set, whatever the number of stored times."""
+
+    LONG = 16  # the conftest n2 fields' rows, repeated this often
+
+    def _long(self, fld):
+        return _with_rows(fld, np.linspace(0.0, 1.0, self.LONG * fld.times.size), 0)
+
+    def test_compact_difference_below_a_quarter_field(self, n2_field,
+                                                      n2_field_half_eps):
+        window = (0.06, 0.6), (0.0, 1.0)
+        short = n2_field, n2_field_half_eps
+        long = tuple(self._long(f) for f in short)
+        peak_short, peak_long = (
+            _peak_bytes(lambda: compact_difference(a, b, *window))
+            for a, b in (short, long))
+        assert peak_long < long[0].values.nbytes / 4
+        # beyond one block's working set, a few numbers per stored time
+        assert peak_long <= peak_short + 8 * long[0].times.nbytes
+
+    def test_gradient_below_output_plus_a_quarter(self, n2_field):
+        long = self._long(n2_field)
+        extra_short, extra_long = (
+            _peak_bytes(lambda: f.grid.gradient(f.values)) - f.values.nbytes
+            for f in (n2_field, long))
+        assert extra_long < long.values.nbytes / 4
+        assert extra_long <= extra_short + 4096
+
+    def test_field_holds_only_its_inputs(self, n2_field):
+        assert [f.name for f in dataclasses.fields(n2_field)] == \
+            ["grid", "times", "values", "problem", "scheme_name"]
 
 
 def _same_bits(x, rows, radii):

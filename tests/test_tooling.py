@@ -206,6 +206,8 @@ def test_bench_script_records_env_and_result(tmp_path, monkeypatch):
     commands = []
 
     def fake_run(cmd, **kwargs):
+        if cmd[0] == "git":  # tmp_path is no git checkout
+            return subprocess.CompletedProcess(cmd, 128, "", "not a git repository")
         commands.append(cmd)
         code = 0 if len(commands) == 1 else 1
         return subprocess.CompletedProcess(cmd, code, CANNED_RUN, "")
@@ -216,9 +218,33 @@ def test_bench_script_records_env_and_result(tmp_path, monkeypatch):
     assert commands[0][1:] == ["perfbench/run.py", "--workload", "all"]
     written = json.loads((tmp_path / "BENCH_probe.json").read_text())
     assert written["env"] == {"git_sha": "0123abc", "nproc": 2, "seed": 1}
+    assert written["worktree_modified"] == "unavailable"
     assert written["result"]["metrics"]["n2-pipeline"]["run_s"]["value"] == 5.1
     assert written["command"] == ["python3", "perfbench/run.py", "--workload", "all"]
     assert bench.main(["failed"]) == 1
     assert not (tmp_path / "BENCH_failed.json").exists()
     with pytest.raises(ValueError, match="env line"):
-        bench.record(CANNED_RUN.replace("env ", "environment "), "x", tmp_path)
+        bench.record(CANNED_RUN.replace("env ", "environment "), "x", tmp_path, [])
+
+
+def test_bench_script_lists_modified_worktree_paths(tmp_path):
+    """worktree_modified names what `git status --porcelain` lists at the
+    top of a checkout, [] for a clean one, and "unavailable" below the top
+    or outside any checkout."""
+    bench = _bench_script()
+    assert bench.worktree_modified(tmp_path) == "unavailable"
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+    git("init", "-q")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "kept.py").write_text("x = 1\n")
+    git("add", "sub/kept.py")
+    git("commit", "-q", "-m", "seed")
+    assert bench.worktree_modified(tmp_path) == []
+    (tmp_path / "sub" / "kept.py").write_text("x = 2\n")
+    (tmp_path / "new.txt").write_text("")
+    assert bench.worktree_modified(tmp_path) == ["sub/kept.py", "new.txt"]
+    assert bench.worktree_modified(tmp_path / "sub") == "unavailable"

@@ -12,7 +12,7 @@ from gradsing.verify import ExponentFit
 def tampered(field, **changes):
     """Copy of a field with modified values (for negative tests)."""
     values = changes.pop("values")
-    return dataclasses.replace(field, values=values, _gradient=None, **changes)
+    return dataclasses.replace(field, values=values, **changes)
 
 
 class TestSandwich:
@@ -160,7 +160,6 @@ class TestSingularityShape:
         coarse = dataclasses.replace(
             n2_field,
             problem=dataclasses.replace(n2_field.problem, epsilon=0.35),
-            _gradient=None,
         )
         res = verify.check_singularity_shape(coarse)
         assert res.status == "inconclusive"
