@@ -215,7 +215,13 @@ def _write_field_csv(path: Path, fld: solver.SpacetimeField, save_every: int):
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Hex digest of a file, read 1 MB at a time into one reused buffer."""
+    h = hashlib.sha256()
+    buf = memoryview(bytearray(1 << 20))
+    with open(path, "rb") as fh:
+        while size := fh.readinto(buf):
+            h.update(buf[:size])
+    return h.hexdigest()
 
 
 def _remove_stale_fields(out_dir: Path, keep) -> None:
@@ -237,8 +243,9 @@ def _persist(result: PipelineResult) -> None:
     written = {}
     if cont is not None:  # None: stopped after the analytic gates
         written = {f"field_eps{fld.eps:.6g}.csv": fld for fld in cont.fields}
-        if cont.limit is not None:  # None: no radius solved
-            written["field_limit.csv"] = cont.limit
+        limit = cont.limit  # built on this read
+        if limit is not None:  # None: no radius solved
+            written["field_limit.csv"] = limit
     _remove_stale_fields(out_dir, written)
     artifacts = {}
     for name, fld in written.items():

@@ -21,8 +21,8 @@ then aborts.  Newton stops when its increment is within NEWTON_TOL of
 
 The continuation solves a decreasing sequence of inner radii, reports
 sup-norm differences of consecutive fields on the compact window of
-:func:`compact_window`, and appends the origin value 0 to the finest
-field as the limit estimate.
+:func:`compact_window`, and gives the finest field with the origin value
+0 appended as the limit estimate, built each time it is read.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
     "solve_annulus",
     "compact_window",
     "blockwise_max",
+    "blockwise_rows",
     "continuation",
 ]
 
@@ -65,7 +66,8 @@ NEWTON_MAX_ITER = 14
 MAX_HALVINGS = 6
 
 # Rows of a (time, radius) array that the row-blocked passes handle at once
-# (RadialGrid.gradient, compact_difference, blockwise_max): their
+# (RadialGrid.gradient, blockwise_max and blockwise_rows, and through them
+# compact_difference and every pass of the verify checks): their
 # temporaries stay one block in size however many times a field stores.
 ROW_BLOCK = 64
 
@@ -422,9 +424,10 @@ class SpacetimeField:
     """Stored solution of one annulus run.
 
     Boundary columns reproduce the Dirichlet closures exactly at every
-    stored time.  Everything derived, the gradient included, is computed
-    from ``values`` on request and not kept, so a check always judges the
-    stored field and a field holds nothing beyond its inputs.
+    stored time.  Everything derived, u_r included (``grid.gradient`` of
+    the rows a pass needs), is computed from ``values`` on request and not
+    kept, so a check always judges the stored field and a field holds
+    nothing beyond its inputs.
     """
 
     grid: RadialGrid
@@ -437,24 +440,14 @@ class SpacetimeField:
     def eps(self) -> float:
         return self.problem.epsilon
 
-    def gradient_matrix(self) -> np.ndarray:
-        """u_r reconstructed with the solver stencil, one row per time."""
-        return self.grid.gradient(self.values)
-
     @property
     def max_abs_gradient(self) -> float:
         """sup |u_r| over every stored (r, t)."""
-        return blockwise_max(np.abs, self.gradient_matrix())
+        return blockwise_max(lambda u: np.abs(self.grid.gradient(u)),
+                             self.values)
 
     def u_star_row(self) -> np.ndarray:
         return u_star(self.problem.params, self.grid.nodes)
-
-    def mode_matrix(self) -> np.ndarray:
-        return v_mode(
-            self.problem.params,
-            self.grid.nodes[None, :],
-            self.times[:, None],
-        )
 
 
 def solve_annulus(problem: EpsilonProblem, grid: RadialGrid, T: float,
@@ -496,14 +489,20 @@ def solve_annulus(problem: EpsilonProblem, grid: RadialGrid, T: float,
     return field_out
 
 
+def blockwise_rows(fn, *arrays) -> np.ndarray:
+    """``fn(*blocks)`` over the blocks of ROW_BLOCK rows of ``arrays`` (of
+    equal length), concatenated: the per-row results of a pass whose
+    temporaries stay one block in size.  ``fn`` must not write into its
+    arguments."""
+    return np.concatenate([fn(*(a[k:k + ROW_BLOCK] for a in arrays))
+                           for k in range(0, len(arrays[0]), ROW_BLOCK)])
+
+
 def blockwise_max(fn, *arrays) -> float:
     """The maximum of ``fn(*blocks)`` over the blocks of ROW_BLOCK rows of
-    ``arrays`` (of equal length), so the arrays ``fn`` makes stay one block
-    in size.  The maximum of the block maxima is the maximum, and a NaN
-    still propagates.  ``fn`` must not write into its arguments."""
-    blocks = range(0, len(arrays[0]), ROW_BLOCK)
-    return float(np.max([np.max(fn(*(a[k:k + ROW_BLOCK] for a in arrays)))
-                         for k in blocks]))
+    ``arrays``, as :func:`blockwise_rows` takes them.  The maximum of the
+    block maxima is the maximum, and a NaN still propagates."""
+    return float(np.max(blockwise_rows(lambda *b: [np.max(fn(*b))], *arrays)))
 
 
 def _check_apriori_box(field_out: SpacetimeField) -> None:
@@ -529,12 +528,18 @@ class ContinuationResult:
 
     fields: list
     consecutive_diffs: list
-    limit: SpacetimeField | None
     aborted: SolverAbort | None = None
 
     @property
     def finest(self) -> SpacetimeField:
         return self.fields[-1]
+
+    @property
+    def limit(self) -> SpacetimeField | None:
+        """The finest field with the origin prepended, or None without a
+        field.  A new copy of the finest field on every read, kept by no
+        one, so a caller reads it once and lets it go."""
+        return _append_origin(self.fields[-1]) if self.fields else None
 
 
 def _append_origin(field_in: SpacetimeField) -> SpacetimeField:
@@ -653,9 +658,5 @@ def continuation(
         compact_difference(a, b, r_window, t_window)
         for a, b in zip(fields, fields[1:])
     ]
-    return ContinuationResult(
-        fields=fields,
-        consecutive_diffs=diffs,
-        limit=_append_origin(fields[-1]) if fields else None,
-        aborted=aborted,
-    )
+    return ContinuationResult(fields=fields, consecutive_diffs=diffs,
+                              aborted=aborted)

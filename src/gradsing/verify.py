@@ -12,6 +12,10 @@ Each check states its bound in its docstring and applies it itself; no
 caller or configuration key can move it.  The envelope checks allow
 :func:`tol_sandwich`, 5 (h^2 + dt) (spatial truncation plus one power of
 the step), and the gradient sign checks :func:`tol_grad`, 1e-6 + 10 h^2.
+
+Every pass over a whole field runs ROW_BLOCK stored times at a time
+(:func:`solver.blockwise_max`, :func:`solver.blockwise_rows`), with u_r
+reconstructed per block, so a check holds its field plus one block.
 """
 
 from __future__ import annotations
@@ -105,10 +109,13 @@ def check_sandwich(field: SpacetimeField) -> CheckResult:
     """Max violation of  u* >= u >= u* - v  over all stored (r, t), within
     :func:`tol_sandwich`."""
     tol = tol_sandwich(field)
+    p = field.problem.params
     us = field.u_star_row()
-    v = field.mode_matrix()
-    upper = float(np.max(field.values - us[None, :]))
-    lower = float(np.max((us[None, :] - v) - field.values))
+    r = field.grid.nodes[None, :]
+    upper = solver.blockwise_max(lambda u: u - us, field.values)
+    lower = solver.blockwise_max(
+        lambda t, u: (us - analytic.v_mode(p, r, t[:, None])) - u,
+        field.times, field.values)
     worst = max(upper, lower, 0.0)
     return CheckResult(
         name="sandwich",
@@ -122,7 +129,7 @@ def check_monotone(field: SpacetimeField) -> CheckResult:
     """Positive part of the reconstructed radial derivative, within
     :func:`tol_grad`."""
     tol = tol_grad(field)
-    worst = max(float(np.max(field.gradient_matrix())), 0.0)
+    worst = max(solver.blockwise_max(field.grid.gradient, field.values), 0.0)
     return CheckResult(
         name="monotone_gradient",
         claim="radial derivative nonpositive over the whole field",
@@ -165,12 +172,13 @@ def check_boundary_bands(field: SpacetimeField) -> CheckResult:
     u*_r(R) - tol <= u_r(R, t) <= tol  and  -c* - tol <= u_r(eps, t) <= tol."""
     tol = tol_grad(field)
     p = field.problem.params
-    grad = field.gradient_matrix()
+    inner, outer = solver.blockwise_rows(
+        lambda u: field.grid.gradient(u)[:, [0, -1]], field.values).T
     outer_lo = float(analytic.u_star_r(p, p.R))
-    worst = max(0.0, float(np.max(grad[:, -1])),
-                outer_lo - float(np.min(grad[:, -1])),
-                float(np.max(grad[:, 0])),
-                -field.problem.c_star_eps - float(np.min(grad[:, 0])))
+    worst = max(0.0, float(np.max(outer)),
+                outer_lo - float(np.min(outer)),
+                float(np.max(inner)),
+                -field.problem.c_star_eps - float(np.min(inner)))
     return CheckResult(
         name="boundary_derivative_bands",
         claim="boundary slopes inside the stationary and ceiling bands",
@@ -179,6 +187,16 @@ def check_boundary_bands(field: SpacetimeField) -> CheckResult:
 
 
 # -- weighted gradient bounds -------------------------------------------------
+
+def _weighted_gradient_power(field: SpacetimeField, p: int) -> np.ndarray:
+    """W(t) = max_r (r - delta)_+^(p+3) u_r^p at each stored time, with
+    delta = 0.05 R."""
+    delta = 0.05 * field.problem.params.R
+    w_nodes = np.clip(field.grid.nodes - delta, 0.0, None) ** (p + 3)
+    return solver.blockwise_rows(
+        lambda u: np.max(w_nodes * field.grid.gradient(u) ** p, axis=1),
+        field.values)
+
 
 def check_weighted_bernstein(field: SpacetimeField, p: int) -> CheckResult:
     """Affine majorant for W(t) = max_r (r - delta)_+^(p+3) u_r^p, with
@@ -193,9 +211,7 @@ def check_weighted_bernstein(field: SpacetimeField, p: int) -> CheckResult:
     """
     if p < 4 or p % 2 != 0:
         raise ValueError("weight exponent must be an even integer >= 4")
-    delta = 0.05 * field.problem.params.R
-    w_nodes = np.clip(field.grid.nodes - delta, 0.0, None) ** (p + 3)
-    W = np.max(w_nodes[None, :] * field.gradient_matrix() ** p, axis=1)
+    W = _weighted_gradient_power(field, p)
     t = field.times
     late = t >= 0.5 * t[-1]
     slope, intercept, _ = _linear_fit(t[late], W[late])
@@ -230,9 +246,10 @@ def check_pointwise_gradient(field: SpacetimeField) -> CheckResult:
             passed=False, status="inconclusive",
             extra={"reason": "no node between 2 eps and R"},
         )
-    weighted = np.abs(field.gradient_matrix()[:, window]) * \
-        field.grid.nodes[window][None, :] ** q
-    bound = float(np.max(weighted))
+    weight = field.grid.nodes[window] ** q
+    bound = solver.blockwise_max(
+        lambda u: np.abs(field.grid.gradient(u)[:, window]) * weight,
+        field.values)
     return CheckResult(
         name=name, claim=claim, measured=bound, tolerance=float("inf"),
         passed=bool(np.isfinite(bound)),
@@ -345,7 +362,9 @@ def check_shape_functional(field: SpacetimeField) -> CheckResult:
 
 def _distance_to_stationary(field: SpacetimeField) -> np.ndarray:
     """sup_r |u - u*| at each stored time."""
-    return np.max(np.abs(field.values - field.u_star_row()[None, :]), axis=1)
+    us = field.u_star_row()
+    return solver.blockwise_rows(lambda u: np.max(np.abs(u - us), axis=1),
+                                 field.values)
 
 
 def fit_decay(field: SpacetimeField) -> ExponentFit:
@@ -353,8 +372,11 @@ def fit_decay(field: SpacetimeField) -> ExponentFit:
 
     The fitted ``exponent`` is the decay rate (positive for decay).
     """
-    D = _distance_to_stationary(field)
-    t = field.times
+    return _fit_decay(field.times, _distance_to_stationary(field))
+
+
+def _fit_decay(t: np.ndarray, D: np.ndarray) -> ExponentFit:
+    """:func:`fit_decay` of the distances D at the stored times t."""
     late = t >= 0.5 * t[-1]
     if np.max(D) == 0.0:
         return ExponentFit(exponent=float("inf"), prefactor=0.0, r_squared=1.0,
@@ -398,8 +420,8 @@ def check_decay_rate(field: SpacetimeField) -> CheckResult:
     need = 0.9 * p.decay_rate
     if p.C == 0.0:
         return _unjudged("decay_rate", claim, "skipped", "no mode: C = 0")
-    fit = fit_decay(field)
     D = _distance_to_stationary(field)
+    fit = _fit_decay(field.times, D)
     floor = float(np.min(D))
     window_peak = float(np.max(D[field.times >= 0.5 * field.times[-1]]))
     if fit.exponent < need and window_peak <= 10.0 * floor:
@@ -463,22 +485,30 @@ def weak_form_residual(field: SpacetimeField, tf: TestFunction) -> tuple[float, 
 
 
 def _weak_form_residuals(field, test_functions):
-    """:func:`weak_form_residual` per test function; u u_r^3 is formed once."""
+    """:func:`weak_form_residual` per test function.  Per row block, u u_r^3
+    is formed once and each radial integral is its own ``@ wr`` product."""
     r = field.grid.nodes
     t = field.times
     T = float(t[-1])
-    u = field.values
-    ur = field.gradient_matrix()
-    reaction = u * ur ** 3
     wt = (t * (T - t) / (T * T / 4.0)) ** 2
     wtp = 2.0 * (t * (T - t)) * (T - 2.0 * t) / (T * T / 4.0) ** 2
     wr = _radial_volumes(field, np.inf)
+    bumps = [(tf.value(r), tf.derivative(r)) for tf in test_functions]
+
+    def integrals(u):
+        # columns per test function: int u s, int u_r s', int u u_r^3 s
+        ur = field.grid.gradient(u)
+        reaction = u * ur ** 3
+        return np.column_stack([
+            col for s, sp in bumps
+            for col in ((u * s) @ wr, (ur * sp) @ wr, (reaction * s) @ wr)])
+
+    terms = solver.blockwise_rows(integrals, field.values)
     out = []
-    for tf in test_functions:
-        s, sp = tf.value(r), tf.derivative(r)
-        lhs = -np.trapezoid(wtp * ((u * s[None, :]) @ wr), t)
-        rhs_flux = -np.trapezoid(wt * ((ur * sp[None, :]) @ wr), t)
-        rhs_react = np.trapezoid(wt * ((reaction * s[None, :]) @ wr), t)
+    for k in range(len(bumps)):
+        lhs = -np.trapezoid(wtp * terms[:, 3 * k], t)
+        rhs_flux = -np.trapezoid(wt * terms[:, 3 * k + 1], t)
+        rhs_react = np.trapezoid(wt * terms[:, 3 * k + 2], t)
         residual = abs(float(lhs - rhs_flux - rhs_react))
         scale = abs(float(lhs)) + abs(float(rhs_flux)) + abs(float(rhs_react))
         out.append((residual, scale))
@@ -523,9 +553,21 @@ def _radial_volumes(field: SpacetimeField, upto: float) -> np.ndarray:
 
 def inner_mass_integral(field: SpacetimeField, eps_tilde: float) -> float:
     """(1 / e) int_0^T int_0^e r^(n-1) |u_r| dr dt  at e = eps_tilde."""
-    wr = _radial_volumes(field, eps_tilde)
-    ur = np.abs(field.gradient_matrix())
-    return float(np.trapezoid(ur @ wr, field.times) / eps_tilde)
+    return _inner_masses(field, [eps_tilde])[0]
+
+
+def _inner_masses(field: SpacetimeField, eps_values) -> list[float]:
+    """:func:`inner_mass_integral` at each radius, from one pass of |u_r|
+    and one ``@ wr`` product per radius on each row block."""
+    wrs = [_radial_volumes(field, e) for e in eps_values]
+
+    def block_masses(u):
+        ur = np.abs(field.grid.gradient(u))
+        return np.column_stack([ur @ wr for wr in wrs])
+
+    masses = solver.blockwise_rows(block_masses, field.values)
+    return [float(np.trapezoid(masses[:, k], field.times) / e)
+            for k, e in enumerate(eps_values)]
 
 
 def check_inner_mass(field: SpacetimeField,
@@ -540,7 +582,7 @@ def check_inner_mass(field: SpacetimeField,
     if len(eps_values) < 2:
         return _unjudged("inner_slope_mass", claim, "skipped",
                          "needs at least 2 inner radii")
-    values = [inner_mass_integral(field, e) for e in eps_values]
+    values = _inner_masses(field, eps_values)
     decreasing = all(b < a for a, b in zip(values, values[1:]))
     return CheckResult(
         name="inner_slope_mass", claim=claim,

@@ -6,6 +6,7 @@ import dataclasses
 import shutil
 import tracemalloc
 from importlib.machinery import EXTENSION_SUFFIXES
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ class TestRadialGrid:
 
     def test_field_gradient_equals_per_row_stencil(self, n2_field):
         rows = np.array([n2_field.grid.gradient(u) for u in n2_field.values])
-        assert np.array_equal(n2_field.gradient_matrix(), rows)
+        assert np.array_equal(n2_field.grid.gradient(n2_field.values), rows)
         assert n2_field.max_abs_gradient == np.max(np.abs(rows))
 
     @pytest.mark.parametrize("size", [4, 5, 61])
@@ -388,7 +389,8 @@ class TestSolveAnnulus:
 
     def test_values_in_apriori_box(self, n2_field):
         p = n2_field.problem.params
-        bound = abs(analytic.u_star(p, p.R)) + np.max(n2_field.mode_matrix()[0])
+        v0 = analytic.v_mode(p, n2_field.grid.nodes, 0.0)
+        bound = abs(analytic.u_star(p, p.R)) + np.max(v0)
         assert np.max(np.abs(n2_field.values)) <= bound + 1e-9
 
     def test_nan_field_leaves_apriori_box(self, n2_field):
@@ -564,6 +566,76 @@ class TestRowBlocks:
         assert g.gradient(u).tobytes() == full.tobytes()
         assert g.gradient(u.T.copy().T).tobytes() == full.tobytes()
 
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    def test_verify_passes_equal_one_shot(self, rows, n2_field):
+        """Each row-blocked pass of a check gives the bits of its formula
+        on the whole field at once."""
+        fld = _with_rows(n2_field, np.linspace(0.0, 1.0, rows + 1)[1:], rows)
+        p, r, u, t = fld.problem.params, fld.grid.nodes, fld.values, fld.times
+        grad = fld.grid.gradient(u)
+        us = fld.u_star_row()
+        v = analytic.v_mode(p, r[None, :], t[:, None])
+        if rows > 1:  # its tolerance needs a step, so two stored times
+            extra = verify.check_sandwich(fld).extra
+            assert _bits(extra["upper_violation"], extra["lower_violation"]) == \
+                _bits(np.max(u - us[None, :]), np.max((us[None, :] - v) - u))
+        assert _bits(verify.check_monotone(fld).measured) == \
+            _bits(max(float(np.max(grad)), 0.0))
+        assert _bits(fld.max_abs_gradient) == _bits(np.max(np.abs(grad)))
+        outer_lo = float(analytic.u_star_r(p, p.R))
+        bands = max(0.0, float(np.max(grad[:, -1])),
+                    outer_lo - float(np.min(grad[:, -1])),
+                    float(np.max(grad[:, 0])),
+                    -fld.problem.c_star_eps - float(np.min(grad[:, 0])))
+        assert _bits(verify.check_boundary_bands(fld).measured) == _bits(bands)
+        for power in (4, 28):
+            w = np.clip(r - 0.05 * p.R, 0.0, None) ** (power + 3)
+            assert _bits(verify._weighted_gradient_power(fld, power)) == \
+                _bits(np.max(w[None, :] * grad ** power, axis=1))
+        window = (r > 2.0 * fld.eps) & (r < p.R)
+        q = 31.0 / 28.0
+        assert _bits(verify.check_pointwise_gradient(fld).measured) == _bits(
+            np.max(np.abs(grad[:, window]) * r[window][None, :] ** q))
+        assert _bits(verify._distance_to_stationary(fld)) == \
+            _bits(np.max(np.abs(u - us[None, :]), axis=1))
+        radii = (0.3, 0.1, 0.05)
+        masses = [np.trapezoid(np.abs(grad) @ verify._radial_volumes(fld, e), t)
+                  / e for e in radii]
+        assert _bits(verify._inner_masses(fld, radii)) == _bits(masses)
+        assert _bits(verify.inner_mass_integral(fld, 0.1)) == _bits(masses[1])
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    def test_weak_form_residuals_equal_one_shot(self, rows, n3_field):
+        """Per row block, each ``@ wr`` product is its own matrix-vector
+        product; regrouping its rows changes no bit."""
+        fld = _with_rows(n3_field, np.linspace(0.0, 1.0, rows + 1)[1:], rows)
+        r, u, t = fld.grid.nodes, fld.values, fld.times
+        T = float(t[-1])
+        ur = fld.grid.gradient(u)
+        reaction = u * ur ** 3
+        wt = (t * (T - t) / (T * T / 4.0)) ** 2
+        wtp = 2.0 * (t * (T - t)) * (T - 2.0 * t) / (T * T / 4.0) ** 2
+        wr = verify._radial_volumes(fld, np.inf)
+        tfs = verify.default_test_functions(fld.problem.params)
+        expected = []
+        for tf in tfs:
+            s, sp = tf.value(r), tf.derivative(r)
+            lhs = -np.trapezoid(wtp * ((u * s[None, :]) @ wr), t)
+            flux = -np.trapezoid(wt * ((ur * sp[None, :]) @ wr), t)
+            react = np.trapezoid(wt * ((reaction * s[None, :]) @ wr), t)
+            scale = abs(float(lhs)) + abs(float(flux)) + abs(float(react))
+            expected.append((abs(float(lhs - flux - react)), scale))
+        assert _bits(verify._weak_form_residuals(fld, tfs)) == _bits(expected)
+
+    def test_decay_rate_takes_one_distance_pass(self, n2_field, monkeypatch):
+        calls = []
+        distance = verify._distance_to_stationary
+        monkeypatch.setattr(verify, "_distance_to_stationary",
+                            lambda fld: calls.append(fld) or distance(fld))
+        res = verify.check_decay_rate(n2_field)
+        assert len(calls) == 1
+        assert res.measured == verify.fit_decay(n2_field).exponent
+
     def test_cutoff_inactive_writes_into_neither_field(self, n2_field):
         wide = dataclasses.replace(n2_field, values=n2_field.values + 1e-9)
         before = n2_field.values.tobytes(), wide.values.tobytes()
@@ -572,6 +644,10 @@ class TestRowBlocks:
             expected = np.max(np.abs(pair[0].values - pair[1].values))
             assert res.measured == expected
             assert (n2_field.values.tobytes(), wide.values.tobytes()) == before
+
+
+def _bits(*values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
 
 
 def _peak_bytes(fn):
@@ -618,6 +694,52 @@ class TestMemoryGuard:
     def test_field_holds_only_its_inputs(self, n2_field):
         assert [f.name for f in dataclasses.fields(n2_field)] == \
             ["grid", "times", "values", "problem", "scheme_name"]
+
+    # entries that build one field of their own: a rerun, or the limit
+    BUILD_A_FIELD = ("cutoff_inactive", "weak_identity", "inner_mass",
+                     "uniqueness")
+
+    @pytest.mark.parametrize("name", list(verify.CHECKS))
+    def test_check_below_a_quarter_field(self, name, n3_bundle, n3_field,
+                                         monkeypatch):
+        """Every CHECKS entry on a long field holds at most a quarter of a
+        field beyond what it is given, plus the one field a rerun or the
+        limit needs."""
+        params, datum = n3_bundle
+        long = self._long(n3_field)
+        monkeypatch.setattr(solver, "solve_annulus", lambda *args:
+                            dataclasses.replace(long, values=long.values.copy()))
+        eps = long.eps
+        config = SimpleNamespace(
+            continuation=SimpleNamespace(eps_sequence=(2.0 * eps, eps),
+                                         reference_eps=eps),
+            scheme=SchemeConfig())
+        run = SimpleNamespace(
+            reference=long, params=params, datum=datum, horizon=1.0,
+            config=config, continuation=solver.ContinuationResult(
+                fields=[long], consecutive_diffs=[2e-3, 1e-3]))
+        # every entry finds the radii it is judged at
+        assert not any("not solved" in row.extra.get("reason", "")
+                       for row in verify.CHECKS[name](run))
+        # a field with the origin column, the larger of the two
+        field = long.times.size * (long.grid.nodes.size + 1) * 8
+        budget = long.values.nbytes / 4 + field * (name in self.BUILD_A_FIELD)
+        assert _peak_bytes(lambda: verify.CHECKS[name](run)) < budget
+
+    def test_limit_built_on_read_and_not_stored(self, n2_field,
+                                                n2_field_half_eps):
+        cont = solver.ContinuationResult(
+            fields=[n2_field, n2_field_half_eps], consecutive_diffs=[])
+        expected = solver._append_origin(n2_field_half_eps)
+        limit = cont.limit
+        assert limit.values.tobytes() == expected.values.tobytes()
+        assert limit.grid.nodes.tobytes() == expected.grid.nodes.tobytes()
+        assert limit.times is n2_field_half_eps.times
+        assert cont.limit is not limit  # built anew on every read
+        assert [f.name for f in dataclasses.fields(cont)] == \
+            ["fields", "consecutive_diffs", "aborted"]
+        empty = solver.ContinuationResult(fields=[], consecutive_diffs=[])
+        assert empty.limit is None
 
 
 def _same_bits(x, rows, radii):

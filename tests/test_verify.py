@@ -27,7 +27,7 @@ class TestSandwich:
 
     def test_initial_slice_exact_by_construction(self, n2_field):
         us = n2_field.u_star_row()
-        v0 = n2_field.mode_matrix()[0]
+        v0 = analytic.v_mode(n2_field.problem.params, n2_field.grid.nodes, 0.0)
         assert np.max(n2_field.values[0] - us) <= 0.0
         assert np.max((us - v0) - n2_field.values[0]) <= 1e-12
 
@@ -205,13 +205,15 @@ class TestWeakIdentity:
             assert r.measured < 0.1 * r.extra["scale"]
 
     def test_rows_bitwise_equal_per_test_function_residuals(self, n3_field):
-        """The check forms u u_r^3 once for all test functions; each row
-        keeps the bits of weak_form_residual, and of the identity with the
-        reaction term written out per test function."""
+        """The check forms u u_r^3 once per row block for all test
+        functions; each row keeps the bits of weak_form_residual, and of
+        the identity with the reaction term written out per test
+        function."""
         results = verify.check_weak_identity(n3_field)
         tfs = verify.default_test_functions(n3_field.problem.params)
         p, r, t = n3_field.problem.params, n3_field.grid.nodes, n3_field.times
-        u, ur, T = n3_field.values, n3_field.gradient_matrix(), t[-1]
+        u, T = n3_field.values, t[-1]
+        ur = n3_field.grid.gradient(u)
         wt = (t * (T - t) / (T * T / 4.0)) ** 2
         wtp = 2.0 * (t * (T - t)) * (T - 2.0 * t) / (T * T / 4.0) ** 2
         mid = np.concatenate(([r[0]], 0.5 * (r[1:] + r[:-1]), [r[-1]]))
