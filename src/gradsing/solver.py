@@ -30,10 +30,12 @@ from __future__ import annotations
 import ctypes
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib.machinery import PathFinder
 
 import numpy as np
+# imported here, not at the first solve: a benchmark run records the version
+# of the scipy that importing gradsing put in sys.modules
 import scipy
 from numpy.linalg import LinAlgError
 
@@ -372,7 +374,14 @@ def _load_dgtsv(linalg_dir):
     raise ImportError(f"no LAPACK dgtsv in a _flapack library under {linalg_dir}")
 
 
-_DGTSV = _load_dgtsv(os.path.join(scipy.__path__[0], "linalg"))
+@cache
+def _dgtsv():
+    """scipy's ``dgtsv``, loaded at the first banded solve and reused after
+    it: a process that never solves never maps ``_flapack`` and the
+    OpenBLAS it links to."""
+    return _load_dgtsv(os.path.join(scipy.__path__[0], "linalg"))
+
+
 _INTS = ctypes.c_int * 3
 
 
@@ -400,7 +409,7 @@ def solve_banded(sub, diag, sup, rhs) -> np.ndarray:
     ints = _INTS(n, rhs.size // n, 0)  # n (also ldb), nrhs, info
     i = ctypes.addressof(ints)
     b = ctypes.addressof(ctypes.c_double.from_buffer(work))
-    _DGTSV(i, i + 4, b, b + 8 * (n - 1), b + 8 * (2 * n - 1),
+    _dgtsv()(i, i + 4, b, b + 8 * (n - 1), b + 8 * (2 * n - 1),
            b + 8 * (3 * n - 2), i, i + 8)
     info = ints[2]
     if info > 0:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from . import analytic, initdata, solver
+from . import analytic, initdata, solver, specfn
 from .report import CheckResult, VerificationReport
 from .solver import SpacetimeField, compact_difference, compact_window
 
@@ -105,9 +105,11 @@ def _unjudged(name: str, claim: str, status: str, reason: str) -> CheckResult:
 
 # -- envelope and sign checks -------------------------------------------------
 
+@specfn.shared_evaluations()
 def check_sandwich(field: SpacetimeField) -> CheckResult:
     """Max violation of  u* >= u >= u* - v  over all stored (r, t), within
-    :func:`tol_sandwich`."""
+    :func:`tol_sandwich`.  The mode's Bessel values on the nodes are
+    evaluated in the first row block and read from the memo in the rest."""
     tol = tol_sandwich(field)
     p = field.problem.params
     us = field.u_star_row()
@@ -702,6 +704,14 @@ def _uniqueness(run) -> list[CheckResult]:
         lambda fld: check_uniqueness_surrogate(finest, fld))
 
 
+def _weak_form_field(run) -> SpacetimeField:
+    """The field the weak-form checks judge: the limit, built here, when the
+    weak form applies (n >= 3), else the finest field, whose parameters are
+    all those checks read before they report skipped."""
+    cont = run.continuation
+    return cont.limit if run.params.weak_form_ok else cont.finest
+
+
 def _continuation_cauchy(run) -> list[CheckResult]:
     cont = run.continuation
     if len(cont.consecutive_diffs) >= 2:
@@ -731,9 +741,9 @@ CHECKS: dict[str, Callable[..., list[CheckResult]]] = {
         _SHAPE_CLAIM, check_shape_functional)],
     "decay": lambda run: [
         check_decay_envelope(run.reference), check_decay_rate(run.reference)],
-    "weak_identity": lambda run: check_weak_identity(run.continuation.limit),
+    "weak_identity": lambda run: check_weak_identity(_weak_form_field(run)),
     "inner_mass": lambda run: [check_inner_mass(
-        run.continuation.limit, run.config.continuation.eps_sequence[:3])],
+        _weak_form_field(run), run.config.continuation.eps_sequence[:3])],
     "uniqueness": _uniqueness,
     "continuation_cauchy": _continuation_cauchy,
 }

@@ -727,6 +727,26 @@ class TestCheckTable:
         assert calls == [0.04]
         assert report["sandwich"].passed
 
+    @pytest.mark.parametrize("n, R, builds", [(2, 0.6, 1), (3, 1.5, 3)])
+    def test_limit_built_only_where_the_weak_form_applies(
+            self, n, R, builds, tmp_path, monkeypatch):
+        """n = 2 skips the weak-form checks without building the limit, so
+        only the persisted field_limit.csv builds it; n = 3 builds it for
+        each of the two checks and for the file."""
+        built = []
+        original = solver._append_origin
+        monkeypatch.setattr(solver, "_append_origin",
+                            lambda fld: built.append(1) or original(fld))
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        report = pipeline.run_pipeline(load_config(QUICK_CONFIG.replace(
+            "n = 2", f"n = {n}").replace("R = 0.6", f"R = {R}").replace(
+            "sandwich, monotone, gradient_box", "weak_identity, inner_mass")
+        )).report
+        assert len(built) == builds
+        rows = [c for c in report.checks if c.name not in GATES]
+        assert len(rows) == 4
+        assert all(c.status == ("skipped" if n == 2 else "ok") for c in rows)
+
     def test_pointwise_stability_skipped_without_half_radius(self, tmp_path,
                                                              monkeypatch):
         monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
@@ -1056,6 +1076,52 @@ class TestCLI:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("1,2,")
+
+    def test_lapack_loaded_at_the_first_solve(self):
+        """Import, both presets' model build and closed-form gates leave
+        scipy's _flapack (and the OpenBLAS it links to) unloaded; the first
+        banded solve loads it once and later solves reuse it."""
+        script = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "import gradsing.cli\n"
+            "from gradsing import pipeline, solver\n"
+            "from gradsing.config import preset\n"
+            "def state():\n"
+            "    maps = '/proc/self/maps'\n"
+            "    mapped = (open(maps).read().count('_flapack') > 0\n"
+            "              if os.path.exists(maps) else None)\n"
+            "    info = solver._dgtsv.cache_info()\n"
+            "    print(info.misses, info.hits, info.currsize, mapped)\n"
+            "for name in ('n2-standard', 'n3-weak'):\n"
+            "    params, _ = pipeline.build_model(preset(name))\n"
+            "    pipeline.analytic_checks(params)\n"
+            "state()\n"
+            "for _ in range(3):\n"
+            "    solver.solve_banded(np.ones(3), np.full(4, 4.0), np.ones(3),\n"
+            "                        np.ones(4))\n"
+            "state()\n"
+            "print('scipy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        before, after, scipy_imported = proc.stdout.split("\n")[:3]
+        assert before in ("0 0 0 False", "0 0 0 None")
+        assert after in ("1 2 1 True", "1 2 1 None")
+        assert scipy_imported == "True"
+
+    def test_missing_dgtsv_is_not_a_config_error(self, tmp_path, monkeypatch):
+        """A scipy without dgtsv ends the run in the loader's ImportError at
+        the first solve, not in a configuration error (exit 2)."""
+        load = solver._load_dgtsv
+        monkeypatch.setattr(solver, "_load_dgtsv",
+                            lambda path: load(str(tmp_path)))
+        solver._dgtsv.cache_clear()
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "quick.ini"
+        cfg_path.write_text(QUICK_CONFIG)
+        with pytest.raises(ImportError, match="dgtsv"):
+            cli.main(["run", "--config", str(cfg_path)])
 
     def test_import_leaves_heavy_scipy_modules_unloaded(self):
         # scipy.interpolate pulls in scipy.special and scipy.optimize, and

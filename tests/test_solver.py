@@ -3,6 +3,7 @@
 import _ctypes
 import ctypes
 import dataclasses
+import os
 import shutil
 import tracemalloc
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -166,7 +167,43 @@ class TestSolveBanded:
         reaches: the symbol as resolved from the imported _flapack file."""
         lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
         address = lambda f: ctypes.cast(f, ctypes.c_void_p).value
-        assert address(solver._DGTSV) == address(getattr(lib, solver._DGTSV.__name__))
+        dgtsv = solver._dgtsv()
+        assert address(dgtsv) == address(getattr(lib, dgtsv.__name__))
+
+    def test_library_loaded_at_first_solve_and_reused(self, monkeypatch):
+        loads = []
+        load = solver._load_dgtsv
+        monkeypatch.setattr(solver, "_load_dgtsv",
+                            lambda path: loads.append(path) or load(path))
+        solver._dgtsv.cache_clear()
+        for seed in range(3):
+            system = self._system(61, seed)
+            assert solver.solve_banded(*system).tobytes() == \
+                self._scipy(*system).tobytes()
+        assert loads == [os.path.join(scipy.__path__[0], "linalg")]
+
+    def test_missing_dgtsv_fails_the_first_solve_as_import_error(
+            self, tmp_path, monkeypatch):
+        """The loader's ImportError leaves solve_annulus as it is: the Newton
+        loop does not take it for a failed iteration, so no step is halved
+        and no SolverAbort or ValueError stands in for it."""
+        loads = []
+        load = solver._load_dgtsv
+        monkeypatch.setattr(solver, "_load_dgtsv",
+                            lambda path: loads.append(path) or load(str(tmp_path)))
+        solver._dgtsv.cache_clear()
+        params = analytic.make_params(2, R=0.6, C=0.25)
+        datum = initdata.make_initial_datum(params, "mode_deficit", k=2.0,
+                                             amplitude=params.C)
+        grid = GridPolicy(num_nodes=60, grading_exponent=2.0).build(0.05, params.R)
+        problem = initdata.make_epsilon_problem(params, datum, 0.05, grid.nodes)
+        with pytest.raises(ImportError, match="dgtsv") as err:
+            solve_annulus(problem, grid, 0.02, SchemeConfig(dt=5e-3))
+        assert err.type is ImportError and str(tmp_path) in str(err.value)
+        assert len(loads) == 1
+        # nothing failed is cached: the next solve loads scipy's library
+        monkeypatch.setattr(solver, "_load_dgtsv", load)
+        assert solve_annulus(problem, grid, 0.02, SchemeConfig(dt=5e-3)).times.size == 5
 
     @pytest.mark.parametrize("library", [None, _ctypes.__file__])
     def test_loader_failure_names_the_searched_path(self, tmp_path, library):

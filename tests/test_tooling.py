@@ -5,7 +5,8 @@ The traced benchmark wraps gradsing entry points by name.  A renamed or
 removed entry point must fail here instead of silently dropping out of
 the per-layer split, and so must an annulus solve whose result lacks what
 the tracer's solve probe reads, or a Newton loop that does not call
-``solver.solve_banded`` through the module.  ``perfbench/selftest.py``
+``solver.solve_banded`` through the module, or a package import that no
+longer puts ``scipy`` in ``sys.modules``.  ``perfbench/selftest.py``
 runs here too, so a change that breaks what the benchmark builds from the
 program (the config fields it replaces, the signature of
 ``solve_annulus``, the tracer's probes) fails the tests, and so does a
@@ -124,6 +125,18 @@ def test_every_newton_iteration_calls_solver_solve_banded(monkeypatch):
     out = solver.solve_annulus(problem, grid, 0.02,
                                solver.SchemeConfig(dt=5e-3))
     assert len(calls) >= out.times.size - 1 == 4
+
+
+def test_import_puts_scipy_in_sys_modules():
+    """The benchmark's set-up record reads ``sys.modules["scipy"].__version__``
+    after importing gradsing, so the package must import scipy itself even
+    though it binds LAPACK only at the first banded solve."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gradsing.pipeline; "
+         "print(sys.modules['scipy'].__version__)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
 
 
 def test_perfbench_selftest_passes():

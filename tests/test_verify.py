@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gradsing import analytic, verify
+from gradsing import analytic, solver, specfn, verify
 from gradsing.verify import ExponentFit
 
 
@@ -30,6 +30,28 @@ class TestSandwich:
         v0 = analytic.v_mode(n2_field.problem.params, n2_field.grid.nodes, 0.0)
         assert np.max(n2_field.values[0] - us) <= 0.0
         assert np.max((us - v0) - n2_field.values[0]) <= 1e-12
+
+    def test_mode_evaluated_once_across_row_blocks(self, n2_field,
+                                                    monkeypatch):
+        """J_nu on the nodes is evaluated in the first row block and read
+        from the shared memo in the others; the lower violation keeps the
+        bits of the one-shot formula."""
+        p = n2_field.problem.params
+        times = np.linspace(0.0, float(n2_field.times[-1]),
+                            3 * solver.ROW_BLOCK + 5)
+        values = np.repeat(n2_field.values[-1:], times.size, axis=0)
+        long = tampered(n2_field, values=values, times=times)
+        orders = []
+        raw = specfn._jv_raw
+        monkeypatch.setattr(specfn, "_jv_raw",
+                            lambda mu, x: orders.append(mu) or raw(mu, x))
+        res = verify.check_sandwich(long)
+        assert orders == [p.nu]
+        r = n2_field.grid.nodes
+        expected = np.max((long.u_star_row()
+                           - analytic.v_mode(p, r[None, :], times[:, None]))
+                          - values)
+        assert res.extra["lower_violation"] == expected
 
     def test_synthetic_violation_detected(self, n2_field):
         bad = n2_field.values.copy()
