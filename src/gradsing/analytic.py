@@ -112,6 +112,8 @@ def make_params(n: int, R: float, C: float = 0.0) -> ModelParams:
     """
     if C < 0:
         raise ValueError("mode amplitude C must be nonnegative")
+    if not math.isfinite(C):
+        raise ValueError(f"mode amplitude C must be finite, got {C:g}")
     nu = specfn.nu_of(n)
     alpha = specfn.alpha_of(n)
     if not 0.0 < R < math.inf:  # before lam = 0.9 x1 / R divides by it

@@ -66,6 +66,9 @@ class ContinuationConfig:
     horizon_efolds: float = 5.0
 
     def validate(self):
+        if not 0.0 < self.horizon_efolds < float("inf"):
+            raise ConfigError(f"continuation.horizon_efolds: {self.horizon_efolds:g} "
+                              "is not finite and positive")
         seq = self.eps_sequence
         if any(b >= a for a, b in zip(seq, seq[1:])):
             raise ConfigError("continuation.eps_sequence: must strictly decrease")

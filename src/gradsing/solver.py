@@ -4,10 +4,9 @@ shrinking-annulus continuation.
 Space: second-order finite differences on a graded mesh
 r_i = eps + (R - eps) (i/M)^gamma, which clusters nodes at the inner
 boundary where the solution inherits the r^(-2/3) slope growth of the
-stationary profile.  The radial Laplacian u_rr + (n-1)/r u_r uses the
-compact nonuniform three-point stencil; the gradient entering the
-nonlinearity uses the matching central stencil at the interior nodes, and
-stored fields add one-sided second-order stencils at the two ends.
+stationary profile.  The radial Laplacian u_rr + (n-1)/r u_r and the
+gradient in the nonlinearity are nonuniform three-point stencils, one sum
+at the interior nodes; stored fields add one-sided gradients at the ends.
 
 Time: a theta-scheme solved by damped Newton with a tridiagonal banded
 Jacobian.  theta = 1 is implicit Euler (the robust default), theta = 1/2
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cache, cached_property
 from importlib.machinery import PathFinder
 
@@ -60,17 +59,14 @@ __all__ = [
     "continuation",
 ]
 
-# Newton controls, read at call time: the increment tolerance relative to
-# 1 + max|u|, the iterations per step, and the step halvings after a
-# Newton failure before the solve aborts.
+# Newton controls (see the module docstring), read at call time.
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 14
 MAX_HALVINGS = 6
 
-# Rows of a (time, radius) array that the row-blocked passes handle at once
-# (RadialGrid.gradient, blockwise_max and blockwise_rows, and through them
-# compact_difference and every pass of the verify checks): their
-# temporaries stay one block in size however many times a field stores.
+# Rows of a (time, radius) array that RadialGrid.gradient, blockwise_max and
+# blockwise_rows handle at once: their temporaries, and those of every pass
+# built on them, stay one block in size however many times a field stores.
 ROW_BLOCK = 64
 
 _STEPPER_THETA = {
@@ -151,28 +147,30 @@ class RadialGrid:
         ROW_BLOCK at a time; a row's bits do not depend on the others."""
         u = np.asarray(u, dtype=float)
         out = np.empty(u.shape)
-        (d_m, d_0, d_p), (index, weights) = self.derivative_weights
+        central, (index, weights) = self.derivative_weights
         n = u.shape[-1]
         rows, out_rows = u.reshape(-1, n), out.reshape(-1, n)
         for k in range(0, len(rows), ROW_BLOCK):
             b, o = rows[k:k + ROW_BLOCK], out_rows[k:k + ROW_BLOCK]
-            # d_m*u[i-1] + d_0*u[i] + d_p*u[i+1], summed left to right in place
-            inner = o[:, 1:-1]
-            np.multiply(d_m, b[:, :-2], out=inner)
-            inner += d_0 * b[:, 1:-1]
-            inner += d_p * b[:, 2:]
+            _three_point(central, b, out=o[:, 1:-1])
             # Nodes 0 and -1 (the stride-(n-1) slice).  A three-term sum adds
             # in order, so this is bitwise w0*u0 + w1*u1 + w2*u2 at each end.
             o[:, ::n - 1] = (weights * b.take(index, axis=-1)).sum(axis=-2)
         return out
 
 
+def _three_point(w, u, out=None) -> np.ndarray:
+    """w[0] u[i-1] + w[1] u[i] + w[2] u[i+1] added left to right, i interior."""
+    out = np.multiply(w[0], u[..., :-2], out=out)
+    out += w[1] * u[..., 1:-1]
+    out += w[2] * u[..., 2:]
+    return out
+
+
 @dataclass(frozen=True)
 class LaplacianOperator:
     """Interior stencil of u_rr + (n-1)/r u_r with Dirichlet identity rows."""
 
-    grid: RadialGrid
-    n: int
     sub: np.ndarray    # coefficient of u[i-1] in row i (interior rows)
     diag: np.ndarray   # coefficient of u[i]
     sup: np.ndarray    # coefficient of u[i+1]
@@ -180,9 +178,7 @@ class LaplacianOperator:
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Lap(u) at interior nodes, 0 at the Dirichlet rows."""
         out = np.zeros_like(np.asarray(u, dtype=float))
-        out[..., 1:-1] = (
-            self.sub * u[..., :-2] + self.diag * u[..., 1:-1] + self.sup * u[..., 2:]
-        )
+        _three_point((self.sub, self.diag, self.sup), u, out=out[..., 1:-1])
         return out
 
 
@@ -202,7 +198,6 @@ def discretize_operator(grid: RadialGrid, n: int) -> LaplacianOperator:
     (d_m, d_0, d_p), _ = grid.derivative_weights
     coef = (n - 1) / grid.nodes[1:-1]
     return LaplacianOperator(
-        grid=grid, n=n,
         sub=c_m + coef * d_m, diag=c_0 + coef * d_0, sup=c_p + coef * d_p,
     )
 
@@ -220,8 +215,8 @@ class SchemeConfig:
                 f"unknown stepper {self.time_stepper!r}; choose from "
                 f"{sorted(_STEPPER_THETA)}"
             )
-        if self.dt <= 0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt={self.dt:g} must be finite and positive")
 
     @property
     def theta(self) -> float:
@@ -245,34 +240,44 @@ class GridPolicy:
         return RadialGrid(nodes=nodes)
 
 
+class _Operator:
+    """F_h(u) = Lap_h u + u f(D_h u) at one grid's interior nodes, and dF_h/du."""
+
+    def __init__(self, grid: RadialGrid, n: int, cutoff):
+        self.lap = np.array(astuple(discretize_operator(grid, n)))
+        self.weights = np.array(grid.derivative_weights[0])
+        self.cutoff = cutoff
+
+    def __call__(self, u: np.ndarray):
+        """F_h(u), with the gradient du and the cutoff values f it used."""
+        du = _three_point(self.weights, u)
+        f = self.cutoff.apply(du)
+        return _three_point(self.lap, u) + u[1:-1] * f, du, f
+
+    def bands(self, u, du, f, out) -> None:
+        """Write dF_h/du at u (du and f from the call at u) into the (3,
+        interior) array ``out``: row k holds the factor of u[i - 1 + k]."""
+        uf = u[1:-1] * self.cutoff.derivative(du)
+        np.multiply(self.weights, uf, out=out)
+        out[::2] += self.lap[::2]
+        out[1] += self.lap[1] + f
+
+
 class _Stepper:
-    """Newton machinery shared by all steps of one annulus run.  Residuals
-    and Jacobians use the interior stencils in the float order of
-    ``grid.gradient`` and ``op.apply``, so the iterates keep their bits."""
+    """The theta-scheme on an _Operator: Newton matrix, damped Newton, halvings."""
 
     def __init__(self, problem: EpsilonProblem, grid: RadialGrid,
                  scheme: SchemeConfig):
         self.problem = problem
         self.theta = scheme.theta
-        self.op = discretize_operator(grid, problem.params.n)
-        self.weights = np.array(grid.derivative_weights[0])
+        self.operator = _Operator(grid, problem.params.n, problem.cutoff)
         self.outer = problem.outer_bc()
         self._bands = np.outer((0.0, 1.0, 0.0), np.ones(grid.nodes.size))
 
-    def rhs(self, u: np.ndarray):
-        """Lap(u) + u f(u_r) at the interior nodes, with the gradient du and
-        the cutoff f(du) it was built from, which the Jacobian reuses."""
-        um, ui, up = u[:-2], u[1:-1], u[2:]
-        d_m, d_0, d_p = self.weights
-        du = d_m * um + d_0 * ui + d_p * up
-        f = self.problem.cutoff.apply(du)
-        op = self.op
-        return op.sub * um + op.diag * ui + op.sup * up + ui * f, du, f
-
     def _residual(self, u, u_old_in, old, inner, dt):
         """The theta-scheme residual with its (du, f), given the old interior
-        state, its (1 - theta) rhs term and the new inner boundary value."""
-        rhs, du, f = self.rhs(u)
+        state, its (1 - theta) F_h term and the new inner boundary value."""
+        rhs, du, f = self.operator(u)
         g = np.empty_like(u)
         g[1:-1] = u[1:-1] - u_old_in - dt * (self.theta * rhs + old)
         g[0] = u[0] - inner
@@ -280,16 +285,12 @@ class _Stepper:
         return g, du, f
 
     def _jacobian_banded(self, u, du, f, dt):
-        """The Newton matrix as its (sub, diag, sup) diagonals, with the
+        """1 - dt theta dF_h/du as its (sub, diag, sup) diagonals, with the
         Dirichlet identity rows at both ends: views of one buffer, whose
         column i is matrix row i, rewritten by the next call."""
-        uf = u[1:-1] * self.problem.cutoff.derivative(du)
         band = self._bands[:, 1:-1]
-        np.multiply(self.weights, uf, out=band)
-        band[0] += self.op.sub
-        band[1] += self.op.diag + f
-        band[2] += self.op.sup
-        # -dt th X, and 1 - dt th X as 1 + (-dt th X): negation is exact
+        self.operator.bands(u, du, f, band)
+        # -dt th J, and 1 - dt th J as 1 + (-dt th J): negation is exact
         band *= -dt * self.theta
         band[1] += 1.0
         return self._bands[0, 1:], self._bands[1], self._bands[2, :-1]
@@ -297,7 +298,7 @@ class _Stepper:
     def newton_step(self, u_old, t_old, t_new):
         dt = t_new - t_old
         u_old_in = u_old[1:-1]
-        old = (1.0 - self.theta) * self.rhs(u_old)[0] if self.theta < 1.0 else 0.0
+        old = (1.0 - self.theta) * self.operator(u_old)[0] if self.theta < 1.0 else 0.0
         inner = self.problem.inner_bc(t_new)
         u = u_old.copy()
         u[0] = inner
@@ -376,9 +377,8 @@ def _load_dgtsv(linalg_dir):
 
 @cache
 def _dgtsv():
-    """scipy's ``dgtsv``, loaded at the first banded solve and reused after
-    it: a process that never solves never maps ``_flapack`` and the
-    OpenBLAS it links to."""
+    """scipy's ``dgtsv``, loaded at the first banded solve: a process that
+    never solves never maps ``_flapack`` and the OpenBLAS it links to."""
     return _load_dgtsv(os.path.join(scipy.__path__[0], "linalg"))
 
 

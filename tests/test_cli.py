@@ -972,6 +972,33 @@ class TestCLI:
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [
+        *((command, key, value) for command in ("run", "solve")
+          for key in ("dt", "horizon_efolds") for value in ("nan", "inf", "0", "-1")),
+        *(("analytic", "C", value) for value in ("nan", "inf", "-1")),
+    ])
+    def test_non_finite_or_non_positive_value_is_config_error(
+            self, command, key, value, capsys, tmp_path, monkeypatch):
+        """A step, horizon or mode amplitude that is NaN, infinite or out of
+        range exits 2 with a configuration error that names its key, not 1
+        with an OverflowError or 0 with NaN residuals, and writes no field."""
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        if command == "analytic":
+            argv = ["analytic", "check", "--n", "2", "--R", "0.6", f"--C={value}"]
+        else:
+            old = {"dt": "dt = 0.002", "horizon_efolds": "horizon_efolds = 2.0"}
+            cfg_path = tmp_path / "bad.ini"
+            cfg_path.write_text(QUICK_CONFIG.replace(old[key], f"{key} = {value}"))
+            argv = [command, "--config", str(cfg_path)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = {"dt": "scheme: dt=",
+                  "horizon_efolds": "continuation.horizon_efolds: ",
+                  "C": "analytic check: mode amplitude C must be "}[key]
+        assert captured.err.startswith(f"configuration error: {prefix}")
+        assert not list(tmp_path.rglob("field_*.csv"))
+
     def test_solve_step_above_horizon_is_config_error(self, capsys, tmp_path,
                                                       monkeypatch):
         """``gradsing solve`` exits 2 on a solver precondition, as ``run``

@@ -16,7 +16,8 @@ from scipy.interpolate import CubicSpline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradsing import analytic, initdata, solver, verify
+from gradsing import analytic, initdata, pipeline, solver, verify
+from gradsing.config import preset
 from gradsing.solver import (
     GridPolicy,
     RadialGrid,
@@ -268,6 +269,41 @@ class TestDiscreteOperator:
         with pytest.raises(ValueError):
             discretize_operator(g, 1)
 
+    @pytest.mark.parametrize("tapered", [False, True])
+    def test_operator_bands_are_the_derivative_of_f_h(self, tapered):
+        """The bands _Operator writes, times a direction v with v = 0 at both
+        ends, match the centred difference (F_h(u + dv) - F_h(u - dv)) / 2d
+        of the n2-standard eps = 0.04 datum, inside the exact-cube range or
+        with u_r pushed to 1.2 c* at one node.  Each row's error, relative
+        to the sum of its terms' sizes, falls with d^2, as it does only for
+        the exact derivative: a wrong band leaves a floor of its own size."""
+        cfg = preset("n2-standard")
+        params, datum = pipeline.build_model(cfg)
+        grid = GridPolicy(cfg.continuation.num_nodes,
+                          cfg.continuation.grading_exponent).build(0.04, params.R)
+        prob = initdata.make_epsilon_problem(params, datum, 0.04, grid.nodes)
+        u = prob.u0eps.values.copy()
+        if tapered:  # steepen u_r at node 59 to 1.2 c*
+            d_p = grid.derivative_weights[0][2]
+            u[60] -= (1.2 * prob.c_star_eps + grid.gradient(u)[59]) / d_p[58]
+        past = np.abs(grid.gradient(u)) > prob.c_star_eps
+        assert np.count_nonzero(past) == tapered
+        op = solver._Operator(grid, params.n, prob.cutoff)
+        bands = np.empty((3, u.size - 2))
+        op.bands(u, *op(u)[1:], bands)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            v = rng.standard_normal(u.size)
+            v[0] = v[-1] = 0.0
+            terms = bands * np.array([v[:-2], v[1:-1], v[2:]])
+            errs = []
+            for delta in (1e-5, 1e-6):
+                fd = (op(u + delta * v)[0] - op(u - delta * v)[0]) / (2 * delta)
+                errs.append(np.max(np.abs(fd - terms.sum(axis=0))
+                                   / np.abs(terms).sum(axis=0)))
+            assert errs[1] < 1e-7
+            assert errs[0] > 50.0 * errs[1]
+
 
 class TestSchemeConfig:
     def test_rejects_unknown_stepper(self):
@@ -315,7 +351,7 @@ class TestStepping:
         t0 = float(n2_field.times[k0])
         u0 = n2_field.values[k0]
         stepper = solver._Stepper(prob, grid, small_scheme)
-        f0 = stepper.rhs(u0)[0]
+        f0 = stepper.operator(u0)[0]
         errs = []
         for dt in (4e-4, 2e-4):
             u1 = step(u0, t0, dt, prob, grid, small_scheme)
@@ -335,7 +371,8 @@ class TestStepping:
         prob, grid = n2_field.problem, n2_field.grid
         scheme = SchemeConfig(time_stepper, dt=2e-3)
         stepper = solver._Stepper(prob, grid, scheme)
-        th, dt, op, cutoff = scheme.theta, scheme.dt, stepper.op, prob.cutoff
+        th, dt, cutoff = scheme.theta, scheme.dt, prob.cutoff
+        op = discretize_operator(grid, prob.params.n)
         (d_m, d_0, d_p), _ = grid.derivative_weights
 
         def full_rhs(v):
@@ -365,7 +402,7 @@ class TestStepping:
             bands_ref[1][1:-1] = 1.0 - dt * th * (op.diag + f + uf * d_0)
             bands_ref[2][1:] = -dt * th * (op.sup + uf * d_p)
 
-            old = (1.0 - th) * stepper.rhs(u_old)[0] if th < 1.0 else 0.0
+            old = (1.0 - th) * stepper.operator(u_old)[0] if th < 1.0 else 0.0
             g, du_in, f_in = stepper._residual(u, u_old[1:-1], old, inner, dt)
             bands = stepper._jacobian_banded(u, du_in, f_in, dt)
             assert g.tobytes() == g_ref.tobytes()

@@ -165,7 +165,7 @@ def test_refinement_study_prints_one_row_per_level():
 
 
 @pytest.mark.parametrize("name", ["refinement_study.py", "run_preset.py",
-                                  "singularity_study.py"])
+                                  "singularity_study.py", "src_lines.py"])
 def test_script_help_exits_zero(name):
     """``--help`` keeps each line of the docstring's example block intact."""
     proc = _run_script(name, "--help")
@@ -178,6 +178,34 @@ def test_script_help_exits_zero(name):
     help_lines = proc.stdout.splitlines()
     for line in examples:
         assert line in help_lines
+
+
+def test_src_lines_counts_code_outside_comments_and_docstrings(tmp_path):
+    """Blank lines, comment lines and every line of a module, class or
+    function docstring are left out of the code count; a multi-line string
+    that is not a docstring counts on each of its lines."""
+    source = tmp_path / "pkg" / "mod.py"
+    source.parent.mkdir()
+    source.write_text('''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+
+class A:
+    """Class docstring."""
+
+    # a comment line
+    def f(self):
+        """Function
+        docstring."""
+        text = """not a
+docstring"""
+        return text
+''')
+    proc = _run_script("src_lines.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["physical 16", "code 6"]
 
 
 def test_gates_sweep_digest_matches_the_benchmark_reference():
