@@ -161,25 +161,34 @@ class RadialProfile:
 
 # -- stationary profile -----------------------------------------------------
 
+def _positive_r(r, what: str) -> np.ndarray:
+    """``r`` as a float array, or a ValueError "<what> needs r > 0"."""
+    arr = np.asarray(r, dtype=float)
+    if np.any(arr <= 0):
+        raise ValueError(f"{what} needs r > 0")
+    return arr
+
+
+def _nonnegative(x, what: str) -> np.ndarray:
+    """``x`` as a float array, or a ValueError "<what> must be nonnegative"."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError(f"{what} must be nonnegative")
+    return arr
+
+
 def u_star(params: ModelParams, r):
     """Stationary profile -alpha r^(1/3); continued by 0 at r = 0."""
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("radius must be nonnegative")
-    return -params.alpha * np.cbrt(arr)
+    return -params.alpha * np.cbrt(_nonnegative(r, "radius"))
 
 
 def u_star_r(params: ModelParams, r):
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("derivative of the stationary profile needs r > 0")
+    arr = _positive_r(r, "derivative of the stationary profile")
     return -(params.alpha / 3.0) * arr ** (-2.0 / 3.0)
 
 
 def u_star_rr(params: ModelParams, r):
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("second derivative needs r > 0")
+    arr = _positive_r(r, "second derivative")
     return (2.0 * params.alpha / 9.0) * arr ** (-5.0 / 3.0)
 
 
@@ -191,7 +200,7 @@ def _bessel_triplet(params: ModelParams, r: np.ndarray):
 
 def psi(params: ModelParams, r):
     """Spatial factor r^(n - 3/2) J_nu(lam r) of the mode; 0 at r = 0."""
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
+    arr = np.atleast_1d(_nonnegative(r, "radius"))
     out = np.zeros_like(arr)
     pos = arr > 0
     if np.any(pos):
@@ -214,11 +223,14 @@ def _psi_derivatives(d, lam, r, j, jp, jpp):
 
 
 def psi_prime(params: ModelParams, r):
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("psi_prime needs r > 0")
+    arr = _positive_r(r, "psi_prime")
     j, jp = specfn._derivatives(BesselOrder(params.nu), params.lam * arr, (0, 1))
     return _psi_derivatives(params.n - 1.5, params.lam, arr, j, jp, None)[0]
+
+
+def _time_factor(params: ModelParams, t):
+    """C exp(-lam^2 t), the time factor of the mode, for t >= 0."""
+    return params.C * np.exp(-params.lam ** 2 * _nonnegative(t, "time"))
 
 
 def v_mode(params: ModelParams, r, t):
@@ -227,21 +239,18 @@ def v_mode(params: ModelParams, r, t):
     Positive on (0, R] for C > 0 because the gate keeps lam R below the
     first root of J_nu; evaluation beyond that root is permitted but warned.
     """
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0):
-        raise ValueError("time must be nonnegative")
+    factor = _time_factor(params, t)
     if np.any(params.lam * np.asarray(r, dtype=float) >= params.x0):
         warnings.warn(
             "mode evaluated at lam*r beyond the first Bessel root; "
             "sign guarantees no longer apply",
             stacklevel=2,
         )
-    return params.C * np.exp(-params.lam ** 2 * tt) * psi(params, r)
+    return factor * psi(params, r)
 
 
 def v_mode_r(params: ModelParams, r, t):
-    tt = np.asarray(t, dtype=float)
-    return params.C * np.exp(-params.lam ** 2 * tt) * psi_prime(params, r)
+    return _time_factor(params, t) * psi_prime(params, r)
 
 
 def v_mode_t(params: ModelParams, r, t):
@@ -249,13 +258,10 @@ def v_mode_t(params: ModelParams, r, t):
 
 
 def v_mode_rr(params: ModelParams, r, t):
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("v_mode_rr needs r > 0")
-    tt = np.asarray(t, dtype=float)
+    arr = _positive_r(r, "v_mode_rr")
     _, psi_pp = _psi_derivatives(params.n - 1.5, params.lam, arr,
                                  *_bessel_triplet(params, arr))
-    return params.C * np.exp(-params.lam ** 2 * tt) * psi_pp
+    return _time_factor(params, t) * psi_pp
 
 
 def mode_lower_bound_c1(params: ModelParams) -> float:
@@ -289,9 +295,11 @@ def _stationary_pieces(params: ModelParams, r: np.ndarray) -> dict:
     }
 
 
-def _upcast_pieces(params: ModelParams, r: np.ndarray, t: np.ndarray):
-    """All closed-form pieces on (r, t): the stationary ones and the mode
-    v with its derivatives, accumulated in extended precision."""
+def _upcast_pieces(params: ModelParams, r, t):
+    """All closed-form pieces on (r, t) broadcast together: u* and the mode
+    v with their derivatives, accumulated in extended precision."""
+    r, t = np.broadcast_arrays(np.atleast_1d(np.asarray(r, dtype=float)),
+                               np.atleast_1d(np.asarray(t, dtype=float)))
     pieces = _stationary_pieces(params, r)
     rl = pieces["r"]
     lam = _L(params.lam)
@@ -311,9 +319,7 @@ def residual_stationary(params: ModelParams, r):
     Identically (alpha/27) r^(-5/3) (15 - 9n + alpha^3) = 0; the returned
     value is that zero up to rounding of the assembly.
     """
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(arr <= 0):
-        raise ValueError("residual_stationary needs r > 0")
+    arr = np.atleast_1d(_positive_r(r, "residual_stationary"))
     p = _stationary_pieces(params, arr)
     lap = p["usrr"] + (params.n - 1) / p["r"] * p["usr"]
     res = (lap + p["us"] * p["usr"] ** 3).astype(float)
@@ -328,12 +334,7 @@ def stationary_residual_scale(params: ModelParams, r):
 
 def residual_linearized(params: ModelParams, r, t):
     """v_t - Lap(v) - 3 u* (u*_r)^2 v_r - (u*_r)^3 v at (r, t)."""
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(arr <= 0):
-        raise ValueError("residual_linearized needs r > 0")
-    arr, tt = np.broadcast_arrays(arr, tt)
-    p = _upcast_pieces(params, arr, tt)
+    p = _upcast_pieces(params, _positive_r(r, "residual_linearized"), t)
     lap_v = p["vrr"] + (params.n - 1) / p["r"] * p["vr"]
     adv = 3 * p["us"] * p["usr"] ** 2
     res = (p["vt"] - lap_v - adv * p["vr"] - p["usr"] ** 3 * p["v"]).astype(float)
@@ -344,13 +345,11 @@ def subsolution_defect(params: ModelParams, r, t):
     """u_t - Lap(u) - u u_r^3 for u = u* - v.  Nonpositive (up to rounding)
     on admissible parameter sets; that sign is the subsolution property."""
     ensure_admissible(params)
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    arr, tt = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
     if np.any(arr <= 0) or np.any(arr >= params.R):
         raise ValueError("subsolution_defect needs 0 < r < R")
     if np.any(tt < 0):
         raise ValueError("subsolution_defect needs t >= 0")
-    arr, tt = np.broadcast_arrays(arr, tt)
     p = _upcast_pieces(params, arr, tt)
     u = p["us"] - p["v"]
     ur = p["usr"] - p["vr"]

@@ -5,9 +5,11 @@ A configuration holds only what a run varies: the model (dimension and
 ball radius, from which the mode rate follows), the initial datum
 family, the time stepper and step, the shrinking-annulus sequence, the
 enabled checks, and output policy.  Each key is a field of its section's
-dataclass under the field's name.  The Newton controls and the compact
-comparison window are constants of :mod:`gradsing.solver`, and each
-check's bound is a constant of its check.
+dataclass under the field's name, and the section checks its keys when it
+is built: from a file, as a preset, by ``dataclasses.replace`` or in
+Python alike.  The Newton controls and the compact comparison window are
+constants of :mod:`gradsing.solver`, and each check's bound is a constant
+of its check.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .solver import SchemeConfig
@@ -40,12 +43,18 @@ class ConfigError(ValueError):
     """Malformed configuration; the message carries the section.key path."""
 
 
+def _require(ok: bool, key: str, value, rule: str) -> None:
+    """A :class:`ConfigError` "key: value rule" unless ``ok``."""
+    if not ok:
+        raise ConfigError(f"{key}: {value:g} {rule}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     n: int = 2
     R: float | None = None  # required; the mode rate is 0.9 x1 / R
 
-    def validate(self):
+    def __post_init__(self):
         if self.R is None:
             raise ConfigError("model.R: must be given")
 
@@ -56,6 +65,11 @@ class InitdataConfig:
     deficit_amplitude: float = 0.25
     blend_exponent: float = 2.0
 
+    def __post_init__(self):
+        for key, value in (("deficit_amplitude", self.deficit_amplitude),
+                           ("blend_exponent", self.blend_exponent)):
+            _require(math.isfinite(value), f"initdata.{key}", value, "is not finite")
+
 
 @dataclass(frozen=True)
 class ContinuationConfig:
@@ -65,10 +79,14 @@ class ContinuationConfig:
     grading_exponent: float = 2.0
     horizon_efolds: float = 5.0
 
-    def validate(self):
-        if not 0.0 < self.horizon_efolds < float("inf"):
-            raise ConfigError(f"continuation.horizon_efolds: {self.horizon_efolds:g} "
-                              "is not finite and positive")
+    def __post_init__(self):
+        for key, value in (("horizon_efolds", self.horizon_efolds),
+                           ("grading_exponent", self.grading_exponent),
+                           *(("eps_sequence", eps) for eps in self.eps_sequence)):
+            _require(0.0 < value < math.inf, f"continuation.{key}", value,
+                     "is not finite and positive")
+        _require(self.num_nodes >= 3, "continuation.num_nodes", self.num_nodes,
+                 "is below 3")
         seq = self.eps_sequence
         if any(b >= a for a, b in zip(seq, seq[1:])):
             raise ConfigError("continuation.eps_sequence: must strictly decrease")
@@ -81,6 +99,9 @@ class ContinuationConfig:
 @dataclass(frozen=True)
 class VerifyConfig:
     enabled: tuple = ("all",)
+
+    def __post_init__(self):
+        self.checks()
 
     def checks(self) -> tuple:
         if not self.enabled:
@@ -96,6 +117,10 @@ class OutputConfig:
     directory: str = "runs/out"
     save_every: int = 10
 
+    def __post_init__(self):
+        _require(self.save_every >= 1, "output.save_every", self.save_every,
+                 "is below 1")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -106,12 +131,6 @@ class RunConfig:
     continuation: ContinuationConfig = field(default_factory=ContinuationConfig)
     verify: VerifyConfig = field(default_factory=VerifyConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
-
-    def validate(self) -> "RunConfig":
-        self.model.validate()
-        self.continuation.validate()
-        self.verify.checks()
-        return self
 
     def canonical_text(self) -> str:
         """Deterministic INI rendering used for hashing and the manifest:
@@ -181,6 +200,8 @@ def _parse(cp, section: str, cls, **given):
             raise ConfigError(f"{section}.{f.name}: {exc}") from None
     try:
         return cls(**given)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from None
 
@@ -209,7 +230,7 @@ def load_config(path_or_text) -> RunConfig:
             keys = ", ".join(f"{section}.{key}" for key in cp[section])
             raise ConfigError(f"{keys or section}: unknown section [{section}]")
     sections = {s: _parse(cp, s, cls) for s, cls in _sections()}
-    return _parse(cp, "run", RunConfig, **sections).validate()
+    return _parse(cp, "run", RunConfig, **sections)
 
 
 # Presets: the n = 2 configuration sits close to the tight end of the

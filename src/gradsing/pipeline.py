@@ -58,8 +58,8 @@ class PipelineResult:
     @property
     def reference(self) -> solver.SpacetimeField | None:
         """The field at ``continuation.reference_eps``, or None."""
-        return self.continuation and verify._find_field(
-            self.continuation.fields, self.config.continuation.reference_eps)
+        return self.continuation and self.continuation.field_at(
+            self.config.continuation.reference_eps)
 
     @property
     def exit_code(self) -> int:
@@ -138,7 +138,6 @@ def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:
     ``only='analytic'`` stops after the closed-form residual gates
     (seconds instead of minutes).
     """
-    config.validate()
     params, datum = build_model(config)
     report = VerificationReport()
     enabled = config.verify.checks()
@@ -198,7 +197,7 @@ def _write_field_csv(path: Path, fld: solver.SpacetimeField, save_every: int):
     400 nodes) fragment the heap, and peak RSS then grows over repeated
     runs in one process.
     """
-    rows = slice(0, None, max(1, save_every))
+    rows = slice(0, None, save_every)
     cells = _DELIMITER + _FLOAT_FMT + _DELIMITER + _FLOAT_FMT + _NEWLINE
     # row j after its leading t: ",r_j,%.17g,%.17g\r\n", in groups of nodes
     tails = [_DELIMITER + _FLOAT_FMT % r + cells for r in fld.grid.nodes.tolist()]

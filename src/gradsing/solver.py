@@ -543,6 +543,10 @@ class ContinuationResult:
     def finest(self) -> SpacetimeField:
         return self.fields[-1]
 
+    def field_at(self, eps: float) -> SpacetimeField | None:
+        """The field solved at inner radius ``eps`` exactly, or None."""
+        return next((f for f in self.fields if f.eps == eps), None)
+
     @property
     def limit(self) -> SpacetimeField | None:
         """The finest field with the origin prepended, or None without a

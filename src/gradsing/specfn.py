@@ -100,19 +100,22 @@ class BesselZeros:
             raise ValueError(f"need 0 < x1 < x0, got x1={self.x1}, x0={self.x0}")
 
 
-def nu_of(n: int) -> float:
-    """Bessel order attached to the space dimension, sqrt(36n^2-96n+61)/6."""
+def _dimension(n) -> int:
+    """``n`` as an int, or a ValueError unless it is an integer >= 2."""
     if n < 2 or int(n) != n:
         raise ValueError(f"dimension must be an integer >= 2, got {n}")
-    n = int(n)
+    return int(n)
+
+
+def nu_of(n: int) -> float:
+    """Bessel order attached to the space dimension, sqrt(36n^2-96n+61)/6."""
+    n = _dimension(n)
     return float(np.sqrt(_L(36 * n * n - 96 * n + 61)) / _L(6))
 
 
 def alpha_of(n: int) -> float:
     """Amplitude of the singular stationary profile, cbrt(9n - 15)."""
-    if n < 2 or int(n) != n:
-        raise ValueError(f"dimension must be an integer >= 2, got {n}")
-    return float(np.cbrt(_L(9 * int(n) - 15)))
+    return float(np.cbrt(_L(9 * _dimension(n) - 15)))
 
 
 def _series(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -243,11 +243,7 @@ def check_pointwise_gradient(field: SpacetimeField) -> CheckResult:
     name = f"pointwise_gradient_p{p}"
     claim = "weighted slope bounded between twice eps and R"
     if not np.any(window):
-        return CheckResult(
-            name=name, claim=claim, measured=float("nan"), tolerance=float("inf"),
-            passed=False, status="inconclusive",
-            extra={"reason": "no node between 2 eps and R"},
-        )
+        return _unjudged(name, claim, "inconclusive", "no node between 2 eps and R")
     weight = field.grid.nodes[window] ** q
     bound = solver.blockwise_max(
         lambda u: np.abs(field.grid.gradient(u)[:, window]) * weight,
@@ -632,14 +628,6 @@ def check_continuation_cauchy(diffs: Sequence[float]) -> CheckResult:
 # calls the checks, the solver and the problem factory through their module
 # attributes, so anything that patches those attributes sees every call.
 
-def _same_eps(a: float, b: float) -> bool:
-    return abs(a - b) <= 1e-12 * max(1.0, b)
-
-
-def _find_field(fields, eps):
-    return next((f for f in fields if _same_eps(f.eps, eps)), None)
-
-
 def _abort_extra(abort: solver.SolverAbort) -> dict:
     return {"eps": abort.eps, "step": abort.step_index, "t": abort.time}
 
@@ -675,10 +663,10 @@ def _at_radius(run, eps: float, name: str, claim: str,
     """``check`` of the continuation field at inner radius ``eps``, or, when
     there is none, a row ``name`` whose reason names the radius: skipped
     when eps is not configured, inconclusive when it was not solved."""
-    fld = _find_field(run.continuation.fields, eps)
+    fld = run.continuation.field_at(eps)
     if fld is not None:
         return check(fld)
-    if any(_same_eps(e, eps) for e in run.config.continuation.eps_sequence):
+    if eps in run.config.continuation.eps_sequence:
         return _unjudged(name, claim, "inconclusive", f"eps = {eps:.6g} not solved")
     return _unjudged(name, claim, "skipped",
                      f"eps = {eps:.6g} not in the eps sequence")

@@ -95,6 +95,21 @@ class TestMode:
         for t in (0.0, 0.5, 3.0):
             assert np.all(analytic.v_mode(params_n2, r, t) > 0.0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda p: analytic.psi(p, -0.1), "radius must be nonnegative"),
+        (lambda p: analytic.v_mode(p, -0.1, 0.0), "radius must be nonnegative"),
+        (lambda p: analytic.v_mode_r(p, 0.1, -1.0), "time must be nonnegative"),
+        (lambda p: analytic.v_mode_rr(p, 0.1, -1.0), "time must be nonnegative"),
+    ], ids=["psi_r", "v_mode_r", "v_mode_r_t", "v_mode_rr_t"])
+    def test_mode_functions_reject_inputs_outside_their_domain(self, call,
+                                                               message):
+        """A negative radius or time is an error in every mode function, as
+        in u_star and v_mode(t), not a value; the origin stays psi = 0."""
+        p = make_params(2, 0.6, 0.25)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(p)
+        assert analytic.psi(p, 0.0) == 0.0 == analytic.v_mode(p, 0.0, 0.0)
+
     def test_zero_amplitude_mode_vanishes(self):
         p = make_params(2, R=0.6, C=0.0)
         assert analytic.v_mode(p, 0.3, 1.0) == 0.0

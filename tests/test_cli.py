@@ -107,8 +107,9 @@ EVERY_FIELD = RunConfig(
 
 class TestConfig:
     def test_presets_validate(self):
+        """Each preset passes the checks a file of its canonical text gets."""
         for name in PRESETS:
-            assert preset(name).validate() is not None
+            assert load_config(preset(name).canonical_text()) == preset(name)
 
     @pytest.mark.parametrize("name, digest", [
         ("n2-standard",
@@ -124,9 +125,8 @@ class TestConfig:
         for section in dataclasses.fields(cfg):
             value = getattr(cfg, section.name)
             if dataclasses.is_dataclass(value):
-                default = type(value)()
                 for f in dataclasses.fields(value):
-                    assert getattr(value, f.name) != getattr(default, f.name), \
+                    assert getattr(value, f.name) != f.default, \
                         f"{section.name}.{f.name} left at its default"
         assert load_config(cfg.canonical_text()) == cfg
 
@@ -232,10 +232,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="eps_sequence"):
             load_config(QUICK_CONFIG.replace("0.05, 0.04", "0.04, 0.05"))
 
+    def test_section_built_in_python_is_checked(self):
+        """A section built or replaced in Python gets the checks of a file
+        when it is constructed, not only when a run starts."""
+        cont = preset("n2-standard").continuation
+        with pytest.raises(ConfigError, match="^continuation.reference_eps: "):
+            dataclasses.replace(cont, reference_eps=0.3)
+        with pytest.raises(ConfigError, match="^model.R: must be given"):
+            ModelConfig(n=2)
+
     def test_one_of_R_lambda_required(self):
         """The ball radius is required; the mode rate follows from it."""
         with pytest.raises(ConfigError, match="^model.R: must be given"):
-            load_config(QUICK_CONFIG.replace("R = 0.6", "")).validate()
+            load_config(QUICK_CONFIG.replace("R = 0.6", ""))
 
 
 @pytest.fixture(scope="module")
@@ -997,6 +1006,37 @@ class TestCLI:
                   "horizon_efolds": "continuation.horizon_efolds: ",
                   "C": "analytic check: mode amplitude C must be "}[key]
         assert captured.err.startswith(f"configuration error: {prefix}")
+        assert not list(tmp_path.rglob("field_*.csv"))
+
+    @pytest.mark.parametrize("command", ["run", "solve"])
+    @pytest.mark.parametrize("old, new, key", [
+        ("num_nodes = 120", "num_nodes = -5", "continuation.num_nodes"),
+        ("num_nodes = 120", "num_nodes = 2", "continuation.num_nodes"),
+        ("save_every = 20", "save_every = 0", "output.save_every"),
+        ("save_every = 20", "save_every = -3", "output.save_every"),
+        ("0.05, 0.04", "nan, 0.04", "continuation.eps_sequence"),
+        ("0.05, 0.04", "0.05, 0.04, 0", "continuation.eps_sequence"),
+        ("0.05, 0.04", "0.05, 0.04, -0.01", "continuation.eps_sequence"),
+        *(("grading_exponent = 2.0", f"grading_exponent = {value}",
+           "continuation.grading_exponent") for value in ("nan", "0", "-1")),
+        ("blend_exponent = 2", "blend_exponent = nan", "initdata.blend_exponent"),
+        *(("deficit_amplitude = 0.25", f"deficit_amplitude = {value}",
+           "initdata.deficit_amplitude") for value in ("nan", "inf")),
+    ])
+    def test_value_outside_its_key_domain_is_config_error(
+            self, command, old, new, key, capsys, tmp_path, monkeypatch):
+        """A node count, save stride, radius, grading or datum value outside
+        its domain exits 2 with a configuration error naming its key, not 1
+        with a traceback, 0 with the value silently changed, or 2 with a
+        message that names no key; and it writes no field."""
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(QUICK_CONFIG.replace(
+            "horizon_efolds = 2.0", "horizon_efolds = 0.3").replace(old, new))
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: {key}: ")
         assert not list(tmp_path.rglob("field_*.csv"))
 
     def test_solve_step_above_horizon_is_config_error(self, capsys, tmp_path,
