@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,20 +63,38 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Problem constants plus the derived quantities that depend on them.
-
-    ``weak_form_ok`` records whether the distributional identity across the
-    origin is in scope (it needs n >= 3); it is a flag, not a hard reject.
+    """Dimension n, ball radius R and mode amplitude C, and what follows:
+    nu, alpha, the first zeros x0 of J_nu and x1 of J_nu', and the mode rate
+    lam = 0.9 x1 / R.  Construction (``dataclasses.replace`` too) checks C,
+    then n, then R before the zero search, then the gate, whose x1 / lam
+    part lam meets with margin.  Only n >= 3 has ``weak_form_ok``.
     """
 
     n: int
     R: float
-    lam: float
     C: float
-    alpha: float
-    nu: float
-    x0: float
-    x1: float
+    lam: float = field(init=False)
+    alpha: float = field(init=False)
+    nu: float = field(init=False)
+    x0: float = field(init=False)
+    x1: float = field(init=False)
+
+    def __post_init__(self):
+        n, R, C = self.n, self.R, self.C
+        if C < 0:
+            raise ValueError("mode amplitude C must be nonnegative")
+        if not math.isfinite(C):
+            raise ValueError(f"mode amplitude C must be finite, got {C:g}")
+        nu = specfn.nu_of(n)
+        if not 0.0 < R < math.inf:  # before lam = 0.9 x1 / R divides by it
+            raise AdmissibilityError(
+                f"R={R:g} is not a positive finite domain radius for n={int(n)}")
+        zeros = specfn.first_zeros(BesselOrder(nu))
+        for name, value in dict(n=int(n), R=float(R), C=float(C), nu=nu,
+                                alpha=specfn.alpha_of(n), x0=zeros.x0, x1=zeros.x1,
+                                lam=float(0.9 * zeros.x1 / R)).items():
+            object.__setattr__(self, name, value)
+        ensure_admissible(self)
 
     @property
     def weak_form_ok(self) -> bool:
@@ -103,34 +121,13 @@ def max_admissible_R(n: int, lam: float) -> float:
 
 
 def make_params(n: int, R: float, C: float = 0.0) -> ModelParams:
-    """Build an admissible parameter set on the ball of radius ``R``.
-
-    The mode rate is lam = 0.9 x1 / R, so the x1 / lam part of the gate
-    holds with margin; ``R`` must still lie below radius_bound(n).  A
-    radius that is not positive and finite is an :class:`AdmissibilityError`
-    raised before the zero search.
-    """
-    if C < 0:
-        raise ValueError("mode amplitude C must be nonnegative")
-    if not math.isfinite(C):
-        raise ValueError(f"mode amplitude C must be finite, got {C:g}")
-    nu = specfn.nu_of(n)
-    alpha = specfn.alpha_of(n)
-    if not 0.0 < R < math.inf:  # before lam = 0.9 x1 / R divides by it
-        raise AdmissibilityError(
-            f"R={R:g} is not a positive finite domain radius for n={int(n)}")
-    zeros = specfn.first_zeros(BesselOrder(nu))
-    params = ModelParams(
-        n=int(n), R=float(R), lam=float(0.9 * zeros.x1 / R), C=float(C),
-        alpha=alpha, nu=nu, x0=zeros.x0, x1=zeros.x1,
-    )
-    ensure_admissible(params)
-    return params
+    """The admissible model ``ModelParams(n, R, C)``."""
+    return ModelParams(n, R, C)
 
 
 def ensure_admissible(params: ModelParams) -> None:
-    """Raise unless 0 < R < min(x1/lam, radius_bound(n))."""
-    limit = min(params.x1 / params.lam, radius_bound(params.n))
+    """Raise unless 0 < R < max_admissible_R(n, lam)."""
+    limit = max_admissible_R(params.n, params.lam)
     if not 0.0 < params.R < limit:
         raise AdmissibilityError(
             f"R={params.R:g} outside admissible interval (0, {limit:g}) "
@@ -343,8 +340,7 @@ def residual_linearized(params: ModelParams, r, t):
 
 def subsolution_defect(params: ModelParams, r, t):
     """u_t - Lap(u) - u u_r^3 for u = u* - v.  Nonpositive (up to rounding)
-    on admissible parameter sets; that sign is the subsolution property."""
-    ensure_admissible(params)
+    on every model, all being admissible; that sign is the subsolution property."""
     arr, tt = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
     if np.any(arr <= 0) or np.any(arr >= params.R):
         raise ValueError("subsolution_defect needs 0 < r < R")

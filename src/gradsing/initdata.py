@@ -46,8 +46,22 @@ __all__ = [
     "make_epsilon_problem",
 ]
 
-_FAMILIES = ("mode_deficit", "polynomial_blend")
 _REL_TOL = 1e-12
+
+
+def _power(p: ModelParams) -> float:
+    """q = n - 3/2 + nu: the polynomial family's shape is r^q."""
+    return p.n - 1.5 + p.nu
+
+
+# each family's deficit shape s(r) and its slope s'(r); analytic.psi is
+# looked up per call, so a wrapper put on it sees the datum's calls too
+_FAMILIES = {
+    "mode_deficit": (lambda p, r: analytic.psi(p, r),
+                     lambda p, r: analytic.psi_prime(p, r)),
+    "polynomial_blend": (lambda p, r: r ** _power(p),
+                         lambda p, r: _power(p) * r ** (_power(p) - 1.0)),
+}
 
 
 class InitialDataError(ValueError):
@@ -71,45 +85,27 @@ class InitialDatum:
 
 
 def _family_closures(params: ModelParams, family: str, k: float, amplitude: float):
-    R, n, nu = params.R, params.n, params.nu
+    """u* - a s b and its slope, for the family's shape s and the taper b."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {tuple(_FAMILIES)}")
+    shape, shape_slope = _FAMILIES[family]
 
     # k = 0 means no taper: the deficit keeps its full size at R (and the
     # profile then fails the outer boundary condition, deliberately so)
     def blend(r):
-        return 1.0 - (r / R) ** k if k > 0 else np.ones_like(np.asarray(r, float))
+        return 1.0 - (r / params.R) ** k if k > 0 else np.ones_like(r)
 
     def blend_slope(r):
-        return -k * r ** (k - 1.0) / R ** k if k > 0 else np.zeros_like(
-            np.asarray(r, float)
-        )
-
-    if family == "mode_deficit":
-        def deficit(r):
-            return amplitude * analytic.psi(params, r) * blend(r)
-
-        def deficit_slope(r):
-            return amplitude * (
-                analytic.psi_prime(params, r) * blend(r)
-                + analytic.psi(params, r) * blend_slope(r)
-            )
-    elif family == "polynomial_blend":
-        q = n - 1.5 + nu
-
-        def deficit(r):
-            return amplitude * r ** q * blend(r)
-
-        def deficit_slope(r):
-            return amplitude * (
-                q * r ** (q - 1.0) * blend(r) + r ** q * blend_slope(r)
-            )
-    else:
-        raise ValueError(f"unknown family {family!r}; choose from {_FAMILIES}")
+        return -k * r ** (k - 1.0) / params.R ** k if k > 0 else np.zeros_like(r)
 
     def value(r):
-        return analytic.u_star(params, r) - deficit(np.asarray(r, dtype=float))
+        r = np.asarray(r, dtype=float)
+        return analytic.u_star(params, r) - amplitude * shape(params, r) * blend(r)
 
     def slope(r):
-        return analytic.u_star_r(params, r) - deficit_slope(np.asarray(r, dtype=float))
+        r = np.asarray(r, dtype=float)
+        return analytic.u_star_r(params, r) - amplitude * (
+            shape_slope(params, r) * blend(r) + shape(params, r) * blend_slope(r))
 
     return value, slope
 
@@ -119,19 +115,21 @@ def make_initial_datum(
 ) -> InitialDatum:
     """Construct and validate a member of one of the datum families.
 
-    mode_deficit:      u0 = u* - a * psi(r) (1 - (r/R)^k)
-    polynomial_blend:  u0 = u* - a * r^(n-3/2+nu) (1 - (r/R)^k)
+    u0 = u* - a s(r) (1 - (r/R)^k), with the shape s = psi (mode_deficit)
+    or s = r^(n-3/2+nu) (polynomial_blend),
 
-    with a = ``amplitude``.  Raises :class:`InitialDataError` naming the
-    first violated condition if the resulting profile is not admissible
-    (possible for aggressive amplitudes or exponents, where the deficit
-    recovers faster near R than the stationary slope allows).  The
-    reference samples are 1200 log-spaced radii over the four decades
-    [1e-4 R, R], 300 per decade, which the near-origin conditions compare
-    decade by decade.
+    a = ``amplitude`` >= 0 and k >= 0 (k = 0: no taper).  Raises
+    :class:`InitialDataError` naming the first violated condition if the
+    resulting profile is not admissible (possible for aggressive amplitudes
+    or exponents, where the deficit recovers faster near R than the
+    stationary slope allows).  The reference samples are 1200 log-spaced
+    radii over the four decades [1e-4 R, R], 300 per decade, which the
+    near-origin conditions compare decade by decade.
     """
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
+    if not k >= 0:  # NaN too: it would run untapered, as k = 0
+        raise ValueError("blend exponent must be nonnegative")
     value, slope = _family_closures(params, family, float(k), float(amplitude))
     grid = np.geomspace(1e-4 * params.R, params.R, 1200)
     profile = RadialProfile(grid=grid, values=value(grid), derivative=slope(grid))
@@ -202,9 +200,9 @@ def validate_initial_datum(
     finite = np.all(np.isfinite(w))
     report.add(CheckResult(
         name="origin_closeness",
-        claim="r^(3/2-n-nu) (u* - u0) bounded on the finest resolved decade",
-        measured=bound, tolerance=2.0, passed=bool(finite and ratio <= 2.0),
-        extra={"decade_growth": ratio},
+        claim="r^(3/2-n-nu) (u* - u0) on the finest decade within 2x the next",
+        measured=ratio, tolerance=2.0, passed=bool(finite and ratio <= 2.0),
+        extra={"bound": bound},
     ))
 
     # (d) exact match at the outer boundary
@@ -223,6 +221,7 @@ def validate_initial_datum(
         claim="datum nonincreasing with slope within -C r^(-2/3)",
         measured=worst_pos, tolerance=tol,
         passed=worst_pos <= tol and np.all(np.isfinite(weighted)),
+        extra={"slope_constant": float(np.max(weighted))},
     ))
     return report
 

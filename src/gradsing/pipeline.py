@@ -285,15 +285,13 @@ def _read_field_csv(path: Path):
 
 
 def _read_manifest(run_dir: Path) -> tuple[ModelParams, float]:
-    """The model parameters of a finished run and the horizon it ran to."""
+    """The model of a finished run, built from its configuration and the
+    fitted C of the manifest's ``params`` block (the rest of that block is
+    a record), and the horizon it ran to."""
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    meta = manifest["params"]
-    params = ModelParams(
-        n=int(meta["n"]), R=meta["R"], lam=meta["lambda"], C=meta["C"],
-        alpha=meta["alpha"], nu=meta["nu"], x0=meta["x0"], x1=meta["x1"],
-    )
-    efolds = load_config(manifest["config"]).continuation.horizon_efolds
-    return params, efolds / params.decay_rate
+    config = load_config(manifest["config"])
+    params = ModelParams(config.model.n, config.model.R, manifest["params"]["C"])
+    return params, config.continuation.horizon_efolds / params.decay_rate
 
 
 def emit_plotdata(run_dir, times=(), radius_fractions=(0.1,),

@@ -7,7 +7,7 @@ import pytest
 import scipy.special
 
 from gradsing import analytic, specfn
-from gradsing.analytic import AdmissibilityError, make_params
+from gradsing.analytic import AdmissibilityError, ModelParams, make_params
 
 
 @pytest.fixture(scope="module")
@@ -217,9 +217,10 @@ class TestSubsolution:
         assert np.max(np.abs(analytic.subsolution_defect(p, r, 0.0))) < 1e-10
 
     def test_gate_rejects_before_evaluation(self, params_n2):
-        bloated = dataclasses.replace(
-            params_n2, R=0.9 * params_n2.x1 / params_n2.lam * 2.0)
+        # an inflated radius cannot even be built, so no defect is evaluated
         with pytest.raises(AdmissibilityError):
+            bloated = dataclasses.replace(
+                params_n2, R=0.9 * params_n2.x1 / params_n2.lam * 2.0)
             analytic.subsolution_defect(bloated, 0.1, 0.0)
 
 
@@ -249,6 +250,31 @@ class TestAdmissibility:
     def test_make_params_rejects_inadmissible_pair(self):
         with pytest.raises(AdmissibilityError):
             make_params(2, R=0.62)  # R above the n=2 radius bound 0.612
+
+    def test_model_takes_only_n_R_and_C(self, params_n2):
+        """Everything else is derived, so it cannot be set to disagree."""
+        init = [f.name for f in dataclasses.fields(ModelParams) if f.init]
+        assert init == ["n", "R", "C"]
+        with pytest.raises(ValueError, match="lam"):
+            dataclasses.replace(params_n2, lam=1.0)
+
+    def test_replace_rederives_and_rechecks(self, params_n2):
+        p = dataclasses.replace(params_n2, R=0.5)
+        assert p.lam == 0.9 * p.x1 / 0.5
+        assert p == make_params(2, R=0.5, C=1.0)
+        assert dataclasses.replace(params_n2, C=0.3).lam == params_n2.lam
+        with pytest.raises(AdmissibilityError, match="outside admissible"):
+            dataclasses.replace(params_n2, R=0.62)
+
+    @pytest.mark.parametrize("n, R, error, message", [
+        (2, -1.0, AdmissibilityError, "R=-1 is not a positive finite domain"),
+        (2, float("inf"), AdmissibilityError, "R=inf is not a positive finite"),
+        (1, 0.6, ValueError, "dimension must be an integer >= 2, got 1"),
+        (2, 0.62, AdmissibilityError, "outside admissible interval"),
+    ])
+    def test_construction_checks_its_inputs(self, n, R, error, message):
+        with pytest.raises(error, match=message):
+            ModelParams(n, R, 0.0)
 
     def test_weak_form_flag(self):
         assert not make_params(2, R=0.6).weak_form_ok

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -351,6 +352,25 @@ class TestPlotData:
     def test_missing_inputs_reported(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             pipeline.emit_plotdata(tmp_path)
+
+    def test_model_follows_from_configuration_not_params_record(
+            self, quick_result, tmp_path):
+        """The manifest's params block is a record: editing every derived
+        value in it changes no byte of the plot data."""
+        _, run_dir = quick_result
+        kept, edited = tmp_path / "kept", tmp_path / "edited"
+        for copy in (kept, edited):
+            shutil.copytree(run_dir, copy)
+        manifest = json.loads((edited / "manifest.json").read_text())
+        manifest["params"].update({"n": 3, "R": 0.5, "lambda": 1.0, "alpha": 1.0,
+                                   "nu": 1.0, "x0": 9.0, "x1": 9.0,
+                                   "decay_rate": 1.0})
+        (edited / "manifest.json").write_text(json.dumps(manifest))
+        written = [
+            [Path(p).read_bytes() for p in pipeline.emit_plotdata(
+                copy, times=(0.1, 0.5), radius_fractions=(0.1, 0.5))]
+            for copy in (kept, edited)]
+        assert written[0] == written[1]
 
 
 def _csv_reference(header, rows) -> bytes:
@@ -944,6 +964,23 @@ class TestCLI:
         for name in ("interior_regularity", "below_stationary",
                      "outer_boundary_match", "slope_envelope"):
             assert name in out
+
+    @pytest.mark.parametrize("command", [["run"], ["initdata", "validate"]])
+    @pytest.mark.parametrize("k", ["-1", "-0.5"])
+    def test_negative_blend_exponent_is_config_error(self, command, k, capsys,
+                                                     tmp_path, monkeypatch):
+        """k < 0 exits 2 naming the blend exponent; it is not run as k = 0
+        and then rejected at the outer boundary."""
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(QUICK_CONFIG.replace("blend_exponent = 2",
+                                                 f"blend_exponent = {k}"))
+        assert cli.main([*command, "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "configuration error: initdata: blend exponent must be nonnegative")
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_inadmissible_radius_rejected_before_compute(self, capsys, tmp_path):
         cfg_path = tmp_path / "bad.ini"

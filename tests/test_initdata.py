@@ -70,12 +70,67 @@ class TestFamilies:
             make_initial_datum(params, "mode_deficit", k=0.0,
                                amplitude=params.C)
 
+    @pytest.mark.parametrize("k", [-1.0, -0.5, float("nan")])
+    def test_negative_blend_exponent_rejected(self, params, k):
+        """k < 0 (or NaN) is not run as the untapered k = 0; the message
+        names it."""
+        with pytest.raises(ValueError, match="^blend exponent must be nonnegative$"):
+            make_initial_datum(params, "mode_deficit", k=k, amplitude=0.1)
+
+    @pytest.mark.parametrize("family", ["mode_deficit", "polynomial_blend"])
+    def test_family_is_its_closed_form_bitwise(self, params, family):
+        """u* - a psi (1 - (r/R)^k) and u* - a r^q (1 - (r/R)^k), q = n -
+        3/2 + nu, and their slopes, in this float association."""
+        a, k, R = 0.1, 3.0, params.R
+        d = make_initial_datum(params, family, k=k, amplitude=a)
+        r = d.profile.grid
+        if family == "mode_deficit":
+            s, ds = analytic.psi(params, r), analytic.psi_prime(params, r)
+        else:
+            q = params.n - 1.5 + params.nu
+            s, ds = r ** q, q * r ** (q - 1.0)
+        b, db = 1.0 - (r / R) ** k, -k * r ** (k - 1.0) / R ** k
+        assert np.array_equal(d.value(r), analytic.u_star(params, r) - a * s * b)
+        assert np.array_equal(
+            d.slope(r), analytic.u_star_r(params, r) - a * (ds * b + s * db))
+        assert np.array_equal(d.profile.values, d.value(r))
+        assert np.array_equal(d.profile.derivative, d.slope(r))
+
     def test_unknown_family_rejected(self, params):
         with pytest.raises(ValueError):
             make_initial_datum(params, "squares", k=2.0, amplitude=0.1)
 
 
 class TestValidator:
+    @pytest.mark.parametrize("shift, growth, passed", [(0.0, 1.0, True),
+                                                       (-0.5, 10 ** 0.5, False)])
+    def test_origin_closeness_judges_what_it_measures(self, params, shift,
+                                                      growth, passed):
+        """The row reports the decade growth of r^(3/2-n-nu) (u* - u0) that
+        its verdict compares with 2; the finest decade's bound is extra."""
+        r = np.geomspace(1e-4 * params.R, params.R, 1200)
+        q = params.n - 1.5 + params.nu + shift
+        b, db = 1.0 - (r / params.R) ** 2, -2.0 * r / params.R ** 2
+        profile = RadialProfile(
+            grid=r, values=analytic.u_star(params, r) - 0.1 * r ** q * b,
+            derivative=analytic.u_star_r(params, r)
+            - 0.1 * (q * r ** (q - 1.0) * b + r ** q * db))
+        row = validate_initial_datum(params, InitialDatum(
+            profile=profile, value=None, slope=None))["origin_closeness"]
+        assert row.measured == pytest.approx(growth, rel=0.02)
+        assert row.passed is passed
+        assert row.passed == (row.measured <= row.tolerance)
+        w = r ** (1.5 - params.n - params.nu) * 0.1 * r ** q * b
+        assert row.extra["bound"] == pytest.approx(
+            np.max(np.abs(w[r <= 10.0 * r[0]])), rel=1e-12)
+
+    def test_slope_envelope_reports_its_constant(self, params, datum):
+        row = validate_initial_datum(params, datum)["slope_envelope"]
+        r = datum.profile.grid
+        constant = np.max(-datum.profile.derivative * r ** (2.0 / 3.0))
+        assert row.extra["slope_constant"] == constant
+        assert 0.0 < constant < np.inf
+
     def test_stationary_profile_passes_all(self, params):
         r = np.geomspace(1e-4 * params.R, params.R, 1200)
         d = InitialDatum(

@@ -183,7 +183,9 @@ def test_script_help_exits_zero(name):
 def test_src_lines_counts_code_outside_comments_and_docstrings(tmp_path):
     """Blank lines, comment lines and every line of a module, class or
     function docstring are left out of the code count; a multi-line string
-    that is not a docstring counts on each of its lines."""
+    that is not a docstring counts on each of its lines.  ``defaults``
+    counts the parameters with a default of functions and lambdas, and
+    ``fields`` the dataclass fields that ``__init__`` takes."""
     source = tmp_path / "pkg" / "mod.py"
     source.parent.mkdir()
     source.write_text('''"""Module docstring,
@@ -202,10 +204,22 @@ class A:
         text = """not a
 docstring"""
         return text
+
+
+@dataclass(frozen=True)
+class B:
+    n: int
+    C: float = 0.0
+    lam: float = field(init=False)
+    kind: ClassVar[str] = "b"
+
+    def g(self, x=1, *, y=None, z):
+        return lambda t=0: t + x + z
 ''')
     proc = _run_script("src_lines.py", str(tmp_path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["physical 16", "code 6"]
+    assert proc.stdout.splitlines() == ["physical 27", "code 14", "defaults 3",
+                                        "fields 2"]
 
 
 def test_gates_sweep_digest_matches_the_benchmark_reference():
