@@ -27,16 +27,14 @@ sup-norm differences of consecutive fields on the compact window of
 from __future__ import annotations
 
 import ctypes
-import os
 from dataclasses import astuple, dataclass
 from functools import cache, cached_property
-from importlib.machinery import PathFinder
 
 import numpy as np
-# imported here, not at the first solve: a benchmark run records the version
-# of the scipy that importing gradsing put in sys.modules
+# imported for one reason only: a benchmark run records the version of the
+# scipy that importing gradsing put in sys.modules
 import scipy
-from numpy.linalg import LinAlgError
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from . import initdata as idata
 from .analytic import ModelParams, u_star, v_mode
@@ -355,45 +353,44 @@ class _NewtonFailure(Exception):
     pass
 
 
-def _load_dgtsv(linalg_dir):
-    """LAPACK ``dgtsv`` from the ``_flapack`` extension in ``linalg_dir``.
+def _load_dgtsv(library):
+    """LAPACK ``scipy_dgtsv_64_`` (64-bit integers) through ``library``.
 
-    The extension is loaded as a plain shared object, without importing it,
-    and the symbol is looked up through its link to the LAPACK library:
-    ``scipy_dgtsv_`` (the name in scipy's OpenBLAS build), else
-    ``dgtsv_``.  That is the machine code scipy's own wrapper runs.
+    The file is opened as a plain shared object, and the symbol is looked up
+    through its link to the LAPACK library.  For numpy's ``_umath_linalg``
+    that is the OpenBLAS bundled with numpy's wheel, already mapped by
+    ``import numpy``, so no second BLAS is loaded.
     """
-    spec = PathFinder.find_spec("_flapack", [linalg_dir])
-    if spec is not None:
-        lib = ctypes.CDLL(spec.origin)
-        dgtsv = getattr(lib, "scipy_dgtsv_", None) or getattr(lib, "dgtsv_", None)
-        if dgtsv is not None:
-            # dgtsv(n, nrhs, dl, d, du, b, ldb, info), all by reference
-            dgtsv.argtypes = (ctypes.c_void_p,) * 8
-            dgtsv.restype = None
-            return dgtsv
-    raise ImportError(f"no LAPACK dgtsv in a _flapack library under {linalg_dir}")
+    try:
+        dgtsv = ctypes.CDLL(library).scipy_dgtsv_64_
+    except (OSError, AttributeError):
+        raise ImportError(f"no LAPACK scipy_dgtsv_64_ in {library}") from None
+    # dgtsv(n, nrhs, dl, d, du, b, ldb, info), all by reference
+    dgtsv.argtypes = (ctypes.c_void_p,) * 8
+    dgtsv.restype = None
+    return dgtsv
 
 
 @cache
 def _dgtsv():
-    """scipy's ``dgtsv``, loaded at the first banded solve: a process that
-    never solves never maps ``_flapack`` and the OpenBLAS it links to."""
-    return _load_dgtsv(os.path.join(scipy.__path__[0], "linalg"))
+    """numpy's ``dgtsv``, bound at the first banded solve; a failed load is
+    not cached, and the next solve tries again."""
+    return _load_dgtsv(_umath_linalg.__file__)
 
 
-_INTS = ctypes.c_int * 3
+_INTS = ctypes.c_int64 * 3
 
 
 def solve_banded(sub, diag, sup, rhs) -> np.ndarray:
     """Solve the tridiagonal system with diagonals (sub, diag, sup).
 
-    Calls LAPACK ``dgtsv``, the routine that
-    ``scipy.linalg.solve_banded((1, 1), ab, rhs)`` dispatches to, on the
-    three diagonals directly, so the result is bitwise the same, and keeps
-    that function's validation: ValueError for a non-finite entry in any
-    input or mismatched sizes, LinAlgError for a singular matrix.  ``rhs``
-    is a vector or an (n, nrhs) matrix; the inputs are left untouched.
+    Calls LAPACK ``dgtsv`` from numpy's OpenBLAS on the three diagonals
+    directly.  The result is bitwise that of
+    ``scipy.linalg.solve_banded((1, 1), ab, rhs)``, which dispatches to the
+    same routine in scipy's own OpenBLAS, and keeps that function's
+    validation: ValueError for a non-finite entry in any input or mismatched
+    sizes, LinAlgError for a singular matrix.  ``rhs`` is a vector or an
+    (n, nrhs) matrix; the inputs are left untouched.
     """
     rhs = np.asarray(rhs)
     n = len(diag)
@@ -409,8 +406,8 @@ def solve_banded(sub, diag, sup, rhs) -> np.ndarray:
     ints = _INTS(n, rhs.size // n, 0)  # n (also ldb), nrhs, info
     i = ctypes.addressof(ints)
     b = ctypes.addressof(ctypes.c_double.from_buffer(work))
-    _dgtsv()(i, i + 4, b, b + 8 * (n - 1), b + 8 * (2 * n - 1),
-           b + 8 * (3 * n - 2), i, i + 8)
+    _dgtsv()(i, i + 8, b, b + 8 * (n - 1), b + 8 * (2 * n - 1),
+           b + 8 * (3 * n - 2), i, i + 16)
     info = ints[2]
     if info > 0:
         raise LinAlgError("singular matrix")

@@ -1183,8 +1183,10 @@ class TestCLI:
 
     def test_lapack_loaded_at_the_first_solve(self):
         """Import, both presets' model build and closed-form gates leave
-        scipy's _flapack (and the OpenBLAS it links to) unloaded; the first
-        banded solve loads it once and later solves reuse it."""
+        dgtsv unbound; the first banded solve binds it once, later solves
+        reuse it, and before and after the solves the process maps one
+        OpenBLAS, numpy's: neither scipy's _flapack nor any file under
+        scipy.libs."""
         script = (
             "import os, sys\n"
             "import numpy as np\n"
@@ -1193,8 +1195,13 @@ class TestCLI:
             "from gradsing.config import preset\n"
             "def state():\n"
             "    maps = '/proc/self/maps'\n"
-            "    mapped = (open(maps).read().count('_flapack') > 0\n"
-            "              if os.path.exists(maps) else None)\n"
+            "    files = ({line.split()[-1] for line in open(maps)\n"
+            "              if len(line.split()) > 5}\n"
+            "             if os.path.exists(maps) else None)\n"
+            "    mapped = (None if files is None else\n"
+            "              (any('_flapack' in f or 'scipy.libs' in f for f in files),\n"
+            "               sum('openblas' in os.path.basename(f).lower()\n"
+            "                   for f in files)))\n"
             "    info = solver._dgtsv.cache_info()\n"
             "    print(info.misses, info.hits, info.currsize, mapped)\n"
             "for name in ('n2-standard', 'n3-weak'):\n"
@@ -1210,16 +1217,17 @@ class TestCLI:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         before, after, scipy_imported = proc.stdout.split("\n")[:3]
-        assert before in ("0 0 0 False", "0 0 0 None")
-        assert after in ("1 2 1 True", "1 2 1 None")
+        assert before in ("0 0 0 (False, 1)", "0 0 0 None")
+        assert after in ("1 2 1 (False, 1)", "1 2 1 None")
         assert scipy_imported == "True"
 
     def test_missing_dgtsv_is_not_a_config_error(self, tmp_path, monkeypatch):
-        """A scipy without dgtsv ends the run in the loader's ImportError at
-        the first solve, not in a configuration error (exit 2)."""
+        """A numpy without the 64-bit dgtsv ends the run in the loader's
+        ImportError at the first solve, not in a configuration error
+        (exit 2)."""
         load = solver._load_dgtsv
         monkeypatch.setattr(solver, "_load_dgtsv",
-                            lambda path: load(str(tmp_path)))
+                            lambda path: load(str(tmp_path / "absent.so")))
         solver._dgtsv.cache_clear()
         monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
         cfg_path = tmp_path / "quick.ini"

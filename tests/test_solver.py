@@ -3,10 +3,7 @@
 import _ctypes
 import ctypes
 import dataclasses
-import os
-import shutil
 import tracemalloc
-from importlib.machinery import EXTENSION_SUFFIXES
 from types import SimpleNamespace
 
 import numpy as np
@@ -163,13 +160,13 @@ class TestSolveBanded:
         with pytest.raises(ValueError, match="do not match"):
             solver.solve_banded(*system)
 
-    def test_dgtsv_is_scipys_own(self):
-        """The routine called is the very function scipy's LAPACK wrapper
-        reaches: the symbol as resolved from the imported _flapack file."""
-        lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
+    def test_dgtsv_is_numpys_own(self):
+        """The routine called is the 64-bit-integer dgtsv in the OpenBLAS
+        that numpy's linalg extension links to: the symbol as resolved from
+        the imported _umath_linalg file."""
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
         address = lambda f: ctypes.cast(f, ctypes.c_void_p).value
-        dgtsv = solver._dgtsv()
-        assert address(dgtsv) == address(getattr(lib, dgtsv.__name__))
+        assert address(solver._dgtsv()) == address(lib.scipy_dgtsv_64_)
 
     def test_library_loaded_at_first_solve_and_reused(self, monkeypatch):
         loads = []
@@ -181,17 +178,17 @@ class TestSolveBanded:
             system = self._system(61, seed)
             assert solver.solve_banded(*system).tobytes() == \
                 self._scipy(*system).tobytes()
-        assert loads == [os.path.join(scipy.__path__[0], "linalg")]
+        assert loads == [np.linalg._umath_linalg.__file__]
 
     def test_missing_dgtsv_fails_the_first_solve_as_import_error(
-            self, tmp_path, monkeypatch):
+            self, monkeypatch):
         """The loader's ImportError leaves solve_annulus as it is: the Newton
         loop does not take it for a failed iteration, so no step is halved
         and no SolverAbort or ValueError stands in for it."""
         loads = []
         load = solver._load_dgtsv
         monkeypatch.setattr(solver, "_load_dgtsv",
-                            lambda path: loads.append(path) or load(str(tmp_path)))
+                            lambda path: loads.append(path) or load(_ctypes.__file__))
         solver._dgtsv.cache_clear()
         params = analytic.make_params(2, R=0.6, C=0.25)
         datum = initdata.make_initial_datum(params, "mode_deficit", k=2.0,
@@ -200,20 +197,19 @@ class TestSolveBanded:
         problem = initdata.make_epsilon_problem(params, datum, 0.05, grid.nodes)
         with pytest.raises(ImportError, match="dgtsv") as err:
             solve_annulus(problem, grid, 0.02, SchemeConfig(dt=5e-3))
-        assert err.type is ImportError and str(tmp_path) in str(err.value)
+        assert err.type is ImportError and _ctypes.__file__ in str(err.value)
         assert len(loads) == 1
-        # nothing failed is cached: the next solve loads scipy's library
+        # nothing failed is cached: the next solve loads numpy's library
         monkeypatch.setattr(solver, "_load_dgtsv", load)
         assert solve_annulus(problem, grid, 0.02, SchemeConfig(dt=5e-3)).times.size == 5
 
-    @pytest.mark.parametrize("library", [None, _ctypes.__file__])
-    def test_loader_failure_names_the_searched_path(self, tmp_path, library):
-        # an empty directory, and a _flapack library without dgtsv
-        if library is not None:
-            shutil.copy(library, tmp_path / f"_flapack{EXTENSION_SUFFIXES[0]}")
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_loader_failure_names_the_searched_path(self, tmp_path, missing):
+        # a shared library without dgtsv, and a path that does not exist
+        library = str(tmp_path / "absent.so") if missing else _ctypes.__file__
         with pytest.raises(ImportError, match="dgtsv") as err:
-            solver._load_dgtsv(str(tmp_path))
-        assert str(tmp_path) in str(err.value)
+            solver._load_dgtsv(library)
+        assert err.type is ImportError and library in str(err.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", range(4))
@@ -229,6 +225,19 @@ class TestSolveBanded:
         sub, diag, sup, rhs = self._system(61)
         sub[2] = diag[2] = 0.0  # column 2 vanishes below row 1
         sup[1] = 0.0
+        with pytest.raises(scipy.linalg.LinAlgError, match="singular"):
+            solver.solve_banded(sub, diag, sup, rhs)
+        with pytest.raises(scipy.linalg.LinAlgError):
+            self._scipy(sub, diag, sup, rhs)
+
+    def test_pivot_vanishing_in_elimination_is_singular(self):
+        # rows 0 and 1 are equal and no input diagonal entry is zero: the
+        # pivot at row 1 becomes zero only after eliminating row 0, and the
+        # 64-bit info reports it
+        sub, diag, sup, rhs = self._system(61)
+        diag[0] = sup[0] = sub[0] = diag[1] = 1.0
+        sup[1] = 0.0
+        assert np.all(diag != 0.0)
         with pytest.raises(scipy.linalg.LinAlgError, match="singular"):
             solver.solve_banded(sub, diag, sup, rhs)
         with pytest.raises(scipy.linalg.LinAlgError):
