@@ -131,6 +131,24 @@ class TestValidator:
         assert row.extra["slope_constant"] == constant
         assert 0.0 < constant < np.inf
 
+    def test_slope_envelope_rejects_a_growing_constant(self, params, datum):
+        """u0 = u* - 0.05 r^0.2 (1 - (r/R)^2) has a finite slope on every
+        grid, but r^(2/3) |u0'| grows like r^(-2/15) toward the origin: it
+        gains 1.9% over the finest decade, beyond the 1% allowed."""
+        r = np.geomspace(1e-4 * params.R, params.R, 1200)
+        b, db = 1.0 - (r / params.R) ** 2, -2.0 * r / params.R ** 2
+        profile = RadialProfile(
+            grid=r, values=analytic.u_star(params, r) - 0.05 * r ** 0.2 * b,
+            derivative=analytic.u_star_r(params, r)
+            - 0.05 * (0.2 * r ** -0.8 * b + r ** 0.2 * db))
+        row = validate_initial_datum(params, InitialDatum(
+            profile=profile, value=None, slope=None))["slope_envelope"]
+        assert row.extra["slope_growth"] == pytest.approx(1.019, abs=1e-3)
+        assert row.passed is False
+        assert row.measured <= row.tolerance  # nonincreasing all the same
+        ok = validate_initial_datum(params, datum)["slope_envelope"]
+        assert ok.passed is True and ok.extra["slope_growth"] <= 1.0
+
     def test_stationary_profile_passes_all(self, params):
         r = np.geomspace(1e-4 * params.R, params.R, 1200)
         d = InitialDatum(

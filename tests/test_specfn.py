@@ -1,13 +1,16 @@
-"""Special-function layer: series/asymptotic evaluation, zeros, constants.
+"""Special-function layer: series evaluation on the served domain x <= 20,
+zeros, constants.
 
-Closed-form half-integer Bessel functions and extended-precision constants
-(frozen from an mpmath session) serve as independent oracles; scipy.special
-provides a second independent implementation for cross-checks.
+Closed-form half-integer Bessel functions, extended-precision constants
+(frozen from an mpmath session) and mpmath at 40 digits serve as
+independent oracles; scipy.special provides a second independent
+implementation for cross-checks.
 """
 
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -142,12 +145,14 @@ class TestEvaluation:
                 f(BesselOrder(0.6), np.array([1.0, bad]))
 
     def test_accuracy_warning_in_cancellation_zone(self):
+        # the series' own estimate (2.6e-3 here) is not reached: the
+        # argument lies beyond the served domain, which warns once
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             specfn.bessel_j(BesselOrder(25.0), 49.0)
         assert [(w.category, str(w.message), w.filename) for w in caught] == [
             (specfn.BesselAccuracyWarning,
-             "J_25: internal error estimate 2.58e-03 exceeds 1e-10", __file__)
+             "J_25: argument 49 is beyond the served domain x <= 20", __file__)
         ]
 
     def test_accuracy_warning_on_overflow(self):
@@ -171,6 +176,46 @@ class TestEvaluation:
                 assert specfn.bessel_j_prime(o, x) == pytest.approx(fd, abs=1e-8)
 
 
+class TestServedDomain:
+    """J is accurate on 0 <= x <= 20 and warns beyond it."""
+
+    def test_matches_mpmath_on_the_served_domain(self):
+        """Orders nu(n) - 2 .. nu(n) + 2 for n = 2..10 on 200 points of
+        [0.05, 20]: within 1e-10 of mpmath at 40 digits relative to
+        max(1, |J|), and no estimate crosses its target."""
+        x = np.linspace(0.05, 20.0, 200)
+        with mpmath.workdps(40), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in range(2, 11):
+                for s in (-2.0, -1.0, 0.0, 1.0, 2.0):
+                    mu = specfn.nu_of(n) + s
+                    value, est = specfn._jv_raw(mu, x)
+                    specfn._check_accuracy(est, value, f"J_{mu:g}")
+                    ref = np.array([float(mpmath.besselj(mu, xi))
+                                    for xi in x.tolist()])
+                    err = np.abs(value - ref) / np.maximum(1.0, np.abs(ref))
+                    assert np.max(err) <= 1e-10, (n, s)
+
+    @pytest.mark.parametrize("f", [specfn.bessel_j, specfn.bessel_j_prime,
+                                   specfn.bessel_j_second])
+    def test_one_argument_beyond_warns_once(self, f):
+        o = BesselOrder(NU_REF[3])
+        x = np.array([0.5, 10.0, 20.0, 20.5])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = f(o, x)
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (specfn.BesselAccuracyWarning,
+             f"J_{o.nu:g}: argument 20.5 is beyond the served domain x <= 20",
+             __file__)
+        ]
+        assert np.all(np.isfinite(value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = f(o, x[:3])  # x = 20 itself is served
+        assert inside.tobytes() == value[:3].tobytes()
+
+
 MODEL_ORDERS = [specfn.nu_of(n) + s for n in range(2, 7)
                 for s in (-2.0, -1.0, 0.0, 1.0, 2.0)]
 
@@ -191,7 +236,7 @@ class TestBitIdentity:
     def test_one_point_series_equals_array_series(self, mu, fraction):
         # two copies of one argument take the array loop over the same set;
         # a tiny x with mu < 0 overflows a double in both alike
-        x = fraction * max(12.0, 2.0 * abs(mu))
+        x = fraction * specfn._X_MAX
         with np.errstate(over="ignore"):
             one_value, one_est = specfn._series(mu, np.array([x]))
             pair_value, pair_est = specfn._series(mu, np.array([x, x]))
@@ -200,7 +245,7 @@ class TestBitIdentity:
 
     def test_repeated_arguments_take_the_bits_of_distinct_ones(self):
         o = BesselOrder(NU_REF[3])
-        x = np.linspace(0.1, 30.0, 50)
+        x = np.linspace(0.1, 20.0, 50)
         tiled = np.tile(x, (3, 1))
         for f in (specfn.bessel_j, specfn.bessel_j_prime, specfn.bessel_j_second):
             assert f(o, tiled).tobytes() == np.tile(f(o, x), (3, 1)).tobytes()
@@ -345,13 +390,12 @@ class TestZeroSearchReplay:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_point_value_independent_of_the_call(self, n):
         """J and J' of each point alone are bitwise those inside a 200-point
-        call spanning both the series and the Hankel ranges, with points
-        within 1e-12 of x0 and x1."""
+        call spanning [nu, 20], with points within 1e-12 of x0 and x1."""
         o = BesselOrder(specfn.nu_of(n))
         z = specfn.first_zeros(o)
         near = [z.x0 + d for d in (-1e-12, -2.0 ** -45, 0.0, 1e-12)]
         near += [z.x1 + d for d in (-1e-12, 0.0, 2.0 ** -45, 1e-12)]
-        x = np.concatenate([np.linspace(o.nu, o.nu + 20.0, 192), near])
+        x = np.concatenate([np.linspace(o.nu, specfn._X_MAX, 192), near])
         j, jp = specfn._derivatives(o, x, (0, 1))
         for xi, ji, jpi in zip(x.tolist(), j.tolist(), jp.tolist()):
             alone = specfn._derivatives(o, xi, (0, 1))
