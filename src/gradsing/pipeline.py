@@ -191,13 +191,15 @@ def _write_field_csv(path: Path, fld: solver.SpacetimeField, save_every: int):
 
     The bytes are those of ``_write_csv`` on the four columns, but each
     stored time and each node is formatted once, not once per row: only
-    u and u_r are formatted per cell, and u_r is reconstructed for the
-    written times only.  Each write is at most
+    u and u_r are formatted per cell, and the rows of u (a limit estimate
+    builds them here) and of u_r are formed for the written times only.
+    Each write is at most
     ``_ROWS_PER_WRITE`` rows; strings of a whole stored time (35 kB on
     400 nodes) fragment the heap, and peak RSS then grows over repeated
     runs in one process.
     """
     rows = slice(0, None, save_every)
+    u_rows = fld.values[rows]
     cells = _DELIMITER + _FLOAT_FMT + _DELIMITER + _FLOAT_FMT + _NEWLINE
     # row j after its leading t: ",r_j,%.17g,%.17g\r\n", in groups of nodes
     tails = [_DELIMITER + _FLOAT_FMT % r + cells for r in fld.grid.nodes.tolist()]
@@ -205,8 +207,8 @@ def _write_field_csv(path: Path, fld: solver.SpacetimeField, save_every: int):
     groups = [(2 * i, 2 * i + 2 * n, tails[i:i + n]) for i in range(0, len(tails), n)]
     with open(path, "w", newline="") as fh:
         fh.write(_DELIMITER.join(("t", "r", "u", "u_r")) + _NEWLINE)
-        for t, u, ur in zip(fld.times[rows].tolist(), fld.values[rows],
-                            fld.grid.gradient(fld.values[rows])):
+        for t, u, ur in zip(fld.times[rows].tolist(), u_rows,
+                            fld.grid.gradient(u_rows)):
             head = _FLOAT_FMT % t
             values = np.column_stack((u, ur)).ravel().tolist()
             for start, stop, group in groups:
@@ -242,9 +244,9 @@ def _persist(result: PipelineResult) -> None:
     written = {}
     if cont is not None:  # None: stopped after the analytic gates
         written = {f"field_eps{fld.eps:.6g}.csv": fld for fld in cont.fields}
-        limit = cont.limit  # built on this read
-        if limit is not None:  # None: no radius solved
-            written["field_limit.csv"] = limit
+        if cont.fields:  # none: no radius solved
+            # built for the written rows only, as the file is written
+            written["field_limit.csv"] = solver.limit_estimate(cont.finest)
     _remove_stale_fields(out_dir, written)
     artifacts = {}
     for name, fld in written.items():

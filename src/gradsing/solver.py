@@ -18,10 +18,11 @@ non-finite system included, halves the step, at most MAX_HALVINGS deep,
 then aborts.  Newton stops when its increment is within NEWTON_TOL of
 1 + max|u|, and fails after NEWTON_MAX_ITER iterations.
 
-The continuation solves a decreasing sequence of inner radii, reports
+The continuation solves a decreasing sequence of inner radii and reports
 sup-norm differences of consecutive fields on the compact window of
-:func:`compact_window`, and gives the finest field with the origin value
-0 appended as the limit estimate, built each time it is read.
+:func:`compact_window`.  Its limit estimate, the finest field with the
+origin value 0 prepended (:func:`limit_estimate`), is never copied whole:
+each pass builds the rows it reads, a row block at a time.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ __all__ = [
     "step",
     "solve_annulus",
     "compact_window",
+    "OriginRows",
+    "limit_estimate",
     "blockwise_max",
     "blockwise_rows",
     "continuation",
@@ -65,7 +68,9 @@ MAX_HALVINGS = 6
 # Rows of a (time, radius) array that RadialGrid.gradient, blockwise_max and
 # blockwise_rows handle at once: their temporaries, and those of every pass
 # built on them, stay one block in size however many times a field stores.
-ROW_BLOCK = 64
+# The largest block working set, compact_difference's two spline fits (about
+# 22 kB per row on 401 knots), is then about 0.36 MB.
+ROW_BLOCK = 16
 
 _STEPPER_THETA = {
     "implicit_euler": 1.0,
@@ -433,7 +438,8 @@ class SpacetimeField:
     stored time.  Everything derived, u_r included (``grid.gradient`` of
     the rows a pass needs), is computed from ``values`` on request and not
     kept, so a check always judges the stored field and a field holds
-    nothing beyond its inputs.
+    nothing beyond its inputs.  The values of a :func:`limit_estimate` are
+    :class:`OriginRows`, which a pass reads by rows only.
     """
 
     grid: RadialGrid
@@ -525,11 +531,11 @@ def _check_apriori_box(field_out: SpacetimeField) -> None:
 
 @dataclass
 class ContinuationResult:
-    """Fields of the shrinking-annulus sequence plus the limit estimate.
+    """Fields of the shrinking-annulus sequence.
 
     ``aborted`` carries the abort that ended the sequence; the fields solved
     before it are retained.  An abort at the first inner radius leaves no
-    field, so ``fields`` is empty and ``limit`` is None.
+    field, so ``fields`` is empty.
     """
 
     fields: list
@@ -544,22 +550,34 @@ class ContinuationResult:
         """The field solved at inner radius ``eps`` exactly, or None."""
         return next((f for f in self.fields if f.eps == eps), None)
 
-    @property
-    def limit(self) -> SpacetimeField | None:
-        """The finest field with the origin prepended, or None without a
-        field.  A new copy of the finest field on every read, kept by no
-        one, so a caller reads it once and lets it go."""
-        return _append_origin(self.fields[-1]) if self.fields else None
+
+class OriginRows:
+    """The values of a limit estimate: the rows of an annulus field's values
+    with the origin column, value 0, prepended.  Nothing is copied whole:
+    indexing the rows (an index, a slice, an index array) builds those rows
+    only, so a row-blocked pass holds one block of them."""
+
+    def __init__(self, annulus: np.ndarray):
+        self.annulus = annulus
+
+    def __len__(self) -> int:
+        return len(self.annulus)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        if isinstance(rows, tuple):
+            raise TypeError("limit values are indexed by rows only")
+        block = self.annulus[rows]
+        out = np.zeros(block.shape[:-1] + (block.shape[-1] + 1,))
+        out[..., 1:] = block
+        return out
 
 
-def _append_origin(field_in: SpacetimeField) -> SpacetimeField:
-    """Limit-estimate convention: prepend r = 0 with value 0."""
-    grid = RadialGrid(nodes=np.concatenate(([0.0], field_in.grid.nodes)))
-    values = np.concatenate(
-        (np.zeros((field_in.values.shape[0], 1)), field_in.values), axis=1
-    )
+def limit_estimate(field_in: SpacetimeField) -> SpacetimeField:
+    """Limit-estimate convention: ``field_in`` with r = 0 prepended, value 0
+    there.  Its ``values`` are :class:`OriginRows`, built per row request."""
     return SpacetimeField(
-        grid=grid, times=field_in.times, values=values,
+        grid=RadialGrid(nodes=np.concatenate(([0.0], field_in.grid.nodes))),
+        times=field_in.times, values=OriginRows(field_in.values),
         problem=field_in.problem, scheme_name=field_in.scheme_name,
     )
 

@@ -283,7 +283,7 @@ def test_criterion_09_weak_identity(n3, n3_levels):
         origin_series[tf.name] = series
         origin_monotone &= all(b < a for a, b in zip(series, series[1:]))
 
-    mass = verify.check_inner_mass(finest_level.limit,
+    mass = verify.check_inner_mass(solver.limit_estimate(finest_level.finest),
                                    cfg.continuation.eps_sequence)
     ok = shell_monotone and origin_monotone and mass.passed
     verdict(

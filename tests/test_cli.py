@@ -8,6 +8,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -496,8 +497,21 @@ QUICK_DIGESTS = {
 }
 
 
+# The same for both steppers: the quick checks measure 0 or the datum's
+# gradient at t = 0.
+QUICK_REPORT_DIGESTS = {
+    "report.csv":
+        "d9538d2b39eb5de930e86a8b217390cab5391edb30408ab2daeec47d87066ee3",
+    "report.json":
+        "998ba4d1de2d31e8cf00c928898f7a6a0887cba8616082b7e566f380106df899",
+}
+
+
 @pytest.mark.parametrize("stepper", sorted(QUICK_DIGESTS))
-def test_quick_outputs_byte_identical(stepper, tmp_path, monkeypatch):
+@pytest.mark.parametrize("block", [solver.ROW_BLOCK, 7])
+def test_quick_outputs_byte_identical(block, stepper, tmp_path, monkeypatch):
+    """The artifacts' bytes do not depend on the row block size."""
+    monkeypatch.setattr(solver, "ROW_BLOCK", block)
     monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
     pipeline.run_pipeline(load_config(
         QUICK_CONFIG.replace("implicit_euler", stepper)))
@@ -508,6 +522,32 @@ def test_quick_outputs_byte_identical(stepper, tmp_path, monkeypatch):
     for path in run_dir.glob("field_*.csv"):
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == QUICK_DIGESTS[stepper]
+    assert {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in QUICK_REPORT_DIGESTS} == QUICK_REPORT_DIGESTS
+
+
+def test_heap_peak_at_the_floor(tmp_path, monkeypatch):
+    """A run's heap peak is its fields plus the one field a rerun holds,
+    plus one row block's working set.  On these 401-node fields of 402
+    stored times the block set, the uniqueness rerun's spline fits of 16
+    rows on both grids with the run's small arrays, is under half a field
+    (0.55 MB of 0.64); 64-row fits and a whole-copy limit took 1.3 fields."""
+    monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+    cfg = load_config(QUICK_CONFIG.replace("n = 2", "n = 3").replace(
+        "R = 0.6", "R = 1.5").replace("num_nodes = 120", "num_nodes = 400").replace(
+        "sandwich, monotone, gradient_box",
+        "cutoff_inactive, uniqueness, weak_identity, inner_mass"))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = pipeline.run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert all(c.status == "ok" for c in result.report.checks)
+    field = result.continuation.finest.values.nbytes
+    floor = sum(f.values.nbytes for f in result.continuation.fields) + field
+    assert peak <= floor + field / 2
 
 
 def test_quick_newton_solve_bitwise_equals_scipy():
@@ -759,20 +799,29 @@ class TestCheckTable:
     @pytest.mark.parametrize("n, R, builds", [(2, 0.6, 1), (3, 1.5, 3)])
     def test_limit_built_only_where_the_weak_form_applies(
             self, n, R, builds, tmp_path, monkeypatch):
-        """n = 2 skips the weak-form checks without building the limit, so
-        only the persisted field_limit.csv builds it; n = 3 builds it for
-        each of the two checks and for the file."""
-        built = []
-        original = solver._append_origin
-        monkeypatch.setattr(solver, "_append_origin",
+        """n = 2 skips the weak-form checks without a limit pass, so only
+        the persisted field_limit.csv builds limit rows, the written ones;
+        n = 3 builds the limit for each of the two checks, which read its
+        rows a block at a time, and for the file."""
+        built, requests = [], []
+        original, rows_of = solver.limit_estimate, solver.OriginRows.__getitem__
+        monkeypatch.setattr(solver, "limit_estimate",
                             lambda fld: built.append(1) or original(fld))
+        monkeypatch.setattr(solver.OriginRows, "__getitem__", lambda self, rows:
+                            requests.append(rows) or rows_of(self, rows))
         monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
-        report = pipeline.run_pipeline(load_config(QUICK_CONFIG.replace(
+        cfg = load_config(QUICK_CONFIG.replace(
             "n = 2", f"n = {n}").replace("R = 0.6", f"R = {R}").replace(
-            "sandwich, monotone, gradient_box", "weak_identity, inner_mass")
-        )).report
+            "sandwich, monotone, gradient_box", "weak_identity, inner_mass"))
+        result = pipeline.run_pipeline(cfg)
         assert len(built) == builds
-        rows = [c for c in report.checks if c.name not in GATES]
+        written = slice(0, None, cfg.output.save_every)
+        stored = len(result.continuation.finest.times)
+        assert requests[-1] == written  # the file, last
+        blocks = [len(range(stored)[rows]) for rows in requests[:-1]]
+        assert len(blocks) == (n - 2) * 2 * len(range(0, stored, solver.ROW_BLOCK))
+        assert all(size <= solver.ROW_BLOCK for size in blocks)
+        rows = [c for c in result.report.checks if c.name not in GATES]
         assert len(rows) == 4
         assert all(c.status == ("skipped" if n == 2 else "ok") for c in rows)
 

@@ -538,10 +538,11 @@ class TestContinuation:
         params, datum = n2_bundle
         res = continuation(params, datum, [0.05, 0.04], small_policy, 0.2,
                            small_scheme)
-        lim = res.limit
+        lim = solver.limit_estimate(res.finest)
         assert lim.grid.nodes[0] == 0.0
-        assert np.all(lim.values[:, 0] == 0.0)
-        assert np.array_equal(lim.values[:, 1:], res.finest.values)
+        rows = lim.values[:]
+        assert np.all(rows[:, 0] == 0.0)
+        assert np.array_equal(rows[:, 1:], res.finest.values)
 
     def test_diffs_decrease_on_geometric_sequence(self, n2_bundle,
                                                   small_policy, small_scheme):
@@ -604,6 +605,8 @@ class TestCompactDifference:
 
 BLOCK_ROWS = (1, solver.ROW_BLOCK - 1, solver.ROW_BLOCK, solver.ROW_BLOCK + 1,
               2 * solver.ROW_BLOCK + 3)
+# and the stored times of an n2-standard field
+LIMIT_ROWS = BLOCK_ROWS[:-1] + (1296,)
 
 
 def _with_rows(fld, times, seed):
@@ -778,16 +781,15 @@ class TestMemoryGuard:
         assert [f.name for f in dataclasses.fields(n2_field)] == \
             ["grid", "times", "values", "problem", "scheme_name"]
 
-    # entries that build one field of their own: a rerun, or the limit
-    BUILD_A_FIELD = ("cutoff_inactive", "weak_identity", "inner_mass",
-                     "uniqueness")
+    # entries that build one field of their own, a rerun; the limit's rows
+    # are built a block at a time
+    BUILD_A_FIELD = ("cutoff_inactive", "uniqueness")
 
     @pytest.mark.parametrize("name", list(verify.CHECKS))
     def test_check_below_a_quarter_field(self, name, n3_bundle, n3_field,
                                          monkeypatch):
         """Every CHECKS entry on a long field holds at most a quarter of a
-        field beyond what it is given, plus the one field a rerun or the
-        limit needs."""
+        field beyond what it is given, plus the one field a rerun needs."""
         params, datum = n3_bundle
         long = self._long(n3_field)
         monkeypatch.setattr(solver, "solve_annulus", lambda *args:
@@ -804,25 +806,32 @@ class TestMemoryGuard:
         # every entry finds the radii it is judged at
         assert not any("not solved" in row.extra.get("reason", "")
                        for row in verify.CHECKS[name](run))
-        # a field with the origin column, the larger of the two
-        field = long.times.size * (long.grid.nodes.size + 1) * 8
-        budget = long.values.nbytes / 4 + field * (name in self.BUILD_A_FIELD)
+        budget = long.values.nbytes * (0.25 + (name in self.BUILD_A_FIELD))
         assert _peak_bytes(lambda: verify.CHECKS[name](run)) < budget
 
-    def test_limit_built_on_read_and_not_stored(self, n2_field,
-                                                n2_field_half_eps):
-        cont = solver.ContinuationResult(
-            fields=[n2_field, n2_field_half_eps], consecutive_diffs=[])
-        expected = solver._append_origin(n2_field_half_eps)
-        limit = cont.limit
-        assert limit.values.tobytes() == expected.values.tobytes()
-        assert limit.grid.nodes.tobytes() == expected.grid.nodes.tobytes()
-        assert limit.times is n2_field_half_eps.times
-        assert cont.limit is not limit  # built anew on every read
+    @pytest.mark.parametrize("rows", LIMIT_ROWS)
+    def test_limit_rows_equal_the_whole_copy(self, rows, n2_field):
+        """The limit estimate's rows, read a block at a time or as every
+        k-th row, are bitwise the finest field with the origin column
+        prepended whole, and nothing keeps them: the estimate holds the
+        field's own array, and a continuation has no limit attribute."""
+        fld = _with_rows(n2_field, np.linspace(0.0, 1.0, rows), rows)
+        whole = np.concatenate((np.zeros((rows, 1)), fld.values), axis=1)
+        limit = solver.limit_estimate(fld)
+        assert limit.grid.nodes.tobytes() == \
+            np.concatenate(([0.0], fld.grid.nodes)).tobytes()
+        assert limit.times is fld.times and limit.values.annulus is fld.values
+        assert len(limit.values) == rows
+        assert solver.blockwise_rows(lambda b: b, limit.values).tobytes() == \
+            whole.tobytes()
+        assert limit.values[::10].tobytes() == whole[::10].tobytes()
+        assert limit.values[rows - 1].tobytes() == whole[-1].tobytes()
+        with pytest.raises(TypeError):
+            limit.values[:, 0]  # a column is no row request
+        cont = solver.ContinuationResult(fields=[fld], consecutive_diffs=[])
         assert [f.name for f in dataclasses.fields(cont)] == \
             ["fields", "consecutive_diffs", "aborted"]
-        empty = solver.ContinuationResult(fields=[], consecutive_diffs=[])
-        assert empty.limit is None
+        assert not hasattr(cont, "limit")
 
 
 def _same_bits(x, rows, radii):
@@ -845,9 +854,9 @@ class TestSplineAt:
 
     def test_solved_fields_and_origin_limit_grid(self, n2_field,
                                                  n2_field_half_eps):
-        for fld in (n2_field, n2_field_half_eps,
-                    solver._append_origin(n2_field_half_eps)):
-            assert _same_bits(fld.grid.nodes, fld.values, self.RADII)
+        limit = solver.limit_estimate(n2_field_half_eps)
+        for fld in (n2_field, n2_field_half_eps, limit):
+            assert _same_bits(fld.grid.nodes, fld.values[:], self.RADII)
 
     def test_radii_at_knots_and_both_ends(self):
         x = np.concatenate(([0.0], GridPolicy(400, 2.0).build(0.01, 0.6).nodes))
