@@ -31,7 +31,7 @@ import numpy as np
 
 from . import analytic, specfn
 from .analytic import ModelParams, RadialProfile
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, within
 
 __all__ = [
     "InitialDataError",
@@ -185,20 +185,14 @@ def validate_initial_datum(
     d2_coarse = np.abs(_second_derivative_estimate(rc, uc))[maskc[1:-1]]
     m_fine = float(np.max(d2_fine)) if d2_fine.size else 0.0
     m_coarse = float(np.max(d2_coarse)) if d2_coarse.size else 0.0
-    growth = m_fine / max(m_coarse, 1e-30)
-    report.add(CheckResult(
-        name="interior_regularity",
-        claim="second differences stable under grid coarsening (C2 proxy)",
-        measured=growth, tolerance=1.8, passed=growth <= 1.8,
-    ))
+    report.add(within("interior_regularity",
+                      "second differences stable under grid coarsening (C2 proxy)",
+                      m_fine / max(m_coarse, 1e-30), 1.8))
 
     # (b) datum below the stationary profile
-    worst_above = float(np.max(u0 - us))
-    report.add(CheckResult(
-        name="below_stationary",
-        claim="stationary profile dominates the datum nodewise",
-        measured=worst_above, tolerance=tol, passed=worst_above <= tol,
-    ))
+    report.add(within("below_stationary",
+                      "stationary profile dominates the datum nodewise",
+                      float(np.max(u0 - us)), tol))
 
     # (c) weighted closeness near the origin
     w = r ** (1.5 - params.n - params.nu) * (us - u0)
@@ -212,12 +206,9 @@ def validate_initial_datum(
     ))
 
     # (d) exact match at the outer boundary
-    mismatch = abs(float(u0[-1] - us[-1]))
-    report.add(CheckResult(
-        name="outer_boundary_match",
-        claim="datum equals the stationary profile at r = R",
-        measured=mismatch, tolerance=tol, passed=mismatch <= tol,
-    ))
+    report.add(within("outer_boundary_match",
+                      "datum equals the stationary profile at r = R",
+                      abs(float(u0[-1] - us[-1])), tol))
 
     # (e) slope squeeze 0 >= u0' >= -C r^(-2/3), with C bounded near 0
     worst_pos = float(np.max(u0r))

@@ -23,7 +23,7 @@ import numpy as np
 from . import analytic, initdata, solver, specfn, verify
 from .analytic import ModelParams
 from .config import ConfigError, RunConfig, load_config
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, within
 
 __all__ = [
     "PipelineResult",
@@ -109,26 +109,20 @@ def analytic_checks(params: ModelParams) -> list[CheckResult]:
     res_s = analytic.residual_stationary(params, r[0])
     scale_s = analytic.stationary_residual_scale(params, r[0])
     worst_s = float(np.max(np.abs(res_s) / scale_s))
-    out = [CheckResult(
-        name="stationary_residual",
-        claim="cube-root profile annihilates the flow, relative to its scale",
-        measured=worst_s, tolerance=1e-12, passed=worst_s <= 1e-12,
-    )]
     res_l = analytic.residual_linearized(params, r, t)
     v = analytic.v_mode(params, r, t)
     worst_l = float(np.max(np.abs(res_l) / np.maximum(1.0, np.abs(v))))
     defect = float(np.max(analytic.subsolution_defect(params, r, t)))
-    out.append(CheckResult(
-        name="linearized_residual",
-        claim="separated mode solves the linearized flow",
-        measured=worst_l, tolerance=1e-8, passed=worst_l <= 1e-8,
-    ))
-    out.append(CheckResult(
-        name="subsolution_sign",
-        claim="stationary-minus-mode stays a subsolution on the lattice",
-        measured=defect, tolerance=1e-8, passed=defect <= 1e-8,
-    ))
-    return out
+    return [
+        within("stationary_residual",
+               "cube-root profile annihilates the flow, relative to its scale",
+               worst_s, 1e-12),
+        within("linearized_residual", "separated mode solves the linearized flow",
+               worst_l, 1e-8),
+        within("subsolution_sign",
+               "stationary-minus-mode stays a subsolution on the lattice",
+               defect, 1e-8),
+    ]
 
 
 def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:

@@ -16,6 +16,16 @@ class CheckResult:
     (it doubles as the provenance column of serialized reports).
     ``status`` is ``ok`` for a real measurement, ``skipped`` when the check
     does not apply and ``inconclusive`` when it could not be decided.
+
+    What ``tolerance`` holds depends on the rule: the bound of an
+    upper-bound row (:func:`within`) and of the measured part of a
+    compound one (``origin_closeness``, ``slope_envelope``), the lower
+    bound of ``decay_rate``, the window's upper end of
+    ``singularity_exponent``, the first value of the sequence rows
+    (``inner_slope_mass``, ``continuation_cauchy``), the target of a stage
+    row (``continuation_complete``, a rerun's abort), and ``inf`` for
+    ``pointwise_gradient_p28``, which passes when finite.  An unjudged row
+    holds NaN.
     """
 
     name: str
@@ -36,6 +46,15 @@ class CheckResult:
             f"{flag:12s} {self.name:28s} measured={self.measured:.6e} "
             f"tol={self.tolerance:.6e}{reason}"
         )
+
+
+def within(name: str, claim: str, measured: float, tolerance: float,
+           **extra) -> CheckResult:
+    """The row of an upper-bound claim: it passes when measured <=
+    tolerance, so a NaN measurement fails."""
+    return CheckResult(name=name, claim=claim, measured=measured,
+                       tolerance=tolerance, passed=bool(measured <= tolerance),
+                       extra=extra)
 
 
 @dataclass

@@ -124,40 +124,32 @@ def _series(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the value and an absolute error estimate (cancellation plus
     truncation).  ``mu`` may be any real that is not a negative integer.
-    One argument runs the same loop on long-double scalars: the same 80-bit
-    operations in the same order, without numpy's per-array overhead.
     """
     gamma = _L(math.gamma(mu + 1.0))
     # leading coefficient 1/Gamma(mu+1); Gamma may legitimately be negative
     # for mu in (-2,-1) etc.  x == 0: (x/2)^mu is 0 for mu > 0, 1 for
     # mu == 0; mu < 0 never reaches here with x == 0 (guarded by the public
     # wrappers).
-    if x.size == 1:
-        z = _L(x[0]) / 2
-        lead = np.exp(_L(mu) * np.log(z)) / gamma if z > 0 else _L(mu == 0.0)
-        one, widest, settled = _L(1), max, bool
-    else:
-        z = x.astype(_L) / 2
-        lead = np.zeros_like(z)
-        pos = x > 0
-        lead[pos] = np.exp(_L(mu) * np.log(z[pos])) / gamma
-        if mu == 0.0:
-            lead[~pos] = 1.0
-        one, widest, settled = np.ones_like(z), np.maximum, np.ndarray.all
-    term = total = max_term = one
+    z = x.astype(_L) / 2
+    lead = np.zeros_like(z)
+    pos = x > 0
+    lead[pos] = np.exp(_L(mu) * np.log(z[pos])) / gamma
+    if mu == 0.0:
+        lead[~pos] = 1.0
+    term = total = max_term = np.ones_like(z)
     z2 = -(z * z)
     k = 0
     while k < _SERIES_MAX_TERMS:
         k += 1
         term = term * z2 / (_L(k) * _L(mu + k))
         total = total + term
-        max_term = widest(max_term, abs(term))
-        if settled(abs(term) <= 1e-24 * (abs(total) + 1e-300)):
+        max_term = np.maximum(max_term, abs(term))
+        if np.all(abs(term) <= 1e-24 * (abs(total) + 1e-300)):
             break
     value = lead * total
     eps_l = float(np.finfo(_L).eps)
     est = abs(lead) * (max_term * eps_l + abs(term)) + 2.3e-16 * abs(value)
-    return np.atleast_1d(value).astype(float), np.atleast_1d(est).astype(float)
+    return value.astype(float), est.astype(float)
 
 
 def _jv_raw(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,10 +8,13 @@ which field each claim is judged on; the continuation and serialization
 live in the pipeline.  Derivative reconstruction always reuses the solver
 stencil so that the asserted quantities are the ones actually computed.
 
-Each check states its bound in its docstring and applies it itself; no
-caller or configuration key can move it.  The envelope checks allow
-:func:`tol_sandwich`, 5 (h^2 + dt) (spatial truncation plus one power of
-the step), and the gradient sign checks :func:`tol_grad`, 1e-6 + 10 h^2.
+Each check states its bound in its docstring, and :func:`report.within`
+applies it: an upper-bound row passes when measured <= bound.  The other
+rules (a lower bound, a window, a strict decrease) stay in their checks.
+No caller or configuration key can move a bound.  The envelope checks
+allow :func:`tol_sandwich`, 5 (h^2 + dt) (spatial truncation plus one
+power of the step), and the gradient sign checks :func:`tol_grad`,
+1e-6 + 10 h^2.
 
 Every pass over a whole field runs ROW_BLOCK stored times at a time
 (:func:`solver.blockwise_max`, :func:`solver.blockwise_rows`), with u_r
@@ -26,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from . import analytic, initdata, solver, specfn
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, within
 from .solver import SpacetimeField, compact_difference, compact_window
 
 __all__ = [
@@ -68,7 +71,6 @@ class ExponentFit:
     exponent: float
     prefactor: float
     r_squared: float
-    window: tuple
 
     def __post_init__(self):
         if not 0.0 <= self.r_squared <= 1.0 + 1e-12:
@@ -119,13 +121,10 @@ def check_sandwich(field: SpacetimeField) -> CheckResult:
     lower = solver.blockwise_max(
         lambda t, u: (us - analytic.v_mode(p, r, t[:, None])) - u,
         field.times, field.values)
-    worst = max(upper, lower, 0.0)
-    return CheckResult(
-        name="sandwich",
-        claim="stationary profile above, stationary-minus-mode below, everywhere",
-        measured=worst, tolerance=tol, passed=worst <= tol,
-        extra={"upper_violation": upper, "lower_violation": lower},
-    )
+    return within("sandwich",
+                  "stationary profile above, stationary-minus-mode below, everywhere",
+                  max(upper, lower, 0.0), tol, upper_violation=upper,
+                  lower_violation=lower)
 
 
 def check_monotone(field: SpacetimeField) -> CheckResult:
@@ -133,11 +132,8 @@ def check_monotone(field: SpacetimeField) -> CheckResult:
     :func:`tol_grad`."""
     tol = tol_grad(field)
     worst = max(solver.blockwise_max(field.grid.gradient, field.values), 0.0)
-    return CheckResult(
-        name="monotone_gradient",
-        claim="radial derivative nonpositive over the whole field",
-        measured=worst, tolerance=tol, passed=worst <= tol,
-    )
+    return within("monotone_gradient",
+                  "radial derivative nonpositive over the whole field", worst, tol)
 
 
 def check_gradient_box(field: SpacetimeField) -> CheckResult:
@@ -147,13 +143,9 @@ def check_gradient_box(field: SpacetimeField) -> CheckResult:
     cutoff never changed the equation on the stored field.
     """
     ceiling = field.problem.c_star_eps
-    sup = field.max_abs_gradient
-    return CheckResult(
-        name="gradient_box",
-        claim="gradient ceiling never exceeded, so the cutoff stayed inert",
-        measured=sup, tolerance=ceiling, passed=sup <= ceiling,
-        extra={"ceiling": ceiling},
-    )
+    return within("gradient_box",
+                  "gradient ceiling never exceeded, so the cutoff stayed inert",
+                  field.max_abs_gradient, ceiling, ceiling=ceiling)
 
 
 def check_cutoff_inactive(field: SpacetimeField,
@@ -163,11 +155,8 @@ def check_cutoff_inactive(field: SpacetimeField,
         raise ValueError("fields must share grid and time lattice")
     diff = solver.blockwise_max(lambda a, b: np.abs(a - b), field.values,
                                 field_wide.values)
-    return CheckResult(
-        name="cutoff_inactive_rerun",
-        claim="field invariant under widening the cutoff support",
-        measured=diff, tolerance=1e-10, passed=diff <= 1e-10,
-    )
+    return within("cutoff_inactive_rerun",
+                  "field invariant under widening the cutoff support", diff, 1e-10)
 
 
 def check_boundary_bands(field: SpacetimeField) -> CheckResult:
@@ -182,11 +171,8 @@ def check_boundary_bands(field: SpacetimeField) -> CheckResult:
                 outer_lo - float(np.min(outer)),
                 float(np.max(inner)),
                 -field.problem.c_star_eps - float(np.min(inner)))
-    return CheckResult(
-        name="boundary_derivative_bands",
-        claim="boundary slopes inside the stationary and ceiling bands",
-        measured=worst, tolerance=tol, passed=worst <= tol,
-    )
+    return within("boundary_derivative_bands",
+                  "boundary slopes inside the stationary and ceiling bands", worst, tol)
 
 
 # -- weighted gradient bounds -------------------------------------------------
@@ -222,17 +208,10 @@ def check_weighted_bernstein(field: SpacetimeField, p: int) -> CheckResult:
     fit_late = slope * t[late] + intercept
     rel = float(np.max(np.abs(W[late] - fit_late)) / np.max(np.abs(fit_late)))
     lift = max(0.0, float(np.max(W - (slope * t + intercept))))
-    return CheckResult(
-        name=f"weighted_gradient_majorant_p{p}",
-        claim="weighted gradient power admits an affine-in-time majorant",
-        measured=rel, tolerance=0.05, passed=rel <= 0.05,
-        extra={
-            "slope": slope,
-            "intercept": intercept + lift,
-            "datum_level": float(W[0]),
-            "steady_level": float(W[-1]),
-        },
-    )
+    return within(f"weighted_gradient_majorant_p{p}",
+                  "weighted gradient power admits an affine-in-time majorant",
+                  rel, 0.05, slope=slope, intercept=intercept + lift,
+                  datum_level=float(W[0]), steady_level=float(W[-1]))
 
 
 def check_pointwise_gradient(field: SpacetimeField) -> CheckResult:
@@ -265,11 +244,8 @@ def check_pointwise_stability(result_a: CheckResult,
     inner radius."""
     a, b = result_a.measured, result_b.measured
     drift = abs(a - b) / max(abs(a), abs(b))
-    return CheckResult(
-        name="pointwise_gradient_stability", claim=_STABILITY_CLAIM,
-        measured=drift, tolerance=0.2, passed=drift <= 0.2,
-        extra={"bound_coarse": a, "bound_fine": b},
-    )
+    return within("pointwise_gradient_stability", _STABILITY_CLAIM, drift, 0.2,
+                  bound_coarse=a, bound_fine=b)
 
 
 # -- singularity shape --------------------------------------------------------
@@ -284,10 +260,7 @@ def fit_singularity(field: SpacetimeField, t_probe: float) -> ExponentFit:
     k = int(np.argmin(np.abs(field.times - t_probe)))
     grad = np.abs(field.grid.gradient(field.values[k])[window])
     slope, logc, r2 = _linear_fit(np.log(r[window]), np.log(grad))
-    return ExponentFit(
-        exponent=slope, prefactor=float(np.exp(logc)), r_squared=r2,
-        window=(2.0 * eps, 20.0 * eps),
-    )
+    return ExponentFit(exponent=slope, prefactor=float(np.exp(logc)), r_squared=r2)
 
 
 def _probe_times(field: SpacetimeField) -> list[float]:
@@ -350,11 +323,8 @@ def check_shape_functional(field: SpacetimeField) -> CheckResult:
         fun = r[sel] ** (1.5 - p.n - p.nu) * (us - field.values[k, sel])
         worst = max(worst, float(np.max(fun)))
     tol = 1.05 * p.C if p.C > 0 else 1.05
-    return CheckResult(
-        name="shape_functional", claim=_SHAPE_CLAIM,
-        measured=worst, tolerance=tol, passed=worst <= tol,
-        extra={"window": (2.0 * field.eps, p.R)},
-    )
+    return within("shape_functional", _SHAPE_CLAIM, worst, tol,
+                  window=(2.0 * field.eps, p.R))
 
 
 # -- large-time convergence ---------------------------------------------------
@@ -378,29 +348,23 @@ def _fit_decay(t: np.ndarray, D: np.ndarray) -> ExponentFit:
     """:func:`fit_decay` of the distances D at the stored times t."""
     late = t >= 0.5 * t[-1]
     if np.max(D) == 0.0:
-        return ExponentFit(exponent=float("inf"), prefactor=0.0, r_squared=1.0,
-                           window=(float(t[-1]) / 2.0, float(t[-1])))
+        return ExponentFit(exponent=float("inf"), prefactor=0.0, r_squared=1.0)
     slope, logc, r2 = _linear_fit(t[late], np.log(D[late]))
-    return ExponentFit(
-        exponent=-slope, prefactor=float(np.exp(logc)), r_squared=r2,
-        window=(float(t[-1]) / 2.0, float(t[-1])),
-    )
+    return ExponentFit(exponent=-slope, prefactor=float(np.exp(logc)), r_squared=r2)
 
 
 def check_decay_envelope(field: SpacetimeField) -> CheckResult:
     """sup_r |u - u*| <= exp(-lam^2 t) sup_r v(., 0) + tol at every stored t,
-    with tol = :func:`tol_sandwich`."""
+    with tol = :func:`tol_sandwich`.  The measurement is clipped at 0; as
+    tol > 0 the verdict is that of the raw excess, and a NaN fails."""
     tol = tol_sandwich(field)
     p = field.problem.params
     D = _distance_to_stationary(field)
     v0 = analytic.v_mode(p, field.grid.nodes, 0.0)
     env = np.exp(-p.decay_rate * field.times) * float(np.max(v0))
-    worst = float(np.max(D - env))
-    return CheckResult(
-        name="decay_envelope",
-        claim="difference to the stationary profile under the mode envelope",
-        measured=max(worst, 0.0), tolerance=tol, passed=worst <= tol,
-    )
+    return within("decay_envelope",
+                  "difference to the stationary profile under the mode envelope",
+                  max(float(np.max(D - env)), 0.0), tol)
 
 
 def check_decay_rate(field: SpacetimeField) -> CheckResult:
@@ -534,15 +498,9 @@ def check_weak_identity(field: SpacetimeField) -> list[CheckResult]:
     if not p.weak_form_ok:
         return [_unjudged(f"weak_identity_{tf.name}", claim, "skipped",
                           "needs dimension >= 3") for tf in tfs]
-    return [
-        CheckResult(
-            name=f"weak_identity_{tf.name}", claim=claim, measured=residual,
-            tolerance=0.1 * scale,
-            passed=residual <= 0.1 * scale,
-            extra={"scale": scale},
-        )
-        for tf, (residual, scale) in zip(tfs, _weak_form_residuals(field, tfs))
-    ]
+    return [within(f"weak_identity_{tf.name}", claim, residual, 0.1 * scale,
+                   scale=scale)
+            for tf, (residual, scale) in zip(tfs, _weak_form_residuals(field, tfs))]
 
 
 def _radial_volumes(field: SpacetimeField, upto: float) -> np.ndarray:
@@ -605,13 +563,10 @@ def check_uniqueness_surrogate(field_a: SpacetimeField,
     """Fields from two distinct schemes agree within 1e-3 on the compact
     window of :func:`solver.compact_window`."""
     window = compact_window(field_a.problem.params.R, float(field_a.times[-1]))
-    diff = compact_difference(field_a, field_b, *window)
-    return CheckResult(
-        name="uniqueness_surrogate",
-        claim="independent schemes converge to the same monotone solution",
-        measured=diff, tolerance=1e-3, passed=diff <= 1e-3,
-        extra={"schemes": (field_a.scheme_name, field_b.scheme_name)},
-    )
+    return within("uniqueness_surrogate",
+                  "independent schemes converge to the same monotone solution",
+                  compact_difference(field_a, field_b, *window), 1e-3,
+                  schemes=(field_a.scheme_name, field_b.scheme_name))
 
 
 _CAUCHY_CLAIM = "shrinking-annulus fields form a Cauchy sequence in sup norm"

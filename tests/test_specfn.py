@@ -221,9 +221,9 @@ MODEL_ORDERS = [specfn.nu_of(n) + s for n in range(2, 7)
 
 
 class TestBitIdentity:
-    """The fast paths give the bits of the plain ones: a one-point series
-    runs on long-double scalars, and each order is evaluated once on the
-    distinct arguments of a call."""
+    """The fast paths give the bits of the plain ones: a point's series
+    value does not depend on the other points of its call, and each order
+    is evaluated once on the distinct arguments of a call."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -234,7 +234,7 @@ class TestBitIdentity:
         fraction=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
     )
     def test_one_point_series_equals_array_series(self, mu, fraction):
-        # two copies of one argument take the array loop over the same set;
+        # a point alone and beside its duplicate take the same array loop;
         # a tiny x with mu < 0 overflows a double in both alike
         x = fraction * specfn._X_MAX
         with np.errstate(over="ignore"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gradsing import analytic, solver, specfn, verify
+from gradsing.report import within
 from gradsing.verify import ExponentFit
 
 
@@ -13,6 +14,28 @@ def tampered(field, **changes):
     """Copy of a field with modified values (for negative tests)."""
     values = changes.pop("values")
     return dataclasses.replace(field, values=values, **changes)
+
+
+class TestWithin:
+    """The one rule of the upper-bound rows: measured <= tolerance."""
+
+    def test_equality_at_the_bound_passes(self):
+        res = within("row", "claim", 0.25, 0.25)
+        assert res.passed is True
+        assert (res.status, res.extra) == ("ok", {})
+
+    @pytest.mark.parametrize("measured", [np.nextafter(0.25, 1.0), np.nan, np.inf])
+    def test_above_the_bound_or_nan_fails(self, measured):
+        assert within("row", "claim", measured, 0.25).passed is False
+
+    def test_passed_is_a_python_bool_for_numpy_values(self):
+        assert type(within("row", "claim", np.float64(1.0), 2.0).passed) is bool
+
+    def test_keywords_land_in_extra(self):
+        res = within("row", "claim", 1.0, 2.0, scale=3.0, schemes=("a", "b"))
+        assert res.extra == {"scale": 3.0, "schemes": ("a", "b")}
+        assert (res.name, res.claim, res.measured, res.tolerance) == (
+            "row", "claim", 1.0, 2.0)
 
 
 class TestSandwich:
@@ -299,4 +322,4 @@ class TestContinuationCauchy:
 class TestExponentFit:
     def test_r_squared_validated(self):
         with pytest.raises(ValueError):
-            ExponentFit(exponent=1.0, prefactor=1.0, r_squared=1.5, window=(0, 1))
+            ExponentFit(exponent=1.0, prefactor=1.0, r_squared=1.5)
