@@ -3,7 +3,10 @@ suite, artifact persistence, and plot-data emission.
 
 Stages run in dependency order: derived constants and closed-form
 residual gates first, then initial data, then the shrinking-annulus
-solves, then every enabled check against the stored fields.  All
+solves, then the field files, then every enabled check against the
+stored fields, and last the report and the manifest.  Once the field
+files are written, a field that no check reads
+(:func:`verify.judged_radii`) keeps only its written rows.  All
 artifacts are deterministic (no timestamps, fixed float formatting), so
 re-running an unchanged configuration reproduces identical bytes; the
 manifest records the configuration hash and per-file checksums.
@@ -129,6 +132,12 @@ def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:
     """Execute the full pipeline for one configuration and persist the
     fields, report and manifest under the resolved output directory.
 
+    The field files are written when the continuation returns, before any
+    check; the report and manifest after the checks.  From then on a
+    radius outside :func:`verify.judged_radii` holds, in
+    ``continuation.fields``, only the rows its file holds: ``times`` and
+    ``values`` of every ``output.save_every``-th stored time.
+
     ``only='analytic'`` stops after the closed-form residual gates
     (seconds instead of minutes).
     """
@@ -141,7 +150,7 @@ def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:
     result = PipelineResult(config=config, params=params, datum=datum,
                             report=report)
     if only == "analytic":
-        _persist(result)
+        _persist(result, _write_fields(result))
         return result
 
     cont_cfg = config.continuation
@@ -153,6 +162,7 @@ def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:
     except ValueError as exc:  # a precondition the configuration breaks
         raise ConfigError(f"continuation: {exc}") from None
     result.continuation = cont
+    checksums = _write_fields(result)
     abort = cont.aborted
     if abort is not None:
         report.add(CheckResult(
@@ -163,10 +173,16 @@ def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:
             extra=verify._abort_extra(abort),
         ))
     if result.reference is not None:  # None: aborted at or before it
+        judged = verify.judged_radii(result)
+        rows = slice(0, None, config.output.save_every)
+        # a field that no check reads keeps only the rows of its file
+        cont.fields = [fld if fld.eps in judged else dataclasses.replace(
+            fld, times=fld.times[rows].copy(), values=fld.values[rows].copy())
+            for fld in cont.fields]
         for name, check in verify.CHECKS.items():
             if name in enabled:
                 report.checks.extend(check(result))
-    _persist(result)
+    _persist(result, checksums)
     return result
 
 
@@ -186,66 +202,82 @@ def _write_field_csv(path: Path, fld: solver.SpacetimeField, save_every: int):
     The bytes are those of ``_write_csv`` on the four columns, but each
     stored time and each node is formatted once, not once per row: only
     u and u_r are formatted per cell, and the rows of u (a limit estimate
-    builds them here) and of u_r are formed for the written times only.
-    Each write is at most
+    builds them here) and of u_r are formed for the written times only,
+    ``solver.ROW_BLOCK`` of them at a time.  Each write is at most
     ``_ROWS_PER_WRITE`` rows; strings of a whole stored time (35 kB on
     400 nodes) fragment the heap, and peak RSS then grows over repeated
     runs in one process.
     """
-    rows = slice(0, None, save_every)
-    u_rows = fld.values[rows]
     cells = _DELIMITER + _FLOAT_FMT + _DELIMITER + _FLOAT_FMT + _NEWLINE
     # row j after its leading t: ",r_j,%.17g,%.17g\r\n", in groups of nodes
     tails = [_DELIMITER + _FLOAT_FMT % r + cells for r in fld.grid.nodes.tolist()]
     n = _ROWS_PER_WRITE
     groups = [(2 * i, 2 * i + 2 * n, tails[i:i + n]) for i in range(0, len(tails), n)]
+    block = solver.ROW_BLOCK * save_every
     with open(path, "w", newline="") as fh:
         fh.write(_DELIMITER.join(("t", "r", "u", "u_r")) + _NEWLINE)
-        for t, u, ur in zip(fld.times[rows].tolist(), u_rows,
-                            fld.grid.gradient(u_rows)):
-            head = _FLOAT_FMT % t
-            values = np.column_stack((u, ur)).ravel().tolist()
-            for start, stop, group in groups:
-                fh.write((head + head.join(group)) % tuple(values[start:stop]))
+        for k in range(0, len(fld.times), block):
+            rows = slice(k, k + block, save_every)
+            u_rows = fld.values[rows]
+            for t, u, ur in zip(fld.times[rows].tolist(), u_rows,
+                                fld.grid.gradient(u_rows)):
+                head = _FLOAT_FMT % t
+                values = np.column_stack((u, ur)).ravel().tolist()
+                for start, stop, group in groups:
+                    fh.write((head + head.join(group)) % tuple(values[start:stop]))
 
 
 def _sha256(path: Path) -> str:
-    """Hex digest of a file, read 1 MB at a time into one reused buffer."""
+    """Hex digest of a file, read 64 kB at a time into one reused buffer."""
     h = hashlib.sha256()
-    buf = memoryview(bytearray(1 << 20))
+    buf = memoryview(bytearray(1 << 16))
     with open(path, "rb") as fh:
         while size := fh.readinto(buf):
             h.update(buf[:size])
     return h.hexdigest()
 
 
-def _remove_stale_fields(out_dir: Path, keep) -> None:
-    """Delete the field files that the directory's previous manifest lists
-    and that are not in ``keep``; files no manifest lists stay."""
+def _remove_previous_run(out_dir: Path) -> None:
+    """Delete the manifest, the report and the field files the manifest
+    lists of the run that wrote ``out_dir`` before; files no manifest
+    lists stay.  A run that stops before its own manifest then leaves no
+    manifest that describes other field files."""
     try:
         listed = json.loads((out_dir / "manifest.json").read_text())["artifacts"]
     except (OSError, ValueError, KeyError, TypeError):
-        return
+        listed = ()
     for path in out_dir.glob("field_*.csv"):
-        if path.name in listed and path.name not in keep:
+        if path.name in listed:
             path.unlink()
+    for name in ("manifest.json", "report.csv", "report.json"):
+        (out_dir / name).unlink(missing_ok=True)
 
 
-def _persist(result: PipelineResult) -> None:
+def _write_fields(result: PipelineResult) -> dict:
+    """Write the field files of the run, the limit estimate's included, in
+    place of the previous run's artifacts, and return their checksums."""
     out_dir = resolve_output_dir(result.config)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _remove_previous_run(out_dir)
     cont = result.continuation
     written = {}
-    if cont is not None:  # None: stopped after the analytic gates
+    if cont is not None and cont.fields:  # None: stopped after the gates
         written = {f"field_eps{fld.eps:.6g}.csv": fld for fld in cont.fields}
-        if cont.fields:  # none: no radius solved
-            # built for the written rows only, as the file is written
-            written["field_limit.csv"] = solver.limit_estimate(cont.finest)
-    _remove_stale_fields(out_dir, written)
-    artifacts = {}
+        # built for the written rows only, as the file is written
+        written["field_limit.csv"] = solver.limit_estimate(cont.finest)
+    checksums = {}
     for name, fld in written.items():
         _write_field_csv(out_dir / name, fld, result.config.output.save_every)
-        artifacts[name] = _sha256(out_dir / name)
+        checksums[name] = _sha256(out_dir / name)
+    return checksums
+
+
+def _persist(result: PipelineResult, checksums: dict) -> None:
+    """Write the report and the manifest, which lists ``checksums`` of the
+    field files with those of the report files."""
+    out_dir = resolve_output_dir(result.config)
+    cont = result.continuation
+    artifacts = dict(checksums)
     result.report.write_csv(out_dir / "report.csv")
     result.report.write_json(out_dir / "report.json")
     for name in ("report.csv", "report.json"):

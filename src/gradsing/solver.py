@@ -535,7 +535,9 @@ class ContinuationResult:
 
     ``aborted`` carries the abort that ended the sequence; the fields solved
     before it are retained.  An abort at the first inner radius leaves no
-    field, so ``fields`` is empty.
+    field, so ``fields`` is empty.  After ``pipeline.run_pipeline`` a field
+    at a radius that no check reads (outside ``verify.judged_radii``) holds
+    only the rows of its file, every ``save_every``-th stored time.
     """
 
     fields: list

@@ -34,6 +34,7 @@ from .solver import SpacetimeField, compact_difference, compact_window
 
 __all__ = [
     "CHECKS",
+    "judged_radii",
     "CheckResult",
     "VerificationReport",
     "ExponentFit",
@@ -699,3 +700,14 @@ CHECKS: dict[str, Callable[..., list[CheckResult]]] = {
     "uniqueness": _uniqueness,
     "continuation_cauchy": _continuation_cauchy,
 }
+
+
+def judged_radii(run) -> set:
+    """The inner radii whose fields the CHECKS entries read: the reference
+    radius and its half (pointwise stability), the smallest configured
+    radius (singularity, shape functional) and the finest solved radius
+    (uniqueness, weak form, inner mass).  A field at any other radius is
+    read by no check; the pipeline keeps only its written rows."""
+    cont = run.config.continuation
+    return {cont.reference_eps, cont.reference_eps / 2.0,
+            cont.eps_sequence[-1], run.continuation.finest.eps}

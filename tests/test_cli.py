@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import shutil
@@ -17,8 +18,8 @@ import scipy.linalg
 
 from gradsing import analytic, cli, initdata, pipeline, solver, specfn, verify
 from gradsing.config import (
-    ConfigError, ContinuationConfig, InitdataConfig, ModelConfig, OutputConfig,
-    PRESETS, RunConfig, VerifyConfig, load_config, preset,
+    ALL_CHECKS, ConfigError, ContinuationConfig, InitdataConfig, ModelConfig,
+    OutputConfig, PRESETS, RunConfig, VerifyConfig, load_config, preset,
 )
 
 QUICK_CONFIG = """
@@ -527,11 +528,15 @@ def test_quick_outputs_byte_identical(block, stepper, tmp_path, monkeypatch):
 
 
 def test_heap_peak_at_the_floor(tmp_path, monkeypatch):
-    """A run's heap peak is its fields plus the one field a rerun holds,
-    plus one row block's working set.  On these 401-node fields of 402
-    stored times the block set, the uniqueness rerun's spline fits of 16
-    rows on both grids with the run's small arrays, is under half a field
-    (0.55 MB of 0.64); 64-row fits and a whole-copy limit took 1.3 fields."""
+    """A run's heap peak is its judged fields whole, the written rows of
+    the others, the one field a rerun holds, and under half a field more.
+    On these 401-node fields of 402 stored times, judged at eps = 0.04
+    only, the half field covers one row block's working set (the
+    uniqueness rerun's 16-row spline fits on both grids, 0.55 MB of a
+    1.29 MB field) and the run's small arrays; the field files are written
+    while both fields are whole, with the same block.  Holding the
+    unjudged eps = 0.05 field whole through the checks took 0.9 of a field
+    more."""
     monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
     cfg = load_config(QUICK_CONFIG.replace("n = 2", "n = 3").replace(
         "R = 0.6", "R = 1.5").replace("num_nodes = 120", "num_nodes = 400").replace(
@@ -545,9 +550,49 @@ def test_heap_peak_at_the_floor(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert all(c.status == "ok" for c in result.report.checks)
-    field = result.continuation.finest.values.nbytes
-    floor = sum(f.values.nbytes for f in result.continuation.fields) + field
-    assert peak <= floor + field / 2
+    judged = result.continuation.finest
+    field, stored = judged.values.nbytes, len(judged.times)
+    written = len(range(0, stored, cfg.output.save_every)) * field / stored
+    assert judged.eps == 0.04
+    assert peak <= field + written + field + field / 2
+
+
+def test_heap_phases_script_names_each_phase(tmp_path, monkeypatch):
+    """scripts/heap_phases.py wraps each phase by its module attribute,
+    reports them in call order, and restores every attribute it wrapped."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "heap_phases.py"
+    spec = importlib.util.spec_from_file_location("heap_phases", script)
+    heap_phases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(heap_phases)
+    monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+    originals = (solver.continuation, pipeline._write_fields, pipeline._persist,
+                 pipeline.emit_plotdata, dict(verify.CHECKS))
+    peaks, fields = heap_phases.phase_peaks(load_config(QUICK_CONFIG), True)
+    assert [label for label, _ in peaks] == [
+        "continuation", "field write", "sandwich", "monotone", "gradient_box",
+        "report and manifest", "plot data"]
+    assert peaks[0][1] > fields > 0
+    assert (solver.continuation, pipeline._write_fields, pipeline._persist,
+            pipeline.emit_plotdata, dict(verify.CHECKS)) == originals
+
+
+def test_unjudged_radius_keeps_its_written_rows(tmp_path, monkeypatch):
+    """After a run, the field at eps = 0.05, which no check reads, holds
+    bitwise the rows 0, save_every, ... of a direct solve, and their times."""
+    monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+    cfg = load_config(QUICK_CONFIG)
+    result = pipeline.run_pipeline(cfg)
+    kept = result.continuation.field_at(0.05)
+    grid = solver.GridPolicy(cfg.continuation.num_nodes,
+                             cfg.continuation.grading_exponent).build(
+                                 0.05, result.params.R)
+    problem = initdata.make_epsilon_problem(result.params, result.datum, 0.05,
+                                            grid.nodes)
+    direct = solver.solve_annulus(problem, grid, result.horizon, cfg.scheme)
+    rows = slice(0, None, cfg.output.save_every)
+    assert kept.values.tobytes() == direct.values[rows].tobytes()
+    assert kept.times.tobytes() == direct.times[rows].tobytes()
+    assert len(result.continuation.finest.times) == len(direct.times)
 
 
 def test_quick_newton_solve_bitwise_equals_scipy():
@@ -780,6 +825,52 @@ class TestCheckTable:
             "sandwich", "monotone_gradient", "gradient_box",
             "cutoff_inactive_rerun", "boundary_derivative_bands"]
 
+    @pytest.mark.parametrize("n, R, eps, abort", [
+        (3, 1.5, "0.05, 0.04, 0.02, 0.01", None),  # the weak form runs
+        (2, 0.6, "0.05, 0.04, 0.03, 0.02", 0.02),  # finest is not the last
+    ])
+    def test_checks_read_only_whole_judged_fields(self, n, R, eps, abort,
+                                                  tmp_path, monkeypatch):
+        """Every field the checks get through ``field_at``, ``finest`` or
+        ``reference`` holds its full time lattice, at a radius of
+        ``verify.judged_radii``; a radius outside it holds its written
+        rows, which no check may judge."""
+        seen = []
+
+        def spy(get):
+            def recorded(*args):
+                fld = get(*args)
+                if fld is not None:
+                    seen.append((fld.eps, len(fld.times)))
+                return fld
+            return recorded
+
+        cont_cls = solver.ContinuationResult
+        monkeypatch.setattr(cont_cls, "field_at", spy(cont_cls.field_at))
+        monkeypatch.setattr(cont_cls, "finest", property(spy(cont_cls.finest.fget)))
+        monkeypatch.setattr(pipeline.PipelineResult, "reference", property(
+            spy(pipeline.PipelineResult.reference.fget)))
+        if abort is not None:
+            _abort_at(monkeypatch, abort)
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        cfg = load_config(QUICK_CONFIG.replace("n = 2", f"n = {n}").replace(
+            "R = 0.6", f"R = {R}").replace("0.05, 0.04", eps).replace(
+            "sandwich, monotone, gradient_box", ", ".join(ALL_CHECKS)))
+        result = pipeline.run_pipeline(cfg)
+        cont = result.continuation
+        judged = verify.judged_radii(result)
+        stored = int(round(result.horizon / cfg.scheme.dt)) + 1
+        assert {e for e, _ in seen} == judged & {f.eps for f in cont.fields}
+        assert all(size == stored for _, size in seen)
+        if abort is not None:
+            assert cont.finest.eps != cfg.continuation.eps_sequence[-1]
+        if n == 3:
+            assert result.report["weak_identity_origin_bump_wide"].status == "ok"
+        unjudged = [f for f in cont.fields if f.eps not in judged]
+        assert [f.eps for f in unjudged] == [0.05]
+        written = len(range(0, stored, cfg.output.save_every))
+        assert all(len(f.times) == len(f.values) == written for f in unjudged)
+
     def test_table_calls_checks_through_module_attribute(self, tmp_path,
                                                          monkeypatch):
         """The benchmark tracer counts checks by patching these attributes."""
@@ -800,9 +891,10 @@ class TestCheckTable:
     def test_limit_built_only_where_the_weak_form_applies(
             self, n, R, builds, tmp_path, monkeypatch):
         """n = 2 skips the weak-form checks without a limit pass, so only
-        the persisted field_limit.csv builds limit rows, the written ones;
-        n = 3 builds the limit for each of the two checks, which read its
-        rows a block at a time, and for the file."""
+        the persisted field_limit.csv builds limit rows, the written ones,
+        ROW_BLOCK of them at a time; n = 3 builds the limit for the file,
+        first, and for each of the two checks, which read its rows a block
+        at a time."""
         built, requests = [], []
         original, rows_of = solver.limit_estimate, solver.OriginRows.__getitem__
         monkeypatch.setattr(solver, "limit_estimate",
@@ -815,10 +907,12 @@ class TestCheckTable:
             "sandwich, monotone, gradient_box", "weak_identity, inner_mass"))
         result = pipeline.run_pipeline(cfg)
         assert len(built) == builds
-        written = slice(0, None, cfg.output.save_every)
+        save_every = cfg.output.save_every
         stored = len(result.continuation.finest.times)
-        assert requests[-1] == written  # the file, last
-        blocks = [len(range(stored)[rows]) for rows in requests[:-1]]
+        step = solver.ROW_BLOCK * save_every
+        written = [slice(k, k + step, save_every) for k in range(0, stored, step)]
+        assert requests[:len(written)] == written  # the file, first
+        blocks = [len(range(stored)[rows]) for rows in requests[len(written):]]
         assert len(blocks) == (n - 2) * 2 * len(range(0, stored, solver.ROW_BLOCK))
         assert all(size <= solver.ROW_BLOCK for size in blocks)
         rows = [c for c in result.report.checks if c.name not in GATES]
@@ -940,6 +1034,37 @@ class TestStaleFields:
             [unlisted.name]
         with pytest.raises(FileNotFoundError):
             pipeline.emit_plotdata(run_dir)
+
+    def test_check_that_raises_leaves_no_manifest(self, tmp_path, monkeypatch):
+        """The field files are written before the checks and the report and
+        manifest after them, so a run that raises inside a check leaves its
+        own field files with no manifest, none of the earlier run's, and
+        ``gradsing report`` on the directory exits 2."""
+        code, _, _ = _run_rows(monkeypatch, tmp_path, QUICK_CONFIG)
+        assert code == 0
+        run_dir = tmp_path / "quickrun"
+
+        def raising(run):
+            raise RuntimeError("injected check failure")
+
+        monkeypatch.setitem(verify.CHECKS, "monotone", raising)
+        with pytest.raises(RuntimeError, match="injected"):
+            pipeline.run_pipeline(load_config(QUICK_CONFIG))
+        for name in ("manifest.json", "report.csv", "report.json"):
+            assert not (run_dir / name).exists()
+        assert (run_dir / "field_limit.csv").exists()
+        assert cli.main(["report", "--run-dir", str(run_dir)]) == 2
+
+    def test_only_analytic_removes_fields_of_the_earlier_run(
+            self, tmp_path, monkeypatch):
+        code, _, _ = _run_rows(monkeypatch, tmp_path, QUICK_CONFIG)
+        assert code == 0
+        run_dir = tmp_path / "quickrun"
+        assert cli.main(["run", "--config", str(tmp_path / "run.ini"),
+                         "--only", "analytic"]) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert sorted(manifest["artifacts"]) == ["report.csv", "report.json"]
+        assert list(run_dir.glob("field_*.csv")) == []
 
 
 class TestCLI:

@@ -164,8 +164,9 @@ def test_refinement_study_prints_one_row_per_level():
     assert len(rows) == 1 and rows[0].split()[0] == "40"
 
 
-@pytest.mark.parametrize("name", ["refinement_study.py", "run_preset.py",
-                                  "singularity_study.py", "src_lines.py"])
+@pytest.mark.parametrize("name", ["heap_phases.py", "refinement_study.py",
+                                  "run_preset.py", "singularity_study.py",
+                                  "src_lines.py"])
 def test_script_help_exits_zero(name):
     """``--help`` keeps each line of the docstring's example block intact."""
     proc = _run_script(name, "--help")
