@@ -286,7 +286,7 @@ def _ceiling_conditions(params: ModelParams, eps: float,
 
 def c_star_eps(params: ModelParams, eps: float, u0eps: RadialProfile) -> float:
     """Gradient ceiling: smallest value > 1 satisfying all four conditions,
-    found by bisection and then inflated by 1%.
+    found by :func:`specfn.bisect` to rtol 1e-9 and then inflated by 1%.
 
     Feasibility for large c is automatic: u*(eps) < 0 makes the cubic term
     dominate.  The ceiling grows like eps^(-2/3) as eps -> 0 because it must
@@ -310,15 +310,7 @@ def c_star_eps(params: ModelParams, eps: float, u0eps: RadialProfile) -> float:
 
     # feasibility is monotone in c (strict lower bounds; the cubic is concave
     # on c > 0 and nonnegative at 0), so b and 1.01 b are feasible
-    a, b = 1.0, hi
-    for _ in range(200):
-        if b - a <= 1e-9 * max(1.0, b):
-            break
-        m = 0.5 * (a + b)
-        if feasible(m):
-            b = m
-        else:
-            a = m
+    b = specfn.bisect(feasible, 1.0, hi, 1e-9)[1]
     candidate = 1.01 * b
     if not feasible(candidate):
         raise RuntimeError("inflated gradient ceiling is infeasible")
@@ -492,17 +484,12 @@ class EpsilonProblem:
 
 
 @specfn.shared_evaluations()
-def make_epsilon_problem(
-    params: ModelParams,
-    datum: InitialDatum,
-    eps: float,
-    nodes: np.ndarray,
-    support_factor: float = 2.0,
-) -> EpsilonProblem:
+def make_epsilon_problem(params: ModelParams, datum: InitialDatum, eps: float,
+                         nodes: np.ndarray) -> EpsilonProblem:
     """Assemble and cross-check a full annulus problem instance; Bessel
     evaluations are shared within the call."""
     u0eps = make_u0eps(params, eps, datum, nodes)
     ceiling = c_star_eps(params, eps, u0eps)
-    cutoff = CutoffCubic(c_star=ceiling, support_radius=support_factor * ceiling)
+    cutoff = CutoffCubic(c_star=ceiling, support_radius=2.0 * ceiling)
     return EpsilonProblem(params=params, epsilon=float(eps), cutoff=cutoff,
                           u0eps=u0eps)

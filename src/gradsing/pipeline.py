@@ -170,7 +170,7 @@ def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:
             claim="every configured inner radius solved to the horizon",
             measured=float(len(cont.fields)),
             tolerance=float(len(cont_cfg.eps_sequence)), passed=False,
-            extra=verify._abort_extra(abort),
+            extra=abort.extra,
         ))
     if result.reference is not None:  # None: aborted at or before it
         judged = verify.judged_radii(result)

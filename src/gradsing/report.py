@@ -17,13 +17,15 @@ class CheckResult:
     ``status`` is ``ok`` for a real measurement, ``skipped`` when the check
     does not apply and ``inconclusive`` when it could not be decided.
 
-    What ``tolerance`` holds depends on the rule: the bound of an
-    upper-bound row (:func:`within`) and of the measured part of a
-    compound one (``origin_closeness``, ``slope_envelope``), the lower
-    bound of ``decay_rate``, the window's upper end of
-    ``singularity_exponent``, the first value of the sequence rows
-    (``inner_slope_mass``, ``continuation_cauchy``), the target of a stage
-    row (``continuation_complete``, a rerun's abort), and ``inf`` for
+    What ``tolerance`` holds depends on the rule.  The rules that several
+    rows share live here: the bound of an upper-bound row (:func:`within`)
+    and the first value of a falling sequence (:func:`decreasing`,
+    ``inner_slope_mass`` and ``continuation_cauchy``).  Only the
+    single-row rules stay in their checks: the bound of the measured part
+    of a compound row (``origin_closeness``, ``slope_envelope``), the
+    lower bound of ``decay_rate``, the window's upper end of
+    ``singularity_exponent``, the target of a stage row
+    (``continuation_complete``, a rerun's abort), and ``inf`` for
     ``pointwise_gradient_p28``, which passes when finite.  An unjudged row
     holds NaN.
     """
@@ -54,6 +56,21 @@ def within(name: str, claim: str, measured: float, tolerance: float,
     tolerance, so a NaN measurement fails."""
     return CheckResult(name=name, claim=claim, measured=measured,
                        tolerance=tolerance, passed=bool(measured <= tolerance),
+                       extra=extra)
+
+
+def decreasing(name: str, claim: str, seq, **extra) -> CheckResult:
+    """The row of a falling-sequence claim: it passes when ``seq`` holds at
+    least two values and each is below the one before, so a NaN fails.
+    The last value is measured and the first the tolerance (NaN for an
+    empty sequence)."""
+    seq = list(seq)
+    nan = float("nan")
+    return CheckResult(name=name, claim=claim,
+                       measured=seq[-1] if seq else nan,
+                       tolerance=seq[0] if seq else nan,
+                       passed=len(seq) >= 2 and all(
+                           b < a for a, b in zip(seq, seq[1:])),
                        extra=extra)
 
 

@@ -87,6 +87,11 @@ class SolverAbort(RuntimeError):
         self.step_index = step_index
         self.time = time
 
+    @property
+    def extra(self) -> dict:
+        """Where the solve stopped, as a report row's ``extra``."""
+        return {"eps": self.eps, "step": self.step_index, "t": self.time}
+
 
 @dataclass(frozen=True)
 class RadialGrid:

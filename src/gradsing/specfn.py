@@ -48,6 +48,7 @@ __all__ = [
     "bessel_j",
     "bessel_j_prime",
     "bessel_j_second",
+    "bisect",
     "first_zeros",
     "shared_evaluations",
 ]
@@ -276,20 +277,19 @@ def bessel_j_second(order: BesselOrder, x):
     return _derivatives(order, x, (2,))[0]
 
 
-def _bisect(f, a: float, fa: float, b: float) -> float:
-    """Bisect [a, b] with f(a) > 0 >= f(b) until b - a <= 1e-12 max(1, |b|)
-    and return the final midpoint 0.5 (a + b); one scalar call of ``f``
-    per midpoint."""
+def bisect(right, a: float, b: float, rtol: float) -> tuple[float, float]:
+    """Halve [a, b] until b - a <= rtol max(1, |b|), at most 200 times: the
+    midpoint m replaces b when ``right(m)``, else a.  One call of ``right``
+    per midpoint; returns the final (a, b)."""
     for _ in range(200):
-        if b - a <= 1e-12 * max(1.0, abs(b)):
+        if b - a <= rtol * max(1.0, abs(b)):
             break
         m = 0.5 * (a + b)
-        fm = f(m)
-        if fa * fm > 0.0:
-            a, fa = m, fm
-        else:
+        if right(m):
             b = m
-    return 0.5 * (a + b)
+        else:
+            a = m
+    return a, b
 
 
 def first_zeros(order: BesselOrder) -> BesselZeros:
@@ -324,10 +324,10 @@ def _search_zeros(order: BesselOrder) -> BesselZeros:
     # the Newton step on jp
     jpp = lambda t, d: -d / t - (1.0 - nu * nu / (t * t)) * j(t)
 
-    def scan(f, start: float) -> tuple[float, float, float]:
-        # the first cell (a, b) of the grid start + i * step, i = 0..200,
-        # with f(a) > 0 >= f(b), and f(a); one vector call per chunk of
-        # cells
+    def zero(f, start: float) -> float:
+        # the midpoint of the first cell (a, b) of the grid start + i * step,
+        # i = 0..200, with f(a) > 0 >= f(b), bisected; one vector call per
+        # chunk of cells
         steps = int(_ZERO_SCAN_SPAN / _ZERO_SCAN_STEP)
         for lo in range(0, steps, _ZERO_SCAN_CHUNK):
             x = start + np.arange(lo, min(lo + _ZERO_SCAN_CHUNK, steps) + 1) \
@@ -335,18 +335,19 @@ def _search_zeros(order: BesselOrder) -> BesselZeros:
             x, fx = x.tolist(), f(x).tolist()
             for a, fa, b, fb in zip(x, fx, x[1:], fx[1:]):
                 if fa > 0.0 and fb <= 0.0:
-                    return a, fa, b
+                    a, b = bisect(lambda m: not f(m) > 0.0, a, b, 1e-12)
+                    return 0.5 * (a + b)
         raise ZeroBracketingError(
             f"no sign change of order-{nu:g} function in "
             f"[{start:g}, {start + _ZERO_SCAN_SPAN:g}] (search horizon "
             f"{_ZERO_SCAN_SPAN:g} above scan start)"
         )
 
-    x1 = _bisect(jp, *scan(jp, max(nu, 0.1)))
+    x1 = zero(jp, max(nu, 0.1))
     d = jp(x1)
     x1 -= d / jpp(x1, d)
 
-    x0 = _bisect(j, *scan(j, x1))
+    x0 = zero(j, x1)
     x0 -= j(x0) / jp(x0)
 
     zeros = BesselZeros(x0=x0, x1=x1)

@@ -9,11 +9,12 @@ live in the pipeline.  Derivative reconstruction always reuses the solver
 stencil so that the asserted quantities are the ones actually computed.
 
 Each check states its bound in its docstring, and :func:`report.within`
-applies it: an upper-bound row passes when measured <= bound.  The other
-rules (a lower bound, a window, a strict decrease) stay in their checks.
-No caller or configuration key can move a bound.  The envelope checks
-allow :func:`tol_sandwich`, 5 (h^2 + dt) (spatial truncation plus one
-power of the step), and the gradient sign checks :func:`tol_grad`,
+applies it: an upper-bound row passes when measured <= bound.  The
+falling-sequence rows share :func:`report.decreasing`.  Only the
+single-row rules (a lower bound, a window, a finite value) stay in their
+checks.  No caller or configuration key can move a bound.  The envelope
+checks allow :func:`tol_sandwich`, 5 (h^2 + dt) (spatial truncation plus
+one power of the step), and the gradient sign checks :func:`tol_grad`,
 1e-6 + 10 h^2.
 
 Every pass over a whole field runs ROW_BLOCK stored times at a time
@@ -28,8 +29,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from . import analytic, initdata, solver, specfn
-from .report import CheckResult, VerificationReport, within
+from . import analytic, solver, specfn
+from .report import CheckResult, VerificationReport, decreasing, within
 from .solver import SpacetimeField, compact_difference, compact_window
 
 __all__ = [
@@ -388,24 +389,16 @@ def check_decay_rate(field: SpacetimeField) -> CheckResult:
     fit = _fit_decay(field.times, D)
     floor = float(np.min(D))
     window_peak = float(np.max(D[field.times >= 0.5 * field.times[-1]]))
-    if fit.exponent < need and window_peak <= 10.0 * floor:
-        # the difference already collapsed to its numerical floor before the
-        # fit window: decay outran measurability, so no rate can be fitted
-        return CheckResult(
-            name="decay_rate", claim=claim,
-            measured=fit.exponent, tolerance=need, passed=False,
-            status="inconclusive",
-            extra={"mode_rate": p.decay_rate, "plateau": floor,
-                   "reason": "difference at the discretization floor"},
-        )
+    # short of the bound with the difference already at its numerical floor
+    # before the fit window: decay outran measurability, so no rate is fitted
+    at_floor = fit.exponent < need and window_peak <= 10.0 * floor
+    extra = ({"reason": "difference at the discretization floor"} if at_floor
+             else {"r_squared": fit.r_squared})
     return CheckResult(
-        name="decay_rate", claim=claim, measured=fit.exponent,
-        tolerance=need, passed=fit.exponent >= need,
-        extra={
-            "mode_rate": p.decay_rate,
-            "r_squared": fit.r_squared,
-            "plateau": floor,
-        },
+        name="decay_rate", claim=claim, measured=fit.exponent, tolerance=need,
+        passed=fit.exponent >= need,
+        status="inconclusive" if at_floor else "ok",
+        extra={"mode_rate": p.decay_rate, "plateau": floor, **extra},
     )
 
 
@@ -548,13 +541,9 @@ def check_inner_mass(field: SpacetimeField,
         return _unjudged("inner_slope_mass", claim, "skipped",
                          "needs at least 2 inner radii")
     values = _inner_masses(field, eps_values)
-    decreasing = all(b < a for a, b in zip(values, values[1:]))
-    return CheckResult(
-        name="inner_slope_mass", claim=claim,
-        measured=values[-1], tolerance=values[0],
-        passed=bool(decreasing and values[-1] > 0.0),
-        extra={"values": values, "eps_values": list(eps_values)},
-    )
+    row = decreasing("inner_slope_mass", claim, values, values=values,
+                     eps_values=list(eps_values))
+    return replace(row, passed=row.passed and values[-1] > 0.0)
 
 
 # -- scheme comparison and continuation ---------------------------------------
@@ -576,25 +565,14 @@ _CAUCHY_CLAIM = "shrinking-annulus fields form a Cauchy sequence in sup norm"
 def check_continuation_cauchy(diffs: Sequence[float]) -> CheckResult:
     """Consecutive compact-window differences strictly decreasing."""
     diffs = [float(d) for d in diffs]
-    ok = len(diffs) >= 2 and all(b < a for a, b in zip(diffs, diffs[1:]))
-    return CheckResult(
-        name="continuation_cauchy", claim=_CAUCHY_CLAIM,
-        measured=diffs[-1] if diffs else float("nan"),
-        tolerance=diffs[0] if diffs else float("nan"),
-        passed=bool(ok),
-        extra={"diffs": diffs},
-    )
+    return decreasing("continuation_cauchy", _CAUCHY_CLAIM, diffs, diffs=diffs)
 
 
 # -- the table of field checks ------------------------------------------------
 #
 # Each entry takes the finished run (a ``pipeline.PipelineResult``) and
-# calls the checks, the solver and the problem factory through their module
-# attributes, so anything that patches those attributes sees every call.
-
-def _abort_extra(abort: solver.SolverAbort) -> dict:
-    return {"eps": abort.eps, "step": abort.step_index, "t": abort.time}
-
+# calls the checks and the solver through their module attributes, so
+# anything that patches those attributes sees every call.
 
 def _rerun_check(run, name: str, rerun: str, problem, grid, scheme,
                  check) -> list[CheckResult]:
@@ -607,15 +585,18 @@ def _rerun_check(run, name: str, rerun: str, problem, grid, scheme,
         return [CheckResult(
             name=name, claim=f"{rerun} solved to the horizon",
             measured=float("nan") if abort.time is None else float(abort.time),
-            tolerance=run.horizon, passed=False, extra=_abort_extra(abort),
+            tolerance=run.horizon, passed=False, extra=abort.extra,
         )]
     return [check(fld)]
 
 
 def _cutoff_inactive(run) -> list[CheckResult]:
+    """The rerun of the reference problem with its cutoff support doubled,
+    2 (2 c*) = 4 c*; datum, ceiling and grid are the reference's."""
     ref = run.reference
-    wide = initdata.make_epsilon_problem(run.params, run.datum, ref.eps,
-                                         ref.grid.nodes, support_factor=4.0)
+    cutoff = ref.problem.cutoff
+    wide = replace(ref.problem, cutoff=replace(
+        cutoff, support_radius=2.0 * cutoff.support_radius))
     return _rerun_check(run, "cutoff_inactive_rerun",
                         "the rerun with a doubled cutoff support",
                         wide, ref.grid, run.config.scheme,
@@ -656,15 +637,6 @@ def _uniqueness(run) -> list[CheckResult]:
         lambda fld: check_uniqueness_surrogate(finest, fld))
 
 
-def _weak_form_field(run) -> SpacetimeField:
-    """The field the weak-form checks judge: the limit estimate, whose rows
-    each pass builds a block at a time, when the weak form applies (n >= 3),
-    else the finest field, whose parameters are all those checks read before
-    they report skipped."""
-    finest = run.continuation.finest
-    return solver.limit_estimate(finest) if run.params.weak_form_ok else finest
-
-
 def _continuation_cauchy(run) -> list[CheckResult]:
     cont = run.continuation
     if len(cont.consecutive_diffs) >= 2:
@@ -694,9 +666,12 @@ CHECKS: dict[str, Callable[..., list[CheckResult]]] = {
         _SHAPE_CLAIM, check_shape_functional)],
     "decay": lambda run: [
         check_decay_envelope(run.reference), check_decay_rate(run.reference)],
-    "weak_identity": lambda run: check_weak_identity(_weak_form_field(run)),
+    # the limit estimate builds its rows only when a pass reads them
+    "weak_identity": lambda run: check_weak_identity(
+        solver.limit_estimate(run.continuation.finest)),
     "inner_mass": lambda run: [check_inner_mass(
-        _weak_form_field(run), run.config.continuation.eps_sequence[:3])],
+        solver.limit_estimate(run.continuation.finest),
+        run.config.continuation.eps_sequence[:3])],
     "uniqueness": _uniqueness,
     "continuation_cauchy": _continuation_cauchy,
 }

@@ -201,10 +201,12 @@ def test_criterion_05_gradient_sign_and_box(n2, n2_reference):
     sign = verify.check_monotone(n2_reference)
     box = verify.check_gradient_box(n2_reference)
     T = cfg.continuation.horizon_efolds / params.decay_rate
-    wide_problem = initdata.make_epsilon_problem(
-        params, datum, n2_reference.eps, n2_reference.grid.nodes,
-        support_factor=4.0,
-    )
+    # the reference problem with its cutoff support doubled, as verify
+    # builds the rerun
+    cutoff = n2_reference.problem.cutoff
+    wide_problem = dataclasses.replace(
+        n2_reference.problem, cutoff=dataclasses.replace(
+            cutoff, support_radius=2.0 * cutoff.support_radius))
     wide = solver.solve_annulus(wide_problem, n2_reference.grid, T, cfg.scheme)
     rerun = verify.check_cutoff_inactive(n2_reference, wide)
     verdict(

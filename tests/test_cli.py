@@ -527,6 +527,41 @@ def test_quick_outputs_byte_identical(block, stepper, tmp_path, monkeypatch):
             for name in QUICK_REPORT_DIGESTS} == QUICK_REPORT_DIGESTS
 
 
+# SHA-256 of report.csv and report.json of the quick config with every
+# check on and three radii (0.05, 0.04, 0.02): the reference radius, its
+# half, a continuation_cauchy row and, at n = 3, the weak-form rows.
+# Recorded before the sequence rows shared one judge, the cutoff rerun
+# reused the reference problem and the rerun rows took SolverAbort.extra.
+ALL_CHECKS_REPORT_DIGESTS = {
+    (2, 0.6): {
+        "report.csv":
+            "de43c4249d7c1a27a335909c3ca0c00aa0e7f71c87bc2c516b8a90e1a31a71ca",
+        "report.json":
+            "f1180391a373a2befc8e846e1bcd587ee382879a771a2c86736471eb53cf2db8",
+    },
+    (3, 1.5): {
+        "report.csv":
+            "92cfc94822880d1de4fbce0daf28934804c48c008467e32024b0bf5823247e26",
+        "report.json":
+            "0edc410555b399f18267e0066a7723a5619e875afc3f442a5a271a6c81451df4",
+    },
+}
+
+
+@pytest.mark.parametrize("n, R", sorted(ALL_CHECKS_REPORT_DIGESTS))
+def test_all_checks_report_byte_identical(n, R, tmp_path, monkeypatch):
+    monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+    pipeline.run_pipeline(load_config(QUICK_CONFIG.replace(
+        "n = 2", f"n = {n}").replace("R = 0.6", f"R = {R}").replace(
+        "0.05, 0.04", "0.05, 0.04, 0.02").replace(
+        "analytic_residuals, sandwich, monotone, gradient_box",
+        ", ".join(ALL_CHECKS))))
+    run_dir = tmp_path / "quickrun"
+    assert {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in ("report.csv", "report.json")} == \
+        ALL_CHECKS_REPORT_DIGESTS[n, R]
+
+
 def test_heap_peak_at_the_floor(tmp_path, monkeypatch):
     """A run's heap peak is its judged fields whole, the written rows of
     the others, the one field a rerun holds, and under half a field more.
@@ -887,14 +922,14 @@ class TestCheckTable:
         assert calls == [0.04]
         assert report["sandwich"].passed
 
-    @pytest.mark.parametrize("n, R, builds", [(2, 0.6, 1), (3, 1.5, 3)])
+    @pytest.mark.parametrize("n, R", [(2, 0.6), (3, 1.5)])
     def test_limit_built_only_where_the_weak_form_applies(
-            self, n, R, builds, tmp_path, monkeypatch):
-        """n = 2 skips the weak-form checks without a limit pass, so only
-        the persisted field_limit.csv builds limit rows, the written ones,
-        ROW_BLOCK of them at a time; n = 3 builds the limit for the file,
-        first, and for each of the two checks, which read its rows a block
-        at a time."""
+            self, n, R, tmp_path, monkeypatch):
+        """The limit is built for the file, first, and for each of the two
+        checks.  n = 2 skips the weak-form checks without reading a row of
+        theirs, so only the persisted field_limit.csv builds limit rows,
+        the written ones, ROW_BLOCK of them at a time; at n = 3 the checks
+        read its rows a block at a time."""
         built, requests = [], []
         original, rows_of = solver.limit_estimate, solver.OriginRows.__getitem__
         monkeypatch.setattr(solver, "limit_estimate",
@@ -906,7 +941,7 @@ class TestCheckTable:
             "n = 2", f"n = {n}").replace("R = 0.6", f"R = {R}").replace(
             "sandwich, monotone, gradient_box", "weak_identity, inner_mass"))
         result = pipeline.run_pipeline(cfg)
-        assert len(built) == builds
+        assert len(built) == 3
         save_every = cfg.output.save_every
         stored = len(result.continuation.finest.times)
         step = solver.ROW_BLOCK * save_every

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gradsing import analytic, solver, specfn, verify
-from gradsing.report import within
+from gradsing.report import decreasing, within
 from gradsing.verify import ExponentFit
 
 
@@ -36,6 +36,39 @@ class TestWithin:
         assert res.extra == {"scale": 3.0, "schemes": ("a", "b")}
         assert (res.name, res.claim, res.measured, res.tolerance) == (
             "row", "claim", 1.0, 2.0)
+
+
+class TestDecreasing:
+    """The one rule of the falling-sequence rows: each value below the one
+    before, over at least two values."""
+
+    def test_strict_fall_passes_with_the_ends_as_cells(self):
+        res = decreasing("row", "claim", [3.0, 2.0, 1.0], values=[3.0])
+        assert res.passed is True
+        assert (res.measured, res.tolerance) == (1.0, 3.0)
+        assert (res.status, res.extra) == ("ok", {"values": [3.0]})
+
+    def test_equal_neighbours_fail(self):
+        assert decreasing("row", "claim", [3.0, 2.0, 2.0]).passed is False
+
+    @pytest.mark.parametrize("seq", [[np.nan, 2.0, 1.0], [3.0, np.nan, 1.0],
+                                     [3.0, 2.0, np.nan]])
+    def test_a_nan_anywhere_fails(self, seq):
+        assert decreasing("row", "claim", seq).passed is False
+
+    def test_one_value_fails_with_both_cells_that_value(self):
+        res = decreasing("row", "claim", [0.5])
+        assert res.passed is False
+        assert (res.measured, res.tolerance) == (0.5, 0.5)
+
+    def test_empty_sequence_gives_nan_cells(self):
+        res = decreasing("row", "claim", [])
+        assert res.passed is False
+        assert np.isnan(res.measured) and np.isnan(res.tolerance)
+
+    def test_passed_is_a_python_bool_for_numpy_values(self):
+        for seq in (np.array([2.0, 1.0]), np.array([1.0, 2.0]), np.array([1.0])):
+            assert type(decreasing("row", "claim", seq).passed) is bool
 
 
 class TestSandwich:
@@ -317,6 +350,9 @@ class TestContinuationCauchy:
 
     def test_too_short_fails(self):
         assert not verify.check_continuation_cauchy([1e-4]).passed
+
+    def test_nan_difference_fails(self):
+        assert not verify.check_continuation_cauchy([3e-4, np.nan]).passed
 
 
 class TestExponentFit:
