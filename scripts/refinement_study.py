@@ -36,7 +36,7 @@ def main():
 
     cfg = preset(args.preset)
     params, datum = build_model(cfg)
-    T = cfg.continuation.horizon_efolds / params.decay_rate
+    T = cfg.continuation.horizon(params)
     shell = [tf for tf in verify.default_test_functions(params)
              if tf.name == "interior_shell"][0]
 

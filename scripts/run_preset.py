@@ -32,7 +32,7 @@ def main():
     result = pipeline.run_pipeline(cfg)
     print(result.report.summary())
 
-    T = cfg.continuation.horizon_efolds / result.params.decay_rate
+    T = result.horizon
     times = args.plot_times if args.plot_times is not None else \
         [0.1 * T, 0.4 * T, T]
     run_dir = pipeline.resolve_output_dir(cfg)

@@ -28,11 +28,10 @@ def main():
 
     cfg = preset(args.preset)
     params, datum = build_model(cfg)
-    T = cfg.continuation.horizon_efolds / params.decay_rate
-    policy = solver.GridPolicy(cfg.continuation.num_nodes,
-                               cfg.continuation.grading_exponent)
+    T = cfg.continuation.horizon(params)
     result = solver.continuation(
-        params, datum, cfg.continuation.eps_sequence, policy, T, cfg.scheme)
+        params, datum, cfg.continuation.eps_sequence,
+        cfg.continuation.grid_policy, T, cfg.scheme)
 
     print(f"# {cfg.name}: alpha/3 = {params.alpha / 3.0:.6f}, "
           f"mode rate = {params.decay_rate:.4f}")

@@ -29,9 +29,10 @@ _CONFIG_ERROR_EXIT = 2
 
 
 def _add_config_source(p: argparse.ArgumentParser):
-    p.add_argument("--preset", choices=sorted(PRESETS),
-                   help="built-in configuration")
-    p.add_argument("--config", help="path to an INI run configuration")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=sorted(PRESETS),
+                        help="built-in configuration")
+    source.add_argument("--config", help="path to an INI run configuration")
     p.add_argument("--output", help="override the output directory")
 
 
@@ -76,11 +77,9 @@ def _cmd_analytic_check(args) -> int:
     res = analytic.residual_linearized(params, r, t) if params.C > 0 else \
         analytic.residual_stationary(params, r)
     print("r,t,residual")
-    flat_r, flat_t = np.broadcast_arrays(r, t)
-    flat = np.atleast_2d(np.asarray(res))
-    for (ri, ti, vi) in zip(flat_r.ravel(), flat_t.ravel(), flat.ravel()):
+    for (ri, ti, vi) in zip(r.ravel(), t.ravel(), res.ravel()):
         print(f"{ri:.9g},{ti:.9g},{vi:.6e}")
-    worst = float(np.max(np.abs(flat)))
+    worst = float(np.max(np.abs(res)))
     print(f"# max |residual| = {worst:.6e}", file=sys.stderr)
     return 0
 
@@ -96,20 +95,17 @@ def _cmd_initdata_validate(args) -> int:
 def _cmd_solve(args) -> int:
     cfg = _load(args)
     params, datum = pipeline.build_model(cfg)
-    eps = args.eps if args.eps is not None else cfg.continuation.reference_eps
-    policy = solver.GridPolicy(cfg.continuation.num_nodes,
-                               cfg.continuation.grading_exponent)
-    T = cfg.continuation.horizon_efolds / params.decay_rate
+    cont = cfg.continuation
+    eps = args.eps if args.eps is not None else cont.reference_eps
     try:
-        grid = policy.build(eps, params.R)
+        grid = cont.grid_policy.build(eps, params.R)
         problem = initdata.make_epsilon_problem(params, datum, eps, grid.nodes)
-        fld = solver.solve_annulus(problem, grid, T, cfg.scheme)
+        fld = solver.solve_annulus(problem, grid, cont.horizon(params), cfg.scheme)
     except ValueError as exc:  # a precondition the configuration breaks
         raise ConfigError(f"solve: {exc}") from None
     out = pipeline.resolve_output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"field_eps{eps:.6g}.csv"
-    pipeline._write_field_csv(path, fld, cfg.output.save_every)
+    path = pipeline.write_field(out, fld, cfg.output.save_every)
     print(f"wrote {path} (max|u_r|={fld.max_abs_gradient:.4g}, "
           f"c*={fld.problem.c_star_eps:.4g})")
     return 0

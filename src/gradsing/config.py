@@ -20,7 +20,7 @@ import io
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
-from .solver import SchemeConfig
+from .solver import GridPolicy, SchemeConfig
 from .verify import CHECKS
 
 __all__ = [
@@ -95,6 +95,14 @@ class ContinuationConfig:
                 "continuation.reference_eps: must be one of eps_sequence"
             )
 
+    @property
+    def grid_policy(self) -> GridPolicy:
+        return GridPolicy(self.num_nodes, self.grading_exponent)
+
+    def horizon(self, params) -> float:
+        """The horizon T: ``horizon_efolds`` mode e-folding times of ``params``."""
+        return self.horizon_efolds / params.decay_rate
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
@@ -134,7 +142,7 @@ class RunConfig:
 
     def canonical_text(self) -> str:
         """Deterministic INI rendering used for hashing and the manifest:
-        every field that is not None, in declaration order."""
+        every field, in declaration order."""
         cp = configparser.ConfigParser()
         cp["run"] = _items(self)
         for section, _ in _sections():
@@ -177,9 +185,8 @@ def _text(value) -> str:
 
 
 def _items(obj) -> dict:
-    """INI key -> text for each field of ``obj`` that is not None."""
-    return {f.name: _text(getattr(obj, f.name)) for f in _keys(type(obj))
-            if getattr(obj, f.name) is not None}
+    """INI key -> text for each field of ``obj``."""
+    return {f.name: _text(getattr(obj, f.name)) for f in _keys(type(obj))}
 
 
 def _parse(cp, section: str, cls, **given):

@@ -33,6 +33,7 @@ __all__ = [
     "build_model",
     "analytic_checks",
     "run_pipeline",
+    "write_field",
     "emit_plotdata",
     "resolve_output_dir",
 ]
@@ -49,14 +50,13 @@ _ROWS_PER_WRITE = 32
 class PipelineResult:
     config: RunConfig
     params: ModelParams
-    datum: object
     report: VerificationReport
     continuation: solver.ContinuationResult | None = None
     artifacts: dict = dc_field(default_factory=dict)
 
     @property
     def horizon(self) -> float:
-        return self.config.continuation.horizon_efolds / self.params.decay_rate
+        return self.config.continuation.horizon(self.params)
 
     @property
     def reference(self) -> solver.SpacetimeField | None:
@@ -147,18 +147,16 @@ def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:
 
     if "analytic_residuals" in enabled:
         report.checks.extend(analytic_checks(params))
-    result = PipelineResult(config=config, params=params, datum=datum,
-                            report=report)
+    result = PipelineResult(config=config, params=params, report=report)
     if only == "analytic":
         _persist(result, _write_fields(result))
         return result
 
     cont_cfg = config.continuation
-    policy = solver.GridPolicy(cont_cfg.num_nodes, cont_cfg.grading_exponent)
     try:
         cont = solver.continuation(
-            params, datum, cont_cfg.eps_sequence, policy, result.horizon,
-            config.scheme)
+            params, datum, cont_cfg.eps_sequence, cont_cfg.grid_policy,
+            result.horizon, config.scheme)
     except ValueError as exc:  # a precondition the configuration breaks
         raise ConfigError(f"continuation: {exc}") from None
     result.continuation = cont
@@ -196,8 +194,9 @@ def _write_csv(path: Path, header, columns) -> None:
                    header=_DELIMITER.join(header), comments="")
 
 
-def _write_field_csv(path: Path, fld: solver.SpacetimeField, save_every: int):
-    """Every save_every-th stored time: one (t, r, u, u_r) row per node.
+def write_field(out_dir: Path, fld: solver.SpacetimeField, save_every: int) -> Path:
+    """Every save_every-th stored time, one (t, r, u, u_r) row per node, to
+    ``out_dir``/``field_eps<eps>.csv``, or ``field_limit.csv`` from r = 0.
 
     The bytes are those of ``_write_csv`` on the four columns, but each
     stored time and each node is formatted once, not once per row: only
@@ -214,6 +213,8 @@ def _write_field_csv(path: Path, fld: solver.SpacetimeField, save_every: int):
     n = _ROWS_PER_WRITE
     groups = [(2 * i, 2 * i + 2 * n, tails[i:i + n]) for i in range(0, len(tails), n)]
     block = solver.ROW_BLOCK * save_every
+    path = out_dir / ("field_limit.csv" if fld.grid.nodes[0] == 0.0
+                      else f"field_eps{fld.eps:.6g}.csv")
     with open(path, "w", newline="") as fh:
         fh.write(_DELIMITER.join(("t", "r", "u", "u_r")) + _NEWLINE)
         for k in range(0, len(fld.times), block):
@@ -225,6 +226,7 @@ def _write_field_csv(path: Path, fld: solver.SpacetimeField, save_every: int):
                 values = np.column_stack((u, ur)).ravel().tolist()
                 for start, stop, group in groups:
                     fh.write((head + head.join(group)) % tuple(values[start:stop]))
+    return path
 
 
 def _sha256(path: Path) -> str:
@@ -260,15 +262,12 @@ def _write_fields(result: PipelineResult) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     _remove_previous_run(out_dir)
     cont = result.continuation
-    written = {}
-    if cont is not None and cont.fields:  # None: stopped after the gates
-        written = {f"field_eps{fld.eps:.6g}.csv": fld for fld in cont.fields}
-        # built for the written rows only, as the file is written
-        written["field_limit.csv"] = solver.limit_estimate(cont.finest)
     checksums = {}
-    for name, fld in written.items():
-        _write_field_csv(out_dir / name, fld, result.config.output.save_every)
-        checksums[name] = _sha256(out_dir / name)
+    if cont is not None and cont.fields:  # None: stopped after the gates
+        # the limit estimate builds the written rows only, as its file is written
+        for fld in [*cont.fields, solver.limit_estimate(cont.finest)]:
+            path = write_field(out_dir, fld, result.config.output.save_every)
+            checksums[path.name] = _sha256(path)
     return checksums
 
 
@@ -299,8 +298,7 @@ def _persist(result: PipelineResult, checksums: dict) -> None:
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    artifacts["manifest.json"] = str(out_dir / "manifest.json")
-    result.artifacts = {k: str(out_dir / k) for k in artifacts}
+    result.artifacts = {k: str(out_dir / k) for k in [*artifacts, "manifest.json"]}
 
 
 # -- plot data ----------------------------------------------------------------
@@ -319,18 +317,18 @@ def _read_manifest(run_dir: Path) -> tuple[ModelParams, float]:
     manifest = json.loads((run_dir / "manifest.json").read_text())
     config = load_config(manifest["config"])
     params = ModelParams(config.model.n, config.model.R, manifest["params"]["C"])
-    return params, config.continuation.horizon_efolds / params.decay_rate
+    return params, config.continuation.horizon(params)
 
 
-def emit_plotdata(run_dir, times=(), radius_fractions=(0.1,),
+def emit_plotdata(run_dir, times, radius_fractions,
                   source: str = "field_limit.csv") -> list[str]:
-    """Columnar text for external plotting, from persisted field files.
+    """Columnar text for external plotting, from the field file ``source``.
 
-    Writes one profile file per requested time (columns r, u, u_r, and the
-    stationary and subsolution overlays) and one time-series file per
-    requested radius fraction (columns t, u, difference to the stationary
-    profile, and the decaying mode envelope).  An empty time selection
-    produces just the header.  A radius fraction outside [0, 1] or a time
+    Writes one profile file per time in ``times`` (columns r, u, u_r, and
+    the stationary and subsolution overlays) and one time-series file per
+    fraction of R in ``radius_fractions`` (columns t, u, difference to the
+    stationary profile, and the decaying mode envelope).  No time gives a
+    profile of just the header.  A fraction outside [0, 1] or a time
     outside [0, T], T the horizon of the run, is a ValueError raised before
     any file is written.
     """
@@ -346,21 +344,20 @@ def emit_plotdata(run_dir, times=(), radius_fractions=(0.1,),
     stored_t, radii, u, ur = _read_field_csv(src)
     written = []
 
-    pos = radii > 0
+    pos = radii > 0  # u*(0) is -0.0, which would print as -0
     us = np.zeros_like(radii)
     us[pos] = analytic.u_star(params, radii[pos])
     for i, t_req in enumerate(times or (None,)):
         columns = [()] * 5  # no time requested: header only
         if t_req is not None:
             k = int(np.argmin(np.abs(stored_t - t_req)))
-            v = np.zeros_like(radii)
-            v[pos] = analytic.v_mode(params, radii[pos], stored_t[k])
+            v = analytic.v_mode(params, radii, stored_t[k])
             columns = (radii, u[k], ur[k], us, us - v)
         path = run_dir / f"profile_{i}.csv"
         _write_csv(path, ("r", "u", "u_r", "u_star", "u_star_minus_v"), columns)
         written.append(str(path))
 
-    sup_v0 = float(np.max(analytic.v_mode(params, radii[pos], 0.0)))
+    sup_v0 = float(np.max(analytic.v_mode(params, radii, 0.0)))
     for frac in radius_fractions:
         r_req = frac * params.R
         j = int(np.argmin(np.abs(radii - r_req)))

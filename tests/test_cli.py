@@ -353,7 +353,7 @@ class TestPlotData:
 
     def test_missing_inputs_reported(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            pipeline.emit_plotdata(tmp_path)
+            pipeline.emit_plotdata(tmp_path, (), (0.1,))
 
     def test_model_follows_from_configuration_not_params_record(
             self, quick_result, tmp_path):
@@ -406,8 +406,8 @@ class TestCsvWriter:
 
     def test_field_bytes_match_csv_module(self, synthetic_run):
         run_dir, fld = synthetic_run
-        path = run_dir / "field_limit.csv"
-        pipeline._write_field_csv(path, fld, save_every=2)
+        path = pipeline.write_field(run_dir, fld, save_every=2)
+        assert path == run_dir / "field_limit.csv"
         grad = fld.grid.gradient(fld.values)
         rows = [(fld.times[k], r, fld.values[k, j], grad[k, j])
                 for k in (0, 2) for j, r in enumerate(fld.grid.nodes)]
@@ -443,8 +443,8 @@ class TestCsvWriter:
         fld = solver.SpacetimeField(
             grid=grid, times=np.linspace(0.0, 0.6, 7), values=values,
             problem=None, scheme_name="implicit_euler")
-        path = tmp_path / "field_limit.csv"
-        pipeline._write_field_csv(path, fld, save_every=save_every)
+        path = pipeline.write_field(tmp_path, fld, save_every=save_every)
+        assert path == tmp_path / "field_limit.csv"
         blob = path.read_bytes()
         assert blob == self._savetxt_reference(fld, save_every)
         assert blob.count(b"\r\n") == 1 + 70 * len(range(0, 7, save_every))
@@ -453,7 +453,7 @@ class TestCsvWriter:
 
     def test_header_only_profile_and_series_bytes(self, synthetic_run):
         run_dir, fld = synthetic_run
-        pipeline._write_field_csv(run_dir / "field_limit.csv", fld, save_every=1)
+        pipeline.write_field(run_dir, fld, save_every=1)
         profile, series = pipeline.emit_plotdata(run_dir, times=(),
                                                  radius_fractions=(0.4,))
         assert Path(profile).read_bytes() == \
@@ -621,7 +621,8 @@ def test_unjudged_radius_keeps_its_written_rows(tmp_path, monkeypatch):
     grid = solver.GridPolicy(cfg.continuation.num_nodes,
                              cfg.continuation.grading_exponent).build(
                                  0.05, result.params.R)
-    problem = initdata.make_epsilon_problem(result.params, result.datum, 0.05,
+    datum = pipeline.build_model(cfg)[1]
+    problem = initdata.make_epsilon_problem(result.params, datum, 0.05,
                                             grid.nodes)
     direct = solver.solve_annulus(problem, grid, result.horizon, cfg.scheme)
     rows = slice(0, None, cfg.output.save_every)
@@ -1068,7 +1069,7 @@ class TestStaleFields:
         assert sorted(p.name for p in run_dir.glob("field_*.csv")) == \
             [unlisted.name]
         with pytest.raises(FileNotFoundError):
-            pipeline.emit_plotdata(run_dir)
+            pipeline.emit_plotdata(run_dir, (), (0.1,))
 
     def test_check_that_raises_leaves_no_manifest(self, tmp_path, monkeypatch):
         """The field files are written before the checks and the report and
@@ -1202,6 +1203,32 @@ class TestCLI:
         rc = cli.main(["solve"])
         assert rc == 2
         assert "preset" in capsys.readouterr().err
+
+    def test_preset_and_config_together_are_a_usage_error(self, capsys,
+                                                          tmp_path):
+        """Giving both sources exits 2 naming the clash; neither is
+        silently preferred."""
+        cfg_path = tmp_path / "quick.ini"
+        cfg_path.write_text(QUICK_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--preset", "n2-standard",
+                      "--config", str(cfg_path)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_solve_writes_the_bytes_of_the_run(self, quick_result, capsys,
+                                               tmp_path, monkeypatch):
+        """``gradsing solve`` at eps = 0.05 writes, through the pipeline's
+        field writer, the bytes of the run's ``field_eps0.05.csv``."""
+        _, run_dir = quick_result
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "quick.ini"
+        cfg_path.write_text(QUICK_CONFIG)
+        assert cli.main(["solve", "--config", str(cfg_path), "--eps", "0.05",
+                         "--output", "solo"]) == 0
+        solo = tmp_path / "solo" / "field_eps0.05.csv"
+        assert f"wrote {solo} " in capsys.readouterr().out
+        assert solo.read_bytes() == (run_dir / "field_eps0.05.csv").read_bytes()
 
     def test_run_only_analytic(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))

@@ -12,7 +12,8 @@ program (the config fields it replaces, the signature of
 ``solve_annulus``, the tracer's probes) fails the tests, and so does a
 change that breaks one of the scripts in scripts/.  The README's
 table of checks must name every check, its table of configuration keys
-every key, and its command-line block every subcommand.
+every key, and its command-line block every subcommand.  No module of
+the package reads another's private name.
 """
 
 import argparse
@@ -137,6 +138,44 @@ def test_import_puts_scipy_in_sys_modules():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def _private_reads(path: Path) -> set:
+    """"module._name" for each private name of a sibling module that the
+    source at ``path`` reads, as an attribute or by a relative import."""
+    tree = ast.parse(path.read_text())
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    reads.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            reads.add(f"{modules[node.value.id]}.{node.attr}")
+    return reads
+
+
+def test_private_reads_finds_attributes_and_imports(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("from . import solver as s, verify\n"
+                      "from .report import _row, within\n"
+                      "s._spline_at(verify.CHECKS, verify.__name__, np._x)\n")
+    assert _private_reads(source) == {"solver._spline_at", "report._row"}
+
+
+def test_no_module_reads_another_modules_private_name():
+    """A module of the package reads no private name of another, by
+    attribute or by import, except the Bessel boundary where ``analytic``
+    takes J, J' and J'' from one ``specfn._derivatives`` call."""
+    found = {(path.stem, name)
+             for path in sorted((ROOT / "src" / "gradsing").glob("*.py"))
+             for name in _private_reads(path)}
+    assert found <= {("analytic", "specfn._derivatives")}
 
 
 def test_perfbench_selftest_passes():
