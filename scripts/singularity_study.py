@@ -29,7 +29,7 @@ def main():
     cfg = preset(args.preset)
     params, datum = build_model(cfg)
     T = cfg.continuation.horizon(params)
-    result = solver.continuation(
+    *_, result = solver.continuation(
         params, datum, cfg.continuation.eps_sequence,
         cfg.continuation.grid_policy, T, cfg.scheme)
 

@@ -3,13 +3,15 @@ suite, artifact persistence, and plot-data emission.
 
 Stages run in dependency order: derived constants and closed-form
 residual gates first, then initial data, then the shrinking-annulus
-solves, then the field files, then every enabled check against the
-stored fields, and last the report and the manifest.  Once the field
-files are written, a field that no check reads
-(:func:`verify.judged_radii`) keeps only its written rows.  All
-artifacts are deterministic (no timestamps, fixed float formatting), so
-re-running an unchanged configuration reproduces identical bytes; the
-manifest records the configuration hash and per-file checksums.
+solves, each radius's field file and the checks whose radii are solved,
+streamed radius by radius, then the limit file and the checks that wait
+for the end, and last the report and the manifest.  A field is held
+whole only while a pending check or the next consecutive difference
+reads it, and then keeps only its written rows; after a run only the
+finest field is whole.  All artifacts are deterministic (no timestamps,
+fixed float formatting), so re-running an unchanged configuration
+reproduces identical bytes; the manifest records the configuration hash
+and per-file checksums.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class PipelineResult:
 
     @property
     def reference(self) -> solver.SpacetimeField | None:
-        """The field at ``continuation.reference_eps``, or None."""
+        """The field at ``continuation.reference_eps``, or None; after a
+        run it holds only its written rows unless it is the finest."""
         return self.continuation and self.continuation.field_at(
             self.config.continuation.reference_eps)
 
@@ -132,11 +135,17 @@ def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:
     """Execute the full pipeline for one configuration and persist the
     fields, report and manifest under the resolved output directory.
 
-    The field files are written when the continuation returns, before any
-    check; the report and manifest after the checks.  From then on a
-    radius outside :func:`verify.judged_radii` holds, in
-    ``continuation.fields``, only the rows its file holds: ``times`` and
-    ``values`` of every ``output.save_every``-th stored time.
+    The checks run as the continuation goes.  After each solved radius the
+    field file is written, and each enabled :data:`verify.CHECKS` entry
+    whose radii are all solved runs, once the reference radius is solved.
+    After the last radius, or after an abort, ``field_limit.csv`` is
+    written and the remaining entries run (none when the reference radius
+    was not solved); the report takes their rows in table order, and the
+    report and manifest are written last.  A field is held whole only
+    while a pending entry or the next consecutive difference reads it,
+    then, in ``continuation.fields``, only the rows its file holds:
+    ``times`` and ``values`` of every ``output.save_every``-th stored
+    time.  After a run only the finest field is whole.
 
     ``only='analytic'`` stops after the closed-form residual gates
     (seconds instead of minutes).
@@ -148,40 +157,88 @@ def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:
     if "analytic_residuals" in enabled:
         report.checks.extend(analytic_checks(params))
     result = PipelineResult(config=config, params=params, report=report)
+    out_dir = resolve_output_dir(config)
     if only == "analytic":
-        _persist(result, _write_fields(result))
+        _remove_previous_run(out_dir)
+        _persist(result, {})
         return result
 
-    cont_cfg = config.continuation
-    try:
-        cont = solver.continuation(
-            params, datum, cont_cfg.eps_sequence, cont_cfg.grid_policy,
-            result.horizon, config.scheme)
-    except ValueError as exc:  # a precondition the configuration breaks
-        raise ConfigError(f"continuation: {exc}") from None
-    result.continuation = cont
-    checksums = _write_fields(result)
-    abort = cont.aborted
-    if abort is not None:
+    pending = {name: entry for name, entry in verify.CHECKS.items()
+               if name in enabled}
+    rows, checksums, whole = {}, {}, set()
+    for cont in _continuation(result, datum):
+        if result.continuation is None:  # first yield; each is the same object
+            _remove_previous_run(out_dir)
+            result.continuation = cont
+        if cont.aborted is not None:
+            break
+        path = write_field(out_dir, cont.finest, config.output.save_every)
+        checksums[path.name] = _sha256(path)
+        whole.add(cont.finest.eps)
+        _cut(result, pending, whole)
+        if result.reference is not None:  # None: not solved yet
+            _judge(result, pending, rows, {fld.eps for fld in cont.fields})
+            _cut(result, pending, whole)
+
+    cont = result.continuation
+    if cont.fields:  # the limit estimate builds the written rows only
+        path = write_field(out_dir, solver.limit_estimate(cont.finest),
+                           config.output.save_every)
+        checksums[path.name] = _sha256(path)
+    if cont.aborted is not None:
         report.add(CheckResult(
             name="continuation_complete",
             claim="every configured inner radius solved to the horizon",
             measured=float(len(cont.fields)),
-            tolerance=float(len(cont_cfg.eps_sequence)), passed=False,
-            extra=abort.extra,
+            tolerance=float(len(config.continuation.eps_sequence)),
+            passed=False,
+            extra=cont.aborted.extra,
         ))
     if result.reference is not None:  # None: aborted at or before it
-        judged = verify.judged_radii(result)
-        rows = slice(0, None, config.output.save_every)
-        # a field that no check reads keeps only the rows of its file
-        cont.fields = [fld if fld.eps in judged else dataclasses.replace(
-            fld, times=fld.times[rows].copy(), values=fld.values[rows].copy())
-            for fld in cont.fields]
-        for name, check in verify.CHECKS.items():
-            if name in enabled:
-                report.checks.extend(check(result))
+        _judge(result, pending, rows, None)
+        _cut(result, pending, whole)
+        report.checks.extend(row for name in verify.CHECKS
+                             for row in rows.get(name, ()))
     _persist(result, checksums)
     return result
+
+
+def _continuation(result: PipelineResult, datum):
+    """``solver.continuation`` of the run, each radius as it is yielded; a
+    ``ValueError`` the solver raises is a :class:`ConfigError`."""
+    cfg = result.config
+    try:
+        yield from solver.continuation(
+            result.params, datum, cfg.continuation.eps_sequence,
+            cfg.continuation.grid_policy, result.horizon, cfg.scheme)
+    except ValueError as exc:  # a precondition the configuration breaks
+        raise ConfigError(f"continuation: {exc}") from None
+
+
+def _judge(result: PipelineResult, pending: dict, rows: dict,
+           solved: set | None) -> None:
+    """Run each pending entry whose radii are all in ``solved``, or every
+    pending entry when ``solved`` is None, and move its rows from
+    ``pending`` to ``rows``."""
+    cont_cfg = result.config.continuation
+    for name, (reads, check) in list(pending.items()):
+        if solved is None or reads and solved.issuperset(reads(cont_cfg)):
+            rows[name] = check(result)
+            del pending[name]
+
+
+def _cut(result: PipelineResult, pending: dict, whole: set) -> None:
+    """Cut each field of ``whole`` that is not the finest and that no
+    pending entry reads to the rows of its file."""
+    cont, cfg = result.continuation, result.config
+    keep = {cont.finest.eps}.union(*(reads(cfg.continuation)
+                                     for reads, _ in pending.values() if reads))
+    rows = slice(0, None, cfg.output.save_every)
+    for i, fld in enumerate(cont.fields):
+        if fld.eps in whole - keep:
+            cont.fields[i] = dataclasses.replace(
+                fld, times=fld.times[rows].copy(), values=fld.values[rows].copy())
+            whole.remove(fld.eps)
 
 
 # -- artifacts ----------------------------------------------------------------
@@ -240,10 +297,11 @@ def _sha256(path: Path) -> str:
 
 
 def _remove_previous_run(out_dir: Path) -> None:
-    """Delete the manifest, the report and the field files the manifest
-    lists of the run that wrote ``out_dir`` before; files no manifest
-    lists stay.  A run that stops before its own manifest then leaves no
-    manifest that describes other field files."""
+    """Create ``out_dir`` and delete the manifest, the report and the field
+    files the manifest lists of the run that wrote it before; files no
+    manifest lists stay.  A run that stops before its own manifest then
+    leaves no manifest that describes other field files."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         listed = json.loads((out_dir / "manifest.json").read_text())["artifacts"]
     except (OSError, ValueError, KeyError, TypeError):
@@ -253,22 +311,6 @@ def _remove_previous_run(out_dir: Path) -> None:
             path.unlink()
     for name in ("manifest.json", "report.csv", "report.json"):
         (out_dir / name).unlink(missing_ok=True)
-
-
-def _write_fields(result: PipelineResult) -> dict:
-    """Write the field files of the run, the limit estimate's included, in
-    place of the previous run's artifacts, and return their checksums."""
-    out_dir = resolve_output_dir(result.config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _remove_previous_run(out_dir)
-    cont = result.continuation
-    checksums = {}
-    if cont is not None and cont.fields:  # None: stopped after the gates
-        # the limit estimate builds the written rows only, as its file is written
-        for fld in [*cont.fields, solver.limit_estimate(cont.finest)]:
-            path = write_field(out_dir, fld, result.config.output.save_every)
-            checksums[path.name] = _sha256(path)
-    return checksums
 
 
 def _persist(result: PipelineResult, checksums: dict) -> None:

@@ -18,16 +18,18 @@ non-finite system included, halves the step, at most MAX_HALVINGS deep,
 then aborts.  Newton stops when its increment is within NEWTON_TOL of
 1 + max|u|, and fails after NEWTON_MAX_ITER iterations.
 
-The continuation solves a decreasing sequence of inner radii and reports
-sup-norm differences of consecutive fields on the compact window of
-:func:`compact_window`.  Its limit estimate, the finest field with the
-origin value 0 prepended (:func:`limit_estimate`), is never copied whole:
-each pass builds the rows it reads, a row block at a time.
+The continuation solves a decreasing sequence of inner radii, one radius
+per yield, and reports the sup-norm difference of each field to the one
+before on the compact window of :func:`compact_window`.  Its limit
+estimate, the finest field with the origin value 0 prepended
+(:func:`limit_estimate`), is never copied whole: each pass builds the
+rows it reads, a row block at a time.
 """
 
 from __future__ import annotations
 
 import ctypes
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass
 from functools import cache, cached_property
 
@@ -540,9 +542,10 @@ class ContinuationResult:
 
     ``aborted`` carries the abort that ended the sequence; the fields solved
     before it are retained.  An abort at the first inner radius leaves no
-    field, so ``fields`` is empty.  After ``pipeline.run_pipeline`` a field
-    at a radius that no check reads (outside ``verify.judged_radii``) holds
-    only the rows of its file, every ``save_every``-th stored time.
+    field, so ``fields`` is empty.  ``pipeline.run_pipeline`` cuts each
+    field to the rows of its file, every ``save_every``-th stored time,
+    once neither a pending check nor the next consecutive difference reads
+    it; after a run only the finest field holds every stored time.
     """
 
     fields: list
@@ -663,12 +666,14 @@ def continuation(
     policy: GridPolicy,
     T: float,
     scheme: SchemeConfig,
-) -> ContinuationResult:
-    """Solve the annulus problems for a decreasing eps sequence.
+) -> Iterator[ContinuationResult]:
+    """Solve the annulus problems for a decreasing eps sequence, yielding
+    the one :class:`ContinuationResult` after each radius.
 
-    Consecutive fields are compared in sup norm on :func:`compact_window`,
-    which every eps must lie below; an abort ends the sequence and is
-    returned with the fields solved before it.
+    Each solved field is compared with the one before it in sup norm on
+    :func:`compact_window`, which every eps must lie below, before the
+    yield.  An abort ends the sequence: it is yielded in ``aborted`` with
+    the fields solved before it.  The last yield holds the whole sequence.
     """
     eps_sequence = [float(e) for e in eps_sequence]
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
@@ -679,19 +684,17 @@ def continuation(
             "largest eps reaches into the compact comparison window; "
             f"every eps must lie below {r_window[0]:.6g}"
         )
-    fields = []
-    aborted = None
+    cont = ContinuationResult(fields=[], consecutive_diffs=[])
     for eps in eps_sequence:
         grid = policy.build(eps, params.R)
         problem = idata.make_epsilon_problem(params, datum, eps, grid.nodes)
         try:
-            fields.append(solve_annulus(problem, grid, T, scheme))
+            cont.fields.append(solve_annulus(problem, grid, T, scheme))
         except SolverAbort as abort:
-            aborted = abort
-            break
-    diffs = [
-        compact_difference(a, b, r_window, t_window)
-        for a, b in zip(fields, fields[1:])
-    ]
-    return ContinuationResult(fields=fields, consecutive_diffs=diffs,
-                              aborted=aborted)
+            cont.aborted = abort
+            yield cont
+            return
+        if len(cont.fields) > 1:
+            cont.consecutive_diffs.append(
+                compact_difference(*cont.fields[-2:], r_window, t_window))
+        yield cont

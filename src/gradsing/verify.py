@@ -3,10 +3,11 @@ numerical check with an explicit tolerance.
 
 The checks are pure functions of immutable fields and return
 :class:`CheckResult` records.  :data:`CHECKS`, the one ordered table of
-field checks, maps each ``verify.enabled`` name to its rows and decides
-which field each claim is judged on; the continuation and serialization
-live in the pipeline.  Derivative reconstruction always reuses the solver
-stencil so that the asserted quantities are the ones actually computed.
+field checks, maps each ``verify.enabled`` name to the inner radii it
+reads and to its rows, and decides which field each claim is judged on;
+the continuation and serialization live in the pipeline.  Derivative
+reconstruction always reuses the solver stencil so that the asserted
+quantities are the ones actually computed.
 
 Each check states its bound in its docstring, and :func:`report.within`
 applies it: an upper-bound row passes when measured <= bound.  The
@@ -35,7 +36,6 @@ from .solver import SpacetimeField, compact_difference, compact_window
 
 __all__ = [
     "CHECKS",
-    "judged_radii",
     "CheckResult",
     "VerificationReport",
     "ExponentFit",
@@ -570,9 +570,10 @@ def check_continuation_cauchy(diffs: Sequence[float]) -> CheckResult:
 
 # -- the table of field checks ------------------------------------------------
 #
-# Each entry takes the finished run (a ``pipeline.PipelineResult``) and
-# calls the checks and the solver through their module attributes, so
-# anything that patches those attributes sees every call.
+# Each entry's rows take the run (a ``pipeline.PipelineResult``) once the
+# radii the entry reads are solved, and call the checks and the solver
+# through their module attributes, so anything that patches those
+# attributes sees every call.
 
 def _rerun_check(run, name: str, rerun: str, problem, grid, scheme,
                  check) -> list[CheckResult]:
@@ -647,42 +648,49 @@ def _continuation_cauchy(run) -> list[CheckResult]:
         f" of {len(run.config.continuation.eps_sequence)} solved")]
 
 
-# verify.enabled name -> rows; the order is the order of the report
-CHECKS: dict[str, Callable[..., list[CheckResult]]] = {
-    "sandwich": lambda run: [check_sandwich(run.reference)],
-    "monotone": lambda run: [check_monotone(run.reference)],
-    "gradient_box": lambda run: [check_gradient_box(run.reference)],
-    "cutoff_inactive": _cutoff_inactive,
-    "boundary_bands": lambda run: [check_boundary_bands(run.reference)],
-    "bernstein": lambda run: [
-        check_weighted_bernstein(run.reference, p=p) for p in (4, 28)],
-    "pointwise_gradient": _pointwise_gradient,
+def _reference(cont) -> tuple:
+    return (cont.reference_eps,)
+
+
+def _reference_and_half(cont) -> tuple:
+    """The reference radius, and its half when the sequence has it."""
+    return tuple(e for e in cont.eps_sequence
+                 if e in (cont.reference_eps, cont.reference_eps / 2.0))
+
+
+def _smallest(cont) -> tuple:
+    return cont.eps_sequence[-1:]
+
+
+# verify.enabled name -> (reads, rows).  ``reads`` maps the continuation
+# config to the inner radii the entry reads, or is None when the entry
+# waits for the end of the sequence (the finest field, the consecutive
+# differences).  The order is the order of the report.
+CHECKS: dict[str, tuple[Callable | None, Callable[..., list[CheckResult]]]] = {
+    "sandwich": (_reference, lambda run: [check_sandwich(run.reference)]),
+    "monotone": (_reference, lambda run: [check_monotone(run.reference)]),
+    "gradient_box": (_reference, lambda run: [check_gradient_box(run.reference)]),
+    "cutoff_inactive": (_reference, _cutoff_inactive),
+    "boundary_bands": (_reference,
+                       lambda run: [check_boundary_bands(run.reference)]),
+    "bernstein": (_reference, lambda run: [
+        check_weighted_bernstein(run.reference, p=p) for p in (4, 28)]),
+    "pointwise_gradient": (_reference_and_half, _pointwise_gradient),
     # judged at the smallest configured radius, never at a coarser one
-    "singularity": lambda run: [_at_radius(
+    "singularity": (_smallest, lambda run: [_at_radius(
         run, run.config.continuation.eps_sequence[-1], "singularity_exponent",
-        _SINGULARITY_CLAIM, check_singularity_shape)],
-    "shape_functional": lambda run: [_at_radius(
+        _SINGULARITY_CLAIM, check_singularity_shape)]),
+    "shape_functional": (_smallest, lambda run: [_at_radius(
         run, run.config.continuation.eps_sequence[-1], "shape_functional",
-        _SHAPE_CLAIM, check_shape_functional)],
-    "decay": lambda run: [
-        check_decay_envelope(run.reference), check_decay_rate(run.reference)],
+        _SHAPE_CLAIM, check_shape_functional)]),
+    "decay": (_reference, lambda run: [
+        check_decay_envelope(run.reference), check_decay_rate(run.reference)]),
     # the limit estimate builds its rows only when a pass reads them
-    "weak_identity": lambda run: check_weak_identity(
-        solver.limit_estimate(run.continuation.finest)),
-    "inner_mass": lambda run: [check_inner_mass(
+    "weak_identity": (None, lambda run: check_weak_identity(
+        solver.limit_estimate(run.continuation.finest))),
+    "inner_mass": (None, lambda run: [check_inner_mass(
         solver.limit_estimate(run.continuation.finest),
-        run.config.continuation.eps_sequence[:3])],
-    "uniqueness": _uniqueness,
-    "continuation_cauchy": _continuation_cauchy,
+        run.config.continuation.eps_sequence[:3])]),
+    "uniqueness": (None, _uniqueness),
+    "continuation_cauchy": (None, _continuation_cauchy),
 }
-
-
-def judged_radii(run) -> set:
-    """The inner radii whose fields the CHECKS entries read: the reference
-    radius and its half (pointwise stability), the smallest configured
-    radius (singularity, shape functional) and the finest solved radius
-    (uniqueness, weak form, inner mass).  A field at any other radius is
-    read by no check; the pipeline keeps only its written rows."""
-    cont = run.config.continuation
-    return {cont.reference_eps, cont.reference_eps / 2.0,
-            cont.eps_sequence[-1], run.continuation.finest.eps}

@@ -47,7 +47,7 @@ def n2_continuation(n2):
     policy = GridPolicy(cfg.continuation.num_nodes,
                         cfg.continuation.grading_exponent)
     start = time.perf_counter()
-    result = solver.continuation(
+    *_, result = solver.continuation(
         params, datum, cfg.continuation.eps_sequence, policy, T, cfg.scheme,
     )
     result.runtime = time.perf_counter() - start
@@ -86,9 +86,10 @@ def n3_levels(n3):
     for num_nodes, dt in ((100, 4e-3), (200, 2e-3), (400, 1e-3)):
         policy = GridPolicy(num_nodes, cfg.continuation.grading_exponent)
         scheme = SchemeConfig("implicit_euler", dt=dt)
-        levels.append(solver.continuation(
+        *_, cont = solver.continuation(
             params, datum, cfg.continuation.eps_sequence, policy, T, scheme,
-        ))
+        )
+        levels.append(cont)
     return levels
 
 

@@ -562,6 +562,44 @@ def test_all_checks_report_byte_identical(n, R, tmp_path, monkeypatch):
         ALL_CHECKS_REPORT_DIGESTS[n, R]
 
 
+# SHA-256 of report.csv and report.json of the quick config with every
+# check on, radii (0.05, 0.04, 0.02, 0.01) and an abort injected at 0.01,
+# after the reference radius 0.04 and its half: reference and half rows,
+# inconclusive rows at the smallest radius and the end rows on 0.02.
+# Recorded while every check still ran after the last radius.
+ABORT_REPORT_DIGESTS = {
+    (2, 0.6): {
+        "report.csv":
+            "9a3da99d1c54bfb552fe89f908e128f1c5150210b8b9d40a444d974a733034d1",
+        "report.json":
+            "591c3786db40d629574eb7fd1aae742ba4c565e1772bc1289e03acba68ceac67",
+    },
+    (3, 1.5): {
+        "report.csv":
+            "4c9a2679a9f7077f78d42da61e90fcbca09f85d11034b62367633fb3bcb50077",
+        "report.json":
+            "2a157af10699992ff5323e60218a31f8b3941374bb63ca71b04fa34fe866f56b",
+    },
+}
+
+
+@pytest.mark.parametrize("n, R", sorted(ABORT_REPORT_DIGESTS))
+def test_aborted_all_checks_report_byte_identical(n, R, tmp_path, monkeypatch):
+    monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+    _abort_at(monkeypatch, 0.01)
+    result = pipeline.run_pipeline(load_config(QUICK_CONFIG.replace(
+        "n = 2", f"n = {n}").replace("R = 0.6", f"R = {R}").replace(
+        "0.05, 0.04", "0.05, 0.04, 0.02, 0.01").replace(
+        "analytic_residuals, sandwich, monotone, gradient_box",
+        ", ".join(ALL_CHECKS))))
+    assert result.report["continuation_complete"].measured == 3.0
+    assert result.report["singularity_exponent"].status == "inconclusive"
+    run_dir = tmp_path / "quickrun"
+    assert {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in ("report.csv", "report.json")} == \
+        ABORT_REPORT_DIGESTS[n, R]
+
+
 def test_heap_peak_at_the_floor(tmp_path, monkeypatch):
     """A run's heap peak is its judged fields whole, the written rows of
     the others, the one field a rerun holds, and under half a field more.
@@ -592,42 +630,83 @@ def test_heap_peak_at_the_floor(tmp_path, monkeypatch):
     assert peak <= field + written + field + field / 2
 
 
+def test_heap_peak_streams_the_checks(tmp_path, monkeypatch):
+    """With every check on, a run's heap peak is two fields whole, the
+    written rows of every field but the finest, and under half a field
+    more.  Each field is judged once the radii its checks read are solved
+    and is cut to its written rows after its last reader, so the rerun of
+    the finest field meets no other whole field.  On these 401-node fields
+    of 520 stored times the peak is 2.54 fields, in the uniqueness rerun;
+    running every check after the last radius held the reference and its
+    half whole beside it, and the continuation all four fields: 4.37."""
+    monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+    cfg = load_config(QUICK_CONFIG.replace("num_nodes = 120", "num_nodes = 400")
+                      .replace("dt = 0.002", "dt = 0.001")
+                      .replace("0.05, 0.04", "0.05, 0.04, 0.02, 0.01")
+                      .replace("reference_eps = 0.04", "reference_eps = 0.02")
+                      .replace("analytic_residuals, sandwich, monotone, gradient_box",
+                               ", ".join(ALL_CHECKS)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = pipeline.run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert result.report["pointwise_gradient_stability"].status == "ok"
+    assert result.report["uniqueness_surrogate"].status == "ok"
+    finest = result.continuation.finest
+    field, stored = finest.values.nbytes, len(finest.times)
+    written = len(range(0, stored, cfg.output.save_every)) * field / stored
+    assert finest.eps == 0.01
+    assert peak <= 2 * field + 3 * written + field / 2
+
+
 def test_heap_phases_script_names_each_phase(tmp_path, monkeypatch):
     """scripts/heap_phases.py wraps each phase by its module attribute,
-    reports them in call order, and restores every attribute it wrapped."""
+    reports them in the order the pipeline streams them, and restores
+    every attribute it wrapped."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "heap_phases.py"
     spec = importlib.util.spec_from_file_location("heap_phases", script)
     heap_phases = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(heap_phases)
     monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
-    originals = (solver.continuation, pipeline._write_fields, pipeline._persist,
+    originals = (solver.solve_annulus, pipeline.write_field, pipeline._persist,
                  pipeline.emit_plotdata, dict(verify.CHECKS))
-    peaks, fields = heap_phases.phase_peaks(load_config(QUICK_CONFIG), True)
+    peaks, fields = heap_phases.phase_peaks(load_config(RERUN_CONFIG), True)
     assert [label for label, _ in peaks] == [
-        "continuation", "field write", "sandwich", "monotone", "gradient_box",
-        "report and manifest", "plot data"]
-    assert peaks[0][1] > fields > 0
-    assert (solver.continuation, pipeline._write_fields, pipeline._persist,
+        "solve eps=0.05 implicit_euler", "field write eps=0.05",
+        "solve eps=0.04 implicit_euler", "field write eps=0.04",
+        "sandwich", "cutoff_inactive", "solve eps=0.04 implicit_euler",
+        "field write limit", "uniqueness", "solve eps=0.04 crank_nicolson",
+        "continuation_cauchy", "report and manifest", "plot data"]
+    # a solve holds the field it builds, half of the two written
+    assert all(peak > fields / 2 > 0 for label, peak in peaks
+               if label.startswith("solve"))
+    assert (solver.solve_annulus, pipeline.write_field, pipeline._persist,
             pipeline.emit_plotdata, dict(verify.CHECKS)) == originals
 
 
-def test_unjudged_radius_keeps_its_written_rows(tmp_path, monkeypatch):
-    """After a run, the field at eps = 0.05, which no check reads, holds
-    bitwise the rows 0, save_every, ... of a direct solve, and their times."""
+def test_every_field_but_the_finest_keeps_its_written_rows(tmp_path,
+                                                          monkeypatch):
+    """After a run, the field at eps = 0.05, which no check reads, and the
+    reference field at eps = 0.04, cut after its checks, hold bitwise the
+    rows 0, save_every, ... of a direct solve, and their times; the finest
+    field holds every stored time."""
     monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
-    cfg = load_config(QUICK_CONFIG)
+    cfg = load_config(QUICK_CONFIG.replace("0.05, 0.04", "0.05, 0.04, 0.02"))
     result = pipeline.run_pipeline(cfg)
-    kept = result.continuation.field_at(0.05)
-    grid = solver.GridPolicy(cfg.continuation.num_nodes,
-                             cfg.continuation.grading_exponent).build(
-                                 0.05, result.params.R)
     datum = pipeline.build_model(cfg)[1]
-    problem = initdata.make_epsilon_problem(result.params, datum, 0.05,
-                                            grid.nodes)
-    direct = solver.solve_annulus(problem, grid, result.horizon, cfg.scheme)
     rows = slice(0, None, cfg.output.save_every)
-    assert kept.values.tobytes() == direct.values[rows].tobytes()
-    assert kept.times.tobytes() == direct.times[rows].tobytes()
+    for eps in (0.05, 0.04):
+        kept = result.continuation.field_at(eps)
+        grid = cfg.continuation.grid_policy.build(eps, result.params.R)
+        problem = initdata.make_epsilon_problem(result.params, datum, eps,
+                                                grid.nodes)
+        direct = solver.solve_annulus(problem, grid, result.horizon, cfg.scheme)
+        assert kept.values.tobytes() == direct.values[rows].tobytes()
+        assert kept.times.tobytes() == direct.times[rows].tobytes()
+    assert result.continuation.finest.eps == 0.02
     assert len(result.continuation.finest.times) == len(direct.times)
 
 
@@ -867,25 +946,40 @@ class TestCheckTable:
     ])
     def test_checks_read_only_whole_judged_fields(self, n, R, eps, abort,
                                                   tmp_path, monkeypatch):
-        """Every field the checks get through ``field_at``, ``finest`` or
-        ``reference`` holds its full time lattice, at a radius of
-        ``verify.judged_radii``; a radius outside it holds its written
-        rows, which no check may judge."""
-        seen = []
+        """Every field a CHECKS entry gets through ``field_at``, ``finest``
+        or ``reference`` holds its full time lattice, at a radius the entry
+        states (the finest for an entry that waits for the end); together
+        the entries read the reference radius, its half, the smallest
+        configured radius and the finest solved one.  After the run every
+        field but the finest holds its written rows, which no check may
+        judge."""
+        seen, current = {}, []
 
         def spy(get):
             def recorded(*args):
                 fld = get(*args)
-                if fld is not None:
-                    seen.append((fld.eps, len(fld.times)))
+                if fld is not None and current:
+                    seen.setdefault(current[-1], set()).add(
+                        (fld.eps, len(fld.times)))
                 return fld
             return recorded
+
+        def reading(name, rows):
+            def run_rows(run):
+                current.append(name)
+                try:
+                    return rows(run)
+                finally:
+                    current.pop()
+            return run_rows
 
         cont_cls = solver.ContinuationResult
         monkeypatch.setattr(cont_cls, "field_at", spy(cont_cls.field_at))
         monkeypatch.setattr(cont_cls, "finest", property(spy(cont_cls.finest.fget)))
         monkeypatch.setattr(pipeline.PipelineResult, "reference", property(
             spy(pipeline.PipelineResult.reference.fget)))
+        for name, (reads, rows) in list(verify.CHECKS.items()):
+            monkeypatch.setitem(verify.CHECKS, name, (reads, reading(name, rows)))
         if abort is not None:
             _abort_at(monkeypatch, abort)
         monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
@@ -893,19 +987,25 @@ class TestCheckTable:
             "R = 0.6", f"R = {R}").replace("0.05, 0.04", eps).replace(
             "sandwich, monotone, gradient_box", ", ".join(ALL_CHECKS)))
         result = pipeline.run_pipeline(cfg)
-        cont = result.continuation
-        judged = verify.judged_radii(result)
+        cont, cont_cfg = result.continuation, cfg.continuation
         stored = int(round(result.horizon / cfg.scheme.dt)) + 1
-        assert {e for e, _ in seen} == judged & {f.eps for f in cont.fields}
-        assert all(size == stored for _, size in seen)
+        for name, radii in seen.items():
+            reads = verify.CHECKS[name][0]
+            stated = {cont.finest.eps} if reads is None else set(reads(cont_cfg))
+            assert {e for e, _ in radii} <= stated, name
+            assert all(size == stored for _, size in radii), name
+        judged = {cont_cfg.reference_eps, cont_cfg.reference_eps / 2.0,
+                  cont_cfg.eps_sequence[-1], cont.finest.eps}
+        assert {e for radii in seen.values() for e, _ in radii} == \
+            judged & {f.eps for f in cont.fields}
         if abort is not None:
-            assert cont.finest.eps != cfg.continuation.eps_sequence[-1]
+            assert cont.finest.eps != cont_cfg.eps_sequence[-1]
         if n == 3:
             assert result.report["weak_identity_origin_bump_wide"].status == "ok"
-        unjudged = [f for f in cont.fields if f.eps not in judged]
-        assert [f.eps for f in unjudged] == [0.05]
         written = len(range(0, stored, cfg.output.save_every))
-        assert all(len(f.times) == len(f.values) == written for f in unjudged)
+        assert all(len(f.times) == len(f.values) == written
+                   for f in cont.fields[:-1])
+        assert len(cont.finest.times) == stored
 
     def test_table_calls_checks_through_module_attribute(self, tmp_path,
                                                          monkeypatch):
@@ -1071,24 +1171,33 @@ class TestStaleFields:
         with pytest.raises(FileNotFoundError):
             pipeline.emit_plotdata(run_dir, (), (0.1,))
 
-    def test_check_that_raises_leaves_no_manifest(self, tmp_path, monkeypatch):
-        """The field files are written before the checks and the report and
-        manifest after them, so a run that raises inside a check leaves its
-        own field files with no manifest, none of the earlier run's, and
-        ``gradsing report`` on the directory exits 2."""
-        code, _, _ = _run_rows(monkeypatch, tmp_path, QUICK_CONFIG)
+    @pytest.mark.parametrize("name, own", [
+        ("sandwich", ["field_eps0.04.csv", "field_eps0.05.csv"]),  # streamed
+        ("uniqueness", ["field_eps0.04.csv", "field_eps0.05.csv",
+                        "field_limit.csv"]),  # at the end
+    ])
+    def test_check_that_raises_leaves_no_manifest(self, name, own, tmp_path,
+                                                  monkeypatch):
+        """The previous run's files are removed before the first field file
+        is written and the report and manifest are written after every
+        check, so a run that raises inside a check, as the continuation
+        streams or at its end, leaves only the field files it wrote before
+        the check: no manifest, no report, none of the earlier run's
+        (``field_limit.csv`` of the earlier run included), and ``gradsing
+        report`` on the directory exits 2."""
+        code, _, _ = _run_rows(monkeypatch, tmp_path, RERUN_CONFIG)
         assert code == 0
         run_dir = tmp_path / "quickrun"
 
         def raising(run):
             raise RuntimeError("injected check failure")
 
-        monkeypatch.setitem(verify.CHECKS, "monotone", raising)
+        monkeypatch.setitem(verify.CHECKS, name, (verify.CHECKS[name][0], raising))
         with pytest.raises(RuntimeError, match="injected"):
-            pipeline.run_pipeline(load_config(QUICK_CONFIG))
-        for name in ("manifest.json", "report.csv", "report.json"):
-            assert not (run_dir / name).exists()
-        assert (run_dir / "field_limit.csv").exists()
+            pipeline.run_pipeline(load_config(RERUN_CONFIG))
+        for artifact in ("manifest.json", "report.csv", "report.json"):
+            assert not (run_dir / artifact).exists()
+        assert sorted(p.name for p in run_dir.glob("field_*.csv")) == own
         assert cli.main(["report", "--run-dir", str(run_dir)]) == 2
 
     def test_only_analytic_removes_fields_of_the_earlier_run(
@@ -1253,6 +1362,43 @@ class TestCLI:
         cfg_path.write_text(QUICK_CONFIG.replace(old, new))
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_solver_value_error_after_streamed_checks_is_config_error(
+            self, capsys, tmp_path, monkeypatch):
+        """A ValueError the solver raises at a later radius, after the
+        reference checks have run, still exits 2 with its message."""
+        original = solver.solve_annulus
+
+        def rejecting(problem, grid, T, scheme):
+            if problem.epsilon == 0.03:
+                raise ValueError("injected precondition")
+            return original(problem, grid, T, scheme)
+
+        monkeypatch.setattr(solver, "solve_annulus", rejecting)
+        calls = []
+        reads, rows = verify.CHECKS["sandwich"]
+        monkeypatch.setitem(verify.CHECKS, "sandwich", (
+            reads, lambda run: calls.append(run) or rows(run)))
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(QUICK_CONFIG.replace("0.05, 0.04", "0.05, 0.04, 0.03"))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert len(calls) == 1
+        assert "continuation: injected precondition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["sandwich", "uniqueness"])
+    def test_value_error_inside_a_check_is_not_config_error(
+            self, name, tmp_path, monkeypatch):
+        """A ValueError raised by a check, streamed or at the end, leaves
+        the pipeline as that ValueError, not as a ConfigError."""
+        def raising(run):
+            raise ValueError("injected check error")
+
+        monkeypatch.setitem(verify.CHECKS, name, (verify.CHECKS[name][0], raising))
+        monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+        with pytest.raises(ValueError, match="injected check error") as info:
+            pipeline.run_pipeline(load_config(RERUN_CONFIG))
+        assert not isinstance(info.value, ConfigError)
 
     @pytest.mark.parametrize("command, key, value", [
         *((command, key, value) for command in ("run", "solve")

@@ -519,14 +519,14 @@ class TestContinuation:
                                               small_scheme):
         params, datum = n2_bundle
         with pytest.raises(ValueError):
-            continuation(params, datum, [0.02, 0.04], small_policy, 0.2,
-                         small_scheme)
+            next(continuation(params, datum, [0.02, 0.04], small_policy, 0.2,
+                              small_scheme))
 
     def test_single_eps_degenerates_to_solve(self, n2_bundle, small_policy,
                                              small_scheme):
         params, datum = n2_bundle
-        res = continuation(params, datum, [0.04], small_policy, 0.2,
-                           small_scheme)
+        *_, res = continuation(params, datum, [0.04], small_policy, 0.2,
+                                small_scheme)
         grid = small_policy.build(0.04, params.R)
         prob = initdata.make_epsilon_problem(params, datum, 0.04, grid.nodes)
         direct = solve_annulus(prob, grid, 0.2, small_scheme)
@@ -536,20 +536,43 @@ class TestContinuation:
     def test_limit_field_has_origin_appended(self, n2_bundle, small_policy,
                                              small_scheme):
         params, datum = n2_bundle
-        res = continuation(params, datum, [0.05, 0.04], small_policy, 0.2,
-                           small_scheme)
+        *_, res = continuation(params, datum, [0.05, 0.04], small_policy, 0.2,
+                                small_scheme)
         lim = solver.limit_estimate(res.finest)
         assert lim.grid.nodes[0] == 0.0
         rows = lim.values[:]
         assert np.all(rows[:, 0] == 0.0)
         assert np.array_equal(rows[:, 1:], res.finest.values)
 
+    def test_yields_after_each_radius_and_the_abort(self, n2_bundle,
+                                                   small_policy, small_scheme,
+                                                   monkeypatch):
+        """One result is yielded after each radius, with the radius's
+        consecutive difference already taken; an abort is yielded last,
+        with the fields solved before it."""
+        params, datum = n2_bundle
+        original = solver.solve_annulus
+
+        def aborting(problem, grid, T, scheme):
+            if problem.epsilon == 0.03:
+                raise solver.SolverAbort("injected abort", eps=0.03,
+                                         step_index=0, time=0.0)
+            return original(problem, grid, T, scheme)
+
+        monkeypatch.setattr(solver, "solve_annulus", aborting)
+        seen = [(len(res.fields), len(res.consecutive_diffs), res.aborted)
+                for res in continuation(params, datum, [0.05, 0.04, 0.03, 0.02],
+                                        small_policy, 0.2, small_scheme)]
+        assert [(f, d) for f, d, _ in seen] == [(1, 0), (2, 1), (2, 1)]
+        assert seen[0][2] is None and seen[1][2] is None
+        assert seen[2][2].eps == 0.03
+
     def test_diffs_decrease_on_geometric_sequence(self, n2_bundle,
                                                   small_policy, small_scheme):
         params, datum = n2_bundle
         T = 2.0 / params.decay_rate
-        res = continuation(params, datum, [0.04, 0.02, 0.01], small_policy, T,
-                           small_scheme)
+        *_, res = continuation(params, datum, [0.04, 0.02, 0.01], small_policy, T,
+                                small_scheme)
         d = res.consecutive_diffs
         assert len(d) == 2 and d[1] < d[0]
 
@@ -557,8 +580,8 @@ class TestContinuation:
                                                small_scheme):
         params, datum = n2_bundle
         with pytest.raises(ValueError):
-            continuation(params, datum, [0.1, 0.05], small_policy, 0.2,
-                         small_scheme)
+            next(continuation(params, datum, [0.1, 0.05], small_policy, 0.2,
+                              small_scheme))
 
 
 class TestRefinementConvergence:
@@ -803,11 +826,12 @@ class TestMemoryGuard:
             reference=long, params=params, datum=datum, horizon=1.0,
             config=config, continuation=solver.ContinuationResult(
                 fields=[long], consecutive_diffs=[2e-3, 1e-3]))
+        rows = verify.CHECKS[name][1]
         # every entry finds the radii it is judged at
         assert not any("not solved" in row.extra.get("reason", "")
-                       for row in verify.CHECKS[name](run))
+                       for row in rows(run))
         budget = long.values.nbytes * (0.25 + (name in self.BUILD_A_FIELD))
-        assert _peak_bytes(lambda: verify.CHECKS[name](run)) < budget
+        assert _peak_bytes(lambda: rows(run)) < budget
 
     @pytest.mark.parametrize("rows", LIMIT_ROWS)
     def test_limit_rows_equal_the_whole_copy(self, rows, n2_field):
