@@ -5,13 +5,15 @@ Stages run in dependency order: derived constants and closed-form
 residual gates first, then initial data, then the shrinking-annulus
 solves, each radius's field file and the checks whose radii are solved,
 streamed radius by radius, then the limit file and the checks that wait
-for the end, and last the report and the manifest.  A field is held
-whole only while a pending check or the next consecutive difference
-reads it, and then keeps only its written rows; after a run only the
-finest field is whole.  All artifacts are deterministic (no timestamps,
-fixed float formatting), so re-running an unchanged configuration
-reproduces identical bytes; the manifest records the configuration hash
-and per-file checksums.
+for the end, and last the report and the manifest.  All artifacts are
+deterministic (no timestamps, fixed float formatting), so re-running an
+unchanged configuration reproduces identical bytes; the manifest records
+the configuration hash and per-file checksums.
+
+Memory: a field holds its values while a pending check or the next
+consecutive difference reads it, and is then released (``times`` and
+``values`` None).  After a run only the finest field holds values; the
+field files are the record of every radius.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class PipelineResult:
 
     @property
     def reference(self) -> solver.SpacetimeField | None:
-        """The field at ``continuation.reference_eps``, or None; after a
-        run it holds only its written rows unless it is the finest."""
+        """The field at ``continuation.reference_eps``, or None; released
+        after a run unless it is the finest (see the module docstring)."""
         return self.continuation and self.continuation.field_at(
             self.config.continuation.reference_eps)
 
@@ -141,11 +143,8 @@ def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:
     After the last radius, or after an abort, ``field_limit.csv`` is
     written and the remaining entries run (none when the reference radius
     was not solved); the report takes their rows in table order, and the
-    report and manifest are written last.  A field is held whole only
-    while a pending entry or the next consecutive difference reads it,
-    then, in ``continuation.fields``, only the rows its file holds:
-    ``times`` and ``values`` of every ``output.save_every``-th stored
-    time.  After a run only the finest field is whole.
+    report and manifest are written last.  Fields are released as the
+    module docstring states.
 
     ``only='analytic'`` stops after the closed-form residual gates
     (seconds instead of minutes).
@@ -165,20 +164,19 @@ def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:
 
     pending = {name: entry for name, entry in verify.CHECKS.items()
                if name in enabled}
-    rows, checksums, whole = {}, {}, set()
+    rows, checksums = {}, {}
     for cont in _continuation(result, datum):
         if result.continuation is None:  # first yield; each is the same object
             _remove_previous_run(out_dir)
             result.continuation = cont
         if cont.aborted is not None:
             break
+        _release(result, pending)
         path = write_field(out_dir, cont.finest, config.output.save_every)
         checksums[path.name] = _sha256(path)
-        whole.add(cont.finest.eps)
-        _cut(result, pending, whole)
-        if result.reference is not None:  # None: not solved yet
-            _judge(result, pending, rows, {fld.eps for fld in cont.fields})
-            _cut(result, pending, whole)
+        # each stated radius is the reference or solved after it
+        _judge(result, pending, rows, {fld.eps for fld in cont.fields})
+        _release(result, pending)
 
     cont = result.continuation
     if cont.fields:  # the limit estimate builds the written rows only
@@ -196,7 +194,7 @@ def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:
         ))
     if result.reference is not None:  # None: aborted at or before it
         _judge(result, pending, rows, None)
-        _cut(result, pending, whole)
+        _release(result, pending)
         report.checks.extend(row for name in verify.CHECKS
                              for row in rows.get(name, ()))
     _persist(result, checksums)
@@ -227,18 +225,15 @@ def _judge(result: PipelineResult, pending: dict, rows: dict,
             del pending[name]
 
 
-def _cut(result: PipelineResult, pending: dict, whole: set) -> None:
-    """Cut each field of ``whole`` that is not the finest and that no
-    pending entry reads to the rows of its file."""
-    cont, cfg = result.continuation, result.config
-    keep = {cont.finest.eps}.union(*(reads(cfg.continuation)
+def _release(result: PipelineResult, pending: dict) -> None:
+    """Release each field that is not the finest and that no pending entry
+    reads: its ``times`` and ``values`` become None."""
+    cont = result.continuation
+    keep = {cont.finest.eps}.union(*(reads(result.config.continuation)
                                      for reads, _ in pending.values() if reads))
-    rows = slice(0, None, cfg.output.save_every)
     for i, fld in enumerate(cont.fields):
-        if fld.eps in whole - keep:
-            cont.fields[i] = dataclasses.replace(
-                fld, times=fld.times[rows].copy(), values=fld.values[rows].copy())
-            whole.remove(fld.eps)
+        if fld.eps not in keep:
+            cont.fields[i] = dataclasses.replace(fld, times=None, values=None)
 
 
 # -- artifacts ----------------------------------------------------------------
@@ -253,7 +248,8 @@ def _write_csv(path: Path, header, columns) -> None:
 
 def write_field(out_dir: Path, fld: solver.SpacetimeField, save_every: int) -> Path:
     """Every save_every-th stored time, one (t, r, u, u_r) row per node, to
-    ``out_dir``/``field_eps<eps>.csv``, or ``field_limit.csv`` from r = 0.
+    ``out_dir``/``field_eps<eps>.csv``, eps in its shortest round-trip form
+    (``repr``), or ``field_limit.csv`` from r = 0.
 
     The bytes are those of ``_write_csv`` on the four columns, but each
     stored time and each node is formatted once, not once per row: only
@@ -271,7 +267,7 @@ def write_field(out_dir: Path, fld: solver.SpacetimeField, save_every: int) -> P
     groups = [(2 * i, 2 * i + 2 * n, tails[i:i + n]) for i in range(0, len(tails), n)]
     block = solver.ROW_BLOCK * save_every
     path = out_dir / ("field_limit.csv" if fld.grid.nodes[0] == 0.0
-                      else f"field_eps{fld.eps:.6g}.csv")
+                      else f"field_eps{float(fld.eps)!r}.csv")
     with open(path, "w", newline="") as fh:
         fh.write(_DELIMITER.join(("t", "r", "u", "u_r")) + _NEWLINE)
         for k in range(0, len(fld.times), block):

@@ -446,12 +446,14 @@ class SpacetimeField:
     the rows a pass needs), is computed from ``values`` on request and not
     kept, so a check always judges the stored field and a field holds
     nothing beyond its inputs.  The values of a :func:`limit_estimate` are
-    :class:`OriginRows`, which a pass reads by rows only.
+    :class:`OriginRows`, which a pass reads by rows only.  A released field
+    (``times`` and ``values`` None) keeps its grid and problem; its rows
+    are in its file (``pipeline`` module docstring).
     """
 
     grid: RadialGrid
-    times: np.ndarray
-    values: np.ndarray
+    times: np.ndarray | None
+    values: np.ndarray | None
     problem: EpsilonProblem
     scheme_name: str
 
@@ -542,10 +544,7 @@ class ContinuationResult:
 
     ``aborted`` carries the abort that ended the sequence; the fields solved
     before it are retained.  An abort at the first inner radius leaves no
-    field, so ``fields`` is empty.  ``pipeline.run_pipeline`` cuts each
-    field to the rows of its file, every ``save_every``-th stored time,
-    once neither a pending check nor the next consecutive difference reads
-    it; after a run only the finest field holds every stored time.
+    field, so ``fields`` is empty.
     """
 
     fields: list

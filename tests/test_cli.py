@@ -601,15 +601,14 @@ def test_aborted_all_checks_report_byte_identical(n, R, tmp_path, monkeypatch):
 
 
 def test_heap_peak_at_the_floor(tmp_path, monkeypatch):
-    """A run's heap peak is its judged fields whole, the written rows of
-    the others, the one field a rerun holds, and under half a field more.
-    On these 401-node fields of 402 stored times, judged at eps = 0.04
-    only, the half field covers one row block's working set (the
-    uniqueness rerun's 16-row spline fits on both grids, 0.55 MB of a
-    1.29 MB field) and the run's small arrays; the field files are written
-    while both fields are whole, with the same block.  Holding the
-    unjudged eps = 0.05 field whole through the checks took 0.9 of a field
-    more."""
+    """A run's heap peak is its judged fields, the one field a rerun
+    holds, and under half a field more.  On these 401-node fields of 402
+    stored times, judged at eps = 0.04 only, the half field covers one row
+    block's working set (the uniqueness rerun's 16-row spline fits on both
+    grids, 0.55 MB of a 1.29 MB field) and the run's small arrays; the
+    peak is 2.45 fields.  Keeping the written rows of the unjudged
+    eps = 0.05 field took 2.50, and holding it whole through the checks
+    0.9 of a field more."""
     monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
     cfg = load_config(QUICK_CONFIG.replace("n = 2", "n = 3").replace(
         "R = 0.6", "R = 1.5").replace("num_nodes = 120", "num_nodes = 400").replace(
@@ -624,21 +623,20 @@ def test_heap_peak_at_the_floor(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert all(c.status == "ok" for c in result.report.checks)
     judged = result.continuation.finest
-    field, stored = judged.values.nbytes, len(judged.times)
-    written = len(range(0, stored, cfg.output.save_every)) * field / stored
+    field = judged.values.nbytes
     assert judged.eps == 0.04
-    assert peak <= field + written + field + field / 2
+    assert peak <= field + field + field / 2
 
 
 def test_heap_peak_streams_the_checks(tmp_path, monkeypatch):
-    """With every check on, a run's heap peak is two fields whole, the
-    written rows of every field but the finest, and under half a field
-    more.  Each field is judged once the radii its checks read are solved
-    and is cut to its written rows after its last reader, so the rerun of
-    the finest field meets no other whole field.  On these 401-node fields
-    of 520 stored times the peak is 2.54 fields, in the uniqueness rerun;
-    running every check after the last radius held the reference and its
-    half whole beside it, and the continuation all four fields: 4.37."""
+    """With every check on, a run's heap peak is two fields and under half
+    a field more.  Each field is judged once the radii its checks read are
+    solved and is released after its last reader, so the rerun of the
+    finest field meets no other field.  On these 401-node fields of 520
+    stored times the peak is 2.40 fields, in the uniqueness rerun; keeping
+    the written rows of each earlier field took 2.55, and running every
+    check after the last radius held the reference and its half beside
+    it, and the continuation all four fields: 4.37."""
     monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
     cfg = load_config(QUICK_CONFIG.replace("num_nodes = 120", "num_nodes = 400")
                       .replace("dt = 0.002", "dt = 0.001")
@@ -656,10 +654,9 @@ def test_heap_peak_streams_the_checks(tmp_path, monkeypatch):
     assert result.report["pointwise_gradient_stability"].status == "ok"
     assert result.report["uniqueness_surrogate"].status == "ok"
     finest = result.continuation.finest
-    field, stored = finest.values.nbytes, len(finest.times)
-    written = len(range(0, stored, cfg.output.save_every)) * field / stored
+    field = finest.values.nbytes
     assert finest.eps == 0.01
-    assert peak <= 2 * field + 3 * written + field / 2
+    assert peak <= 2 * field + field / 2
 
 
 def test_heap_phases_script_names_each_phase(tmp_path, monkeypatch):
@@ -687,27 +684,62 @@ def test_heap_phases_script_names_each_phase(tmp_path, monkeypatch):
             pipeline.emit_plotdata, dict(verify.CHECKS)) == originals
 
 
-def test_every_field_but_the_finest_keeps_its_written_rows(tmp_path,
-                                                          monkeypatch):
+def _direct_file(out_dir, result, eps) -> bytes:
+    """The bytes ``write_field`` writes to ``out_dir`` for a direct solve
+    of ``result``'s problem at inner radius ``eps``."""
+    cfg = result.config
+    datum = pipeline.build_model(cfg)[1]
+    grid = cfg.continuation.grid_policy.build(eps, result.params.R)
+    problem = initdata.make_epsilon_problem(result.params, datum, eps,
+                                            grid.nodes)
+    direct = solver.solve_annulus(problem, grid, result.horizon, cfg.scheme)
+    out_dir.mkdir(exist_ok=True)
+    return pipeline.write_field(out_dir, direct,
+                                cfg.output.save_every).read_bytes()
+
+
+def test_every_field_but_the_finest_is_released_to_its_file(tmp_path,
+                                                            monkeypatch):
     """After a run, the field at eps = 0.05, which no check reads, and the
-    reference field at eps = 0.04, cut after its checks, hold bitwise the
-    rows 0, save_every, ... of a direct solve, and their times; the finest
-    field holds every stored time."""
+    reference field at eps = 0.04, released after its checks, hold no
+    times and no values, and their files hold bitwise the rows a direct
+    solve writes; the finest field holds every stored time."""
     monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
     cfg = load_config(QUICK_CONFIG.replace("0.05, 0.04", "0.05, 0.04, 0.02"))
     result = pipeline.run_pipeline(cfg)
-    datum = pipeline.build_model(cfg)[1]
-    rows = slice(0, None, cfg.output.save_every)
+    run_dir = pipeline.resolve_output_dir(cfg)
     for eps in (0.05, 0.04):
-        kept = result.continuation.field_at(eps)
-        grid = cfg.continuation.grid_policy.build(eps, result.params.R)
-        problem = initdata.make_epsilon_problem(result.params, datum, eps,
-                                                grid.nodes)
-        direct = solver.solve_annulus(problem, grid, result.horizon, cfg.scheme)
-        assert kept.values.tobytes() == direct.values[rows].tobytes()
-        assert kept.times.tobytes() == direct.times[rows].tobytes()
-    assert result.continuation.finest.eps == 0.02
-    assert len(result.continuation.finest.times) == len(direct.times)
+        released = result.continuation.field_at(eps)
+        assert released.times is None and released.values is None
+        name = f"field_eps{eps!r}.csv"
+        assert (run_dir / name).read_bytes() == \
+            _direct_file(tmp_path / "direct", result, eps)
+    finest = result.continuation.finest
+    assert finest.eps == 0.02
+    stored = int(round(result.horizon / cfg.scheme.dt)) + 1
+    assert len(finest.times) == len(finest.values) == stored
+
+
+def test_radii_equal_to_six_digits_write_their_own_files(tmp_path,
+                                                         monkeypatch):
+    """Radii 0.04 and 0.03999999 agree to six significant digits and each
+    writes its own field file: three field files and the limit file, each
+    listed in the manifest, and each radius's file holds the bytes a
+    direct solve writes."""
+    monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+    radii = (0.05, 0.04, 0.03999999)
+    cfg = load_config(QUICK_CONFIG.replace(
+        "0.05, 0.04", ", ".join(map(repr, radii))))
+    result = pipeline.run_pipeline(cfg)
+    run_dir = pipeline.resolve_output_dir(cfg)
+    names = [f"field_eps{eps!r}.csv" for eps in radii]
+    assert sorted(path.name for path in run_dir.glob("field_*.csv")) == \
+        sorted(names + ["field_limit.csv"])
+    listed = json.loads((run_dir / "manifest.json").read_text())["artifacts"]
+    assert set(names + ["field_limit.csv"]) <= set(listed)
+    for eps, name in zip(radii, names):
+        assert (run_dir / name).read_bytes() == \
+            _direct_file(tmp_path / "direct", result, eps)
 
 
 def test_quick_newton_solve_bitwise_equals_scipy():
@@ -951,8 +983,8 @@ class TestCheckTable:
         states (the finest for an entry that waits for the end); together
         the entries read the reference radius, its half, the smallest
         configured radius and the finest solved one.  After the run every
-        field but the finest holds its written rows, which no check may
-        judge."""
+        field but the finest is released, and its file holds the bytes a
+        direct solve writes."""
         seen, current = {}, []
 
         def spy(get):
@@ -1002,9 +1034,11 @@ class TestCheckTable:
             assert cont.finest.eps != cont_cfg.eps_sequence[-1]
         if n == 3:
             assert result.report["weak_identity_origin_bump_wide"].status == "ok"
-        written = len(range(0, stored, cfg.output.save_every))
-        assert all(len(f.times) == len(f.values) == written
-                   for f in cont.fields[:-1])
+        run_dir = pipeline.resolve_output_dir(cfg)
+        for fld in cont.fields[:-1]:
+            assert fld.times is None and fld.values is None
+            assert (run_dir / f"field_eps{fld.eps!r}.csv").read_bytes() == \
+                _direct_file(tmp_path / "direct", result, fld.eps)
         assert len(cont.finest.times) == stored
 
     def test_table_calls_checks_through_module_attribute(self, tmp_path,
