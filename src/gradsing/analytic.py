@@ -293,10 +293,12 @@ def _stationary_pieces(params: ModelParams, r: np.ndarray) -> dict:
 
 
 def _upcast_pieces(params: ModelParams, r, t):
-    """All closed-form pieces on (r, t) broadcast together: u* and the mode
-    v with their derivatives, accumulated in extended precision."""
-    r, t = np.broadcast_arrays(np.atleast_1d(np.asarray(r, dtype=float)),
-                               np.atleast_1d(np.asarray(t, dtype=float)))
+    """All closed-form pieces, accumulated in extended precision: u*, psi
+    and their derivatives on the radii r, the time factor on the times t,
+    and the mode v with its derivatives on their broadcast.  Each radial
+    piece is formed once per entry of r, however many times t holds."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
     pieces = _stationary_pieces(params, r)
     rl = pieces["r"]
     lam = _L(params.lam)
@@ -360,10 +362,12 @@ def probe_lattice(params: ModelParams, radii: int = 200):
     0, 0.1, 1 and 5.
 
     The logarithmic spacing exercises the singular r -> 0 factors.
-    Returns broadcastable (r, t) arrays of shape (4, radii).
+    Returns the unbroadcast pair r of shape (1, radii) and t of shape
+    (4, 1), so that the residual evaluators form each radial piece once
+    per radius; their results broadcast to (4, radii).
     """
     if radii < 1:
         raise ValueError(f"radii must be a count of at least 1, got {radii}")
     r = np.geomspace(1e-4 * params.R, 0.999 * params.R, radii)
     t = np.array([0.0, 0.1, 1.0, 5.0])
-    return np.broadcast_arrays(r[None, :], t[:, None])
+    return r[None, :], t[:, None]

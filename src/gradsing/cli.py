@@ -76,6 +76,7 @@ def _cmd_analytic_check(args) -> int:
         raise ConfigError(f"analytic check: {exc}") from None
     res = analytic.residual_linearized(params, r, t) if params.C > 0 else \
         analytic.residual_stationary(params, r)
+    r, t, res = np.broadcast_arrays(r, t, res)  # one row per (r, t) pair
     print("r,t,residual")
     for (ri, ti, vi) in zip(r.ravel(), t.ravel(), res.ravel()):
         print(f"{ri:.9g},{ti:.9g},{vi:.6e}")

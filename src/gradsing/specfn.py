@@ -20,12 +20,12 @@ carries an internal error estimate; crossing 1e-10 triggers a
 :class:`BesselAccuracyWarning` rather than an exception.  A NaN or
 infinite argument is a ValueError.
 
-A point's value does not depend on the other points of its call, so
-one call may serve many points with the bits of one call per point.  A
-series term that meets the 1e-24 stop lies below half a long-double ulp
-of the sum, so the terms a longer loop adds for other points change
-nothing.  Only the error estimates can differ, and only by the size of a
-stopped term (below 1e-24), so no call warns that would not warn alone.
+A point's value and error estimate do not depend on the other points
+of its call, so one call may serve many points with the bits of one call
+per point.  Each point stops at its own first series term that meets the
+1e-24 stop, and its estimate takes that term.  A stopped term lies below
+half a long-double ulp of the sum, so the terms a point still takes
+while a point before it runs change nothing in its sum.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ _L = np.longdouble
 _ACCURACY_TARGET = 1e-10
 _X_MAX = 20.0  # the served domain is 0 <= x <= _X_MAX
 _SERIES_MAX_TERMS = 300
+# a series term stops its point once |term| <= _STOP (|total| + _STOP_FLOOR)
+_STOP, _STOP_FLOOR = _L(1e-24), _L(1e-300)
 _ZERO_SCAN_STEP = 0.1
 _ZERO_SCAN_SPAN = 20.0  # search horizon beyond the scan start
 _ZERO_SCAN_CHUNK = 32  # scan cells per vector call
@@ -125,6 +127,14 @@ def _series(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the value and an absolute error estimate (cancellation plus
     truncation).  ``mu`` may be any real that is not a negative integer.
+
+    Each point stops at its own first term with |term| <= 1e-24 (|total| +
+    1e-300), or after 300 terms.  The loop runs on the points from the
+    first one still running to the last; a point among them that has
+    stopped keeps its stopping term for the estimate, and the terms it
+    still takes are no-ops on its sum.  So every point's value and
+    estimate are those of its one-point call, for x in any order; sorted
+    x, as :func:`_derivatives` passes, mostly stop in order.
     """
     gamma = _L(math.gamma(mu + 1.0))
     # leading coefficient 1/Gamma(mu+1); Gamma may legitimately be negative
@@ -137,19 +147,41 @@ def _series(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lead[pos] = np.exp(_L(mu) * np.log(z[pos])) / gamma
     if mu == 0.0:
         lead[~pos] = 1.0
-    term = total = max_term = np.ones_like(z)
+    term, total, max_term = (np.ones_like(z) for _ in range(3))
     z2 = -(z * z)
-    k = 0
-    while k < _SERIES_MAX_TERMS:
+    # the loop runs on t, s, m and q, the points from lo on; a run of
+    # stopped points at their head is written back and dropped
+    t, s, m, q = term, total, max_term, z2
+    held = None  # |term| at the stop of points that stopped out of order
+    lo = k = 0
+    while t.size and k < _SERIES_MAX_TERMS:
         k += 1
-        term = term * z2 / (_L(k) * _L(mu + k))
-        total = total + term
-        max_term = np.maximum(max_term, abs(term))
-        if np.all(abs(term) <= 1e-24 * (abs(total) + 1e-300)):
-            break
+        t = t * q / (_L(k) * _L(mu + k))
+        s = s + t
+        a = abs(t)
+        m = np.maximum(m, a)
+        stop = a <= _STOP * (abs(s) + _STOP_FLOOR)
+        stopped = np.count_nonzero(stop)
+        if not stopped:
+            continue
+        run = stop.size if stopped == stop.size else int(stop.argmin())
+        if stopped > run:
+            if held is None:
+                held = np.full_like(z, np.nan)
+            h = held[lo:]
+            first = stop & np.isnan(h)
+            h[first] = a[first]
+        if run:
+            hi = lo + run
+            term[lo:hi], total[lo:hi], max_term[lo:hi] = t[:run], s[:run], m[:run]
+            t, s, m, q, lo = t[run:], s[run:], m[run:], q[run:], hi
+    term[lo:], total[lo:], max_term[lo:] = t, s, m
+    last = abs(term)
+    if held is not None:
+        last = np.where(np.isnan(held), last, held)
     value = lead * total
     eps_l = float(np.finfo(_L).eps)
-    est = abs(lead) * (max_term * eps_l + abs(term)) + 2.3e-16 * abs(value)
+    est = abs(lead) * (max_term * eps_l + last) + 2.3e-16 * abs(value)
     return value.astype(float), est.astype(float)
 
 
@@ -218,11 +250,14 @@ def _derivatives(order: BesselOrder, x, wanted: tuple[int, ...]) -> list:
     nu (x/2)^(nu-1) / (2 Gamma(nu+1))), so the derivatives need x > 0.
 
     Each order of J is evaluated once, on the distinct arguments only (and
-    read from the memo of an open :func:`shared_evaluations` block); a
-    point's value does not depend on the other points of the call, so the
-    results are bitwise those of one call per point.  A call with an
-    argument beyond the served domain warns once for the domain and runs
-    no estimate check.
+    read from the memo of an open :func:`shared_evaluations` block), passed
+    in ascending order, so the series' points mostly stop in order and
+    each term is added only to the points still running.  A point's value
+    and estimate do not depend on the other points of the call, so the
+    results are bitwise those of one call per point, and a call warns of
+    its estimate exactly when one of its points would alone.  A call with
+    an argument beyond the served domain warns once for the domain and
+    runs no estimate check.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):

@@ -608,14 +608,17 @@ def _at_radius(run, eps: float, name: str, claim: str,
                check) -> CheckResult:
     """``check`` of the continuation field at inner radius ``eps``, or, when
     there is none, a row ``name`` whose reason names the radius: skipped
-    when eps is not configured, inconclusive when it was not solved."""
+    when eps is not configured, inconclusive when it was not solved.  The
+    radius reads as in its field file's name, in its shortest round-trip
+    form."""
     fld = run.continuation.field_at(eps)
     if fld is not None:
         return check(fld)
     if eps in run.config.continuation.eps_sequence:
-        return _unjudged(name, claim, "inconclusive", f"eps = {eps:.6g} not solved")
+        return _unjudged(name, claim, "inconclusive",
+                         f"eps = {float(eps)!r} not solved")
     return _unjudged(name, claim, "skipped",
-                     f"eps = {eps:.6g} not in the eps sequence")
+                     f"eps = {float(eps)!r} not in the eps sequence")
 
 
 def _pointwise_gradient(run) -> list[CheckResult]:

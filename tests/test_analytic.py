@@ -142,9 +142,10 @@ class TestBesselBits:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_triplet_on_probe_lattice_equals_row_by_row(self, n, params_by_n):
         p = params_by_n[n]
-        r, _ = analytic.probe_lattice(p)
+        r, _ = np.broadcast_arrays(*analytic.probe_lattice(p))
         order = specfn.BesselOrder(p.nu)
         lattice = analytic._bessel_triplet(p, r)
+        assert r.shape == (4, 200)
         for row in range(r.shape[0]):
             x = p.lam * r[row]
             rowwise = (specfn.bessel_j(order, x), specfn.bessel_j_prime(order, x),

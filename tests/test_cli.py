@@ -742,6 +742,21 @@ def test_radii_equal_to_six_digits_write_their_own_files(tmp_path,
             _direct_file(tmp_path / "direct", result, eps)
 
 
+def test_unsolved_radius_reason_names_it_as_its_file_does(tmp_path,
+                                                          monkeypatch):
+    """With radii 0.05, 0.04 and 0.03999999 and an abort at 0.03999999,
+    the singularity row names the radius that was not solved, not 0.04,
+    which was."""
+    monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+    _abort_at(monkeypatch, 0.03999999)
+    result = pipeline.run_pipeline(load_config(QUICK_CONFIG.replace(
+        "0.05, 0.04", "0.05, 0.04, 0.03999999").replace(
+        "gradient_box", "gradient_box, singularity")))
+    row = result.report["singularity_exponent"]
+    assert row.status == "inconclusive"
+    assert row.extra["reason"] == "eps = 0.03999999 not solved"
+
+
 def test_quick_newton_solve_bitwise_equals_scipy():
     """The first Newton system of the quick config's first step: the direct
     dgtsv solve gives scipy.linalg.solve_banded's bits."""
@@ -1270,12 +1285,37 @@ class TestCLI:
         assert f"configuration error: specfn probe: {message}" in captured.err
 
     def test_analytic_check_csv(self, capsys):
+        """One row per (r, t) pair of the lattice, the radii inside each
+        probe time, with the bytes recorded before the lattice stopped
+        broadcasting."""
         rc = cli.main(["analytic", "check", "--n", "2", "--R", "0.6",
                        "--C", "1.0", "--radii", "4"])
         assert rc == 0
-        out = capsys.readouterr().out.splitlines()
+        text = capsys.readouterr().out
+        out = text.splitlines()
         assert out[0] == "r,t,residual"
+        assert len(out) == 17
+        r, _ = analytic.probe_lattice(analytic.make_params(2, 0.6, 1.0), 4)
+        assert [tuple(line.split(",")[:2]) for line in out[1:]] == [
+            (f"{ri:.9g}", f"{ti:.9g}") for ti in (0.0, 0.1, 1.0, 5.0)
+            for ri in r[0]]
         assert all(abs(float(line.split(",")[2])) < 1e-8 for line in out[1:])
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "13d77f7f9424fc21265842b801a1ef9995c4a3b588890c3c458e310c5adf1eda"
+
+    @pytest.mark.parametrize("n, digest", [
+        (2, "c231d59c03b5cc03d787c4ffbbb3db70d34d644a874dc397eaeb85f2aca42d82"),
+        (3, "c75278679d31d51895b4142455e7c22cfded20ba1bdcce27cf36a5b3321ab6dd"),
+    ])
+    def test_analytic_check_output_pinned(self, n, digest, capsys):
+        """SHA-256 of the stdout of ``analytic check --R 0.6 --C 1.0
+        --radii 200``, recorded while each radial piece was still formed
+        on all four probe times."""
+        assert cli.main(["analytic", "check", "--n", str(n), "--R", "0.6",
+                         "--C", "1.0", "--radii", "200"]) == 0
+        text = capsys.readouterr().out
+        assert len(text.splitlines()) == 801
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("R", ["0", "-0.5"])
     def test_analytic_check_nonpositive_radius_is_rejected(self, R, capsys):

@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradsing import initdata, pipeline, solver, specfn
@@ -242,6 +242,30 @@ class TestBitIdentity:
             pair_value, pair_est = specfn._series(mu, np.array([x, x]))
         assert one_value.tobytes() == pair_value[:1].tobytes()
         assert one_est.tobytes() == pair_est[:1].tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(mu=NU_REF[2], x=[13.0, 1.0, 0.0, 7.0], ordered=False)
+    @given(
+        mu=st.one_of(
+            st.sampled_from([specfn.nu_of(n) + s for n in range(2, 11)
+                             for s in (-2.0, -1.0, 0.0, 1.0, 2.0)]),
+            st.floats(-5.0, -0.01).filter(lambda m: m != math.floor(m)),
+        ),
+        x=st.lists(st.one_of(st.just(0.0), st.floats(0.0, specfn._X_MAX)),
+                   min_size=1, max_size=20),
+        ordered=st.booleans(),
+    )
+    def test_each_point_takes_the_bits_of_its_one_point_call(self, mu, x,
+                                                             ordered):
+        """Value and error estimate alike: each point stops at its own
+        term, whatever the other points and their order."""
+        x = np.array(sorted(x) if ordered else x)
+        with np.errstate(over="ignore"):
+            value, est = specfn._series(mu, x)
+            for i in range(x.size):
+                one_value, one_est = specfn._series(mu, x[i:i + 1])
+                assert value[i:i + 1].tobytes() == one_value.tobytes()
+                assert est[i:i + 1].tobytes() == one_est.tobytes()
 
     def test_repeated_arguments_take_the_bits_of_distinct_ones(self):
         o = BesselOrder(NU_REF[3])
