@@ -16,7 +16,10 @@ attribute here, so the program runs unchanged; a phase the installed
 gradsing lacks is left out.  A phase's peak is the largest heap traced
 from its call to its return, the fields it holds live included; a phase
 called inside another (a rerun's solve inside its check) resets the peak
-of the outer one too, which then reads from the inner call on.
+of the outer one too, which then reads from the inner call on.  A rerun's
+solve that the solver proves equal to a held field (``cutoff_inactive``
+of a reference that never reached the taper) builds no field, so its
+peak is the heap it started with.
 MB = 10^6 bytes.  Outputs go to a temporary directory.
 """
 

@@ -13,16 +13,23 @@ the configuration hash and per-file checksums.
 Memory: a field holds its values while a pending check or the next
 consecutive difference reads it, and is then released (``times`` and
 ``values`` None).  After a run only the finest field holds values; the
-field files are the record of every radius.
+field files are the record of every radius.  Each release trims the C
+heap, so that a released field's pages leave the process.  A run is one
+``solver.shared_solves`` block, so a check's rerun that the solver proves
+equal to a held field (the ``cutoff_inactive`` rerun of a reference solve
+that never reached the taper) shares that field's arrays and holds no
+field of its own.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +140,7 @@ def analytic_checks(params: ModelParams) -> list[CheckResult]:
     ]
 
 
+@solver.shared_solves()
 def run_pipeline(config: RunConfig, only: str | None = None) -> PipelineResult:
     """Execute the full pipeline for one configuration and persist the
     fields, report and manifest under the resolved output directory.
@@ -227,13 +235,35 @@ def _judge(result: PipelineResult, pending: dict, rows: dict,
 
 def _release(result: PipelineResult, pending: dict) -> None:
     """Release each field that is not the finest and that no pending entry
-    reads: its ``times`` and ``values`` become None."""
+    reads: its ``times`` and ``values`` become None, and the C heap is
+    trimmed (:func:`_malloc_trim`)."""
     cont = result.continuation
     keep = {cont.finest.eps}.union(*(reads(result.config.continuation)
                                      for reads, _ in pending.values() if reads))
     for i, fld in enumerate(cont.fields):
         if fld.eps not in keep:
             cont.fields[i] = dataclasses.replace(fld, times=None, values=None)
+    if (trim := _malloc_trim()) is not None:
+        trim(0)
+
+
+@cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none.
+
+    Once a freed block has raised glibc's dynamic mmap threshold, fields
+    come from the heap, which keeps freed pages resident until its free
+    top outgrows twice that threshold; so a run's peak RSS would depend on
+    where its frees happened to fall.  Trimming after each release hands
+    the released fields' pages back.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return None
+    trim.argtypes = (ctypes.c_size_t,)
+    trim.restype = ctypes.c_int
+    return trim
 
 
 # -- artifacts ----------------------------------------------------------------

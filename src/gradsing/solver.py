@@ -18,6 +18,11 @@ non-finite system included, halves the step, at most MAX_HALVINGS deep,
 then aborts.  Newton stops when its increment is within NEWTON_TOL of
 1 + max|u|, and fails after NEWTON_MAX_ITER iterations.
 
+Inside a :func:`shared_solves` block, a solve of a problem that differs
+from an untapered solve's only in the cutoff support steps nothing and
+holds no field of its own: it shares that solve's ``times`` and
+``values``.
+
 The continuation solves a decreasing sequence of inner radii, one radius
 per yield, and reports the sup-norm difference of each field to the one
 before on the compact window of :func:`compact_window`.  Its limit
@@ -29,7 +34,10 @@ rows it reads, a row block at a time.
 from __future__ import annotations
 
 import ctypes
+import weakref
 from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import astuple, dataclass
 from functools import cache, cached_property
 
@@ -54,6 +62,7 @@ __all__ = [
     "solve_banded",
     "step",
     "solve_annulus",
+    "shared_solves",
     "compact_window",
     "OriginRows",
     "limit_estimate",
@@ -78,6 +87,11 @@ _STEPPER_THETA = {
     "implicit_euler": 1.0,
     "crank_nicolson": 0.5,   # trapezoidal stage, see module docstring
 }
+
+# fields of the solves that never tapered, held weakly inside an open
+# shared_solves() block; None outside any block
+_SOLVES: ContextVar[weakref.WeakValueDictionary | None] = ContextVar(
+    "solver_shared", default=None)
 
 
 class SolverAbort(RuntimeError):
@@ -251,16 +265,25 @@ class GridPolicy:
 
 
 class _Operator:
-    """F_h(u) = Lap_h u + u f(D_h u) at one grid's interior nodes, and dF_h/du."""
+    """F_h(u) = Lap_h u + u f(D_h u) at one grid's interior nodes, and dF_h/du.
+
+    ``tapered`` records whether any call had ``not max|D_h u| <= c*`` (a
+    NaN included), the cutoff's own test for its exact cube: while it is
+    False, the cutoff returned s**3 on every call.  Every F_h evaluation of
+    a step comes through the call, and dF_h/du takes the cutoff derivative
+    at a call's arguments.
+    """
 
     def __init__(self, grid: RadialGrid, n: int, cutoff):
         self.lap = np.array(astuple(discretize_operator(grid, n)))
         self.weights = np.array(grid.derivative_weights[0])
         self.cutoff = cutoff
+        self.tapered = False
 
     def __call__(self, u: np.ndarray):
         """F_h(u), with the gradient du and the cutoff values f it used."""
         du = _three_point(self.weights, u)
+        self.tapered = self.tapered or not self.cutoff._exact_cube(du)
         f = self.cutoff.apply(du)
         return _three_point(self.lap, u) + u[1:-1] * f, du, f
 
@@ -471,6 +494,28 @@ class SpacetimeField:
         return u_star(self.problem.params, self.grid.nodes)
 
 
+@contextmanager
+def shared_solves():
+    """Inside the block (or the call of a function it decorates), a solve
+    that differs from a completed, untapered one only in the cutoff's
+    support radius returns a field sharing that solve's ``times`` and
+    ``values``: where |u_r| <= c* every cutoff of the family returns the
+    same bits, so stepping would repeat the same arithmetic.
+
+    Completed fields are held weakly, so one that nothing else holds serves
+    no later solve.  Nested blocks share the outermost one's fields, which
+    are dropped when it exits.
+    """
+    if _SOLVES.get() is not None:
+        yield
+        return
+    token = _SOLVES.set(weakref.WeakValueDictionary())
+    try:
+        yield
+    finally:
+        _SOLVES.reset(token)
+
+
 def solve_annulus(problem: EpsilonProblem, grid: RadialGrid, T: float,
                   scheme: SchemeConfig) -> SpacetimeField:
     """Integrate the annulus problem on [0, T] from its bridged datum.
@@ -478,6 +523,8 @@ def solve_annulus(problem: EpsilonProblem, grid: RadialGrid, T: float,
     The step count is the nearest integer to T/dt; the effective uniform
     step is T divided by that count, so the final time is hit exactly and
     identical configurations reproduce identical fields bit for bit.
+    Inside a :func:`shared_solves` block a solve whose twin never tapered
+    returns the twin's arrays and steps nothing.
     """
     if not np.array_equal(grid.nodes, problem.nodes):
         raise ValueError("grid does not match the problem's datum grid")
@@ -488,6 +535,17 @@ def solve_annulus(problem: EpsilonProblem, grid: RadialGrid, T: float,
             "grid resolves fewer than 3 nodes in the first radial decade; "
             "increase the node count or the grading exponent"
         )
+    kept = _SOLVES.get()
+    if kept is not None:
+        # everything the stepper reads, by value, but the cutoff's support
+        key = (problem.params, problem.epsilon, type(problem.cutoff),
+               problem.cutoff.c_star, problem.u0eps.values.tobytes(),
+               grid.nodes.tobytes(), T, scheme)
+        twin = kept.get(key)
+        if twin is not None:  # it passed the a-priori box too
+            return SpacetimeField(
+                grid=grid, times=twin.times, values=twin.values,
+                problem=problem, scheme_name=scheme.time_stepper)
     n_steps = max(1, int(round(T / scheme.dt)))
     times = np.linspace(0.0, T, n_steps + 1)
     values = np.empty((n_steps + 1, grid.nodes.size))
@@ -507,6 +565,8 @@ def solve_annulus(problem: EpsilonProblem, grid: RadialGrid, T: float,
         scheme_name=scheme.time_stepper,
     )
     _check_apriori_box(field_out)
+    if kept is not None and not stepper.operator.tapered:
+        kept[key] = field_out
     return field_out
 
 

@@ -593,7 +593,10 @@ def _rerun_check(run, name: str, rerun: str, problem, grid, scheme,
 
 def _cutoff_inactive(run) -> list[CheckResult]:
     """The rerun of the reference problem with its cutoff support doubled,
-    2 (2 c*) = 4 c*; datum, ceiling and grid are the reference's."""
+    2 (2 c*) = 4 c*; datum, ceiling and grid are the reference's.  Inside
+    the run's ``solver.shared_solves`` block, a reference solve that never
+    reached the taper makes the rerun that field (same bits, no step);
+    otherwise the rerun is stepped."""
     ref = run.reference
     cutoff = ref.problem.cutoff
     wide = replace(ref.problem, cutoff=replace(

@@ -662,7 +662,7 @@ def test_heap_peak_streams_the_checks(tmp_path, monkeypatch):
 def test_heap_phases_script_names_each_phase(tmp_path, monkeypatch):
     """scripts/heap_phases.py wraps each phase by its module attribute,
     reports them in the order the pipeline streams them, and restores
-    every attribute it wrapped."""
+    every attribute it wrapped; a proven rerun builds no field."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "heap_phases.py"
     spec = importlib.util.spec_from_file_location("heap_phases", script)
     heap_phases = importlib.util.module_from_spec(spec)
@@ -677,9 +677,18 @@ def test_heap_phases_script_names_each_phase(tmp_path, monkeypatch):
         "sandwich", "cutoff_inactive", "solve eps=0.04 implicit_euler",
         "field write limit", "uniqueness", "solve eps=0.04 crank_nicolson",
         "continuation_cauchy", "report and manifest", "plot data"]
-    # a solve holds the field it builds, half of the two written
-    assert all(peak > fields / 2 > 0 for label, peak in peaks
-               if label.startswith("solve"))
+    # A solve that steps holds the field it builds, half of the two
+    # written.  A rerun's solve also holds the field its check judges, so
+    # the stepped uniqueness rerun reads above both fields.  The reference
+    # at eps = 0.04 never reaches the cutoff's taper, so the cutoff_inactive
+    # rerun is that field (solver.shared_solves): it builds none, and its
+    # solve holds the reference alone, below the stepped rerun's bound.
+    labels = [label for label, _ in peaks]
+    proven = labels.index("cutoff_inactive") + 1
+    stepped_rerun = peaks[labels.index("uniqueness") + 1][1]
+    assert all(peak > fields / 2 > 0 for i, (label, peak) in enumerate(peaks)
+               if label.startswith("solve") and i != proven)
+    assert fields / 2 < peaks[proven][1] < fields < stepped_rerun
     assert (solver.solve_annulus, pipeline.write_field, pipeline._persist,
             pipeline.emit_plotdata, dict(verify.CHECKS)) == originals
 
@@ -718,6 +727,26 @@ def test_every_field_but_the_finest_is_released_to_its_file(tmp_path,
     assert finest.eps == 0.02
     stored = int(round(result.horizon / cfg.scheme.dt)) + 1
     assert len(finest.times) == len(finest.values) == stored
+
+
+def test_each_release_trims_the_heap(tmp_path, monkeypatch):
+    """Each release hands the freed heap pages back with malloc_trim(0);
+    where the C library has no malloc_trim the run writes the same
+    report."""
+    monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
+    cfg = load_config(QUICK_CONFIG)
+    trims, releases = [], []
+    release = pipeline._release
+    monkeypatch.setattr(pipeline, "_release",
+                        lambda *a: releases.append(1) or release(*a))
+    monkeypatch.setattr(pipeline, "_malloc_trim", lambda: trims.append)
+    pipeline.run_pipeline(cfg)
+    report = pipeline.resolve_output_dir(cfg) / "report.csv"
+    trimmed = report.read_bytes()
+    assert releases and trims == [0] * len(releases)
+    monkeypatch.setattr(pipeline, "_malloc_trim", lambda: None)
+    pipeline.run_pipeline(cfg)
+    assert report.read_bytes() == trimmed
 
 
 def test_radii_equal_to_six_digits_write_their_own_files(tmp_path,

@@ -1,6 +1,7 @@
 """Grids, the discrete operator, time stepping, and the continuation."""
 
 import _ctypes
+import contextlib
 import ctypes
 import dataclasses
 import tracemalloc
@@ -512,6 +513,158 @@ class TestSolveAnnulus:
         prob = initdata.make_epsilon_problem(params, datum, 0.004, grid.nodes)
         with pytest.raises(ValueError, match="decade"):
             solve_annulus(prob, grid, 0.1, small_scheme)
+
+
+def _n2_problem(eps, wide=False):
+    """The n2-standard problem at ``eps`` on its preset grid, the cutoff
+    support doubled when ``wide``, as the cutoff_inactive rerun builds it."""
+    cfg = preset("n2-standard")
+    params, datum = pipeline.build_model(cfg)
+    grid = cfg.continuation.grid_policy.build(eps, params.R)
+    prob = initdata.make_epsilon_problem(params, datum, eps, grid.nodes)
+    if wide:
+        prob = dataclasses.replace(prob, cutoff=dataclasses.replace(
+            prob.cutoff, support_radius=2.0 * prob.cutoff.support_radius))
+    return prob, grid, cfg.scheme
+
+
+def _stepped(monkeypatch, solve):
+    """``solve()`` and the number of banded solves it made."""
+    calls = []
+    original = solver.solve_banded
+    monkeypatch.setattr(solver, "solve_banded",
+                        lambda *a: calls.append(1) or original(*a))
+    out = solve()
+    monkeypatch.setattr(solver, "solve_banded", original)
+    return out, len(calls)
+
+
+class TestSharedSolves:
+    """Inside ``solver.shared_solves()``, a solve that differs from a kept,
+    untapered one only in the cutoff support is that field, without a step;
+    every other solve steps, bit for bit as outside any block."""
+
+    T = 0.01  # ten steps of the preset's dt
+
+    def test_operator_records_the_taper(self):
+        """``tapered`` turns on at the first call past c* and stays on; a NaN
+        gradient counts as past it."""
+        prob, grid, _ = _n2_problem(0.04)
+        u = prob.u0eps.values.copy()
+        op = solver._Operator(grid, prob.params.n, prob.cutoff)
+        op(u)
+        assert not op.tapered
+        steep = u.copy()
+        steep[60] -= 2.0 * prob.c_star_eps * (grid.nodes[61] - grid.nodes[59])
+        op(steep)
+        op(u)
+        assert op.tapered
+        nan = u.copy()
+        nan[60] = np.nan
+        op = solver._Operator(grid, prob.params.n, prob.cutoff)
+        op(nan)
+        assert op.tapered
+
+    @pytest.mark.parametrize("eps, proven", [(0.02, True), (0.04, False)])
+    def test_rerun_with_doubled_support(self, monkeypatch, eps, proven):
+        """At eps = 0.02 no evaluation reaches c*, so the rerun makes no
+        banded solve and shares the first solve's arrays; eps = 0.04 tapers
+        in its first steps, so its rerun steps into arrays of its own.  Both
+        equal the rerun solved outside any block, bit for bit."""
+        prob, grid, scheme = _n2_problem(eps)
+        wide, _, _ = _n2_problem(eps, wide=True)
+        outside = solve_annulus(wide, grid, self.T, scheme)
+        with solver.shared_solves():
+            first = solve_annulus(prob, grid, self.T, scheme)
+            rerun, steps = _stepped(
+                monkeypatch, lambda: solve_annulus(wide, grid, self.T, scheme))
+        assert (steps == 0) == proven
+        assert rerun.problem is wide and rerun.grid is grid
+        assert np.shares_memory(rerun.values, first.values) == proven
+        assert np.shares_memory(rerun.times, first.times) == proven
+        assert rerun.values.tobytes() == outside.values.tobytes()
+        assert rerun.times.tobytes() == outside.times.tobytes()
+        if proven:
+            assert first.values.tobytes() == outside.values.tobytes()
+
+    @pytest.mark.parametrize("change", ["scheme", "T", "c_star"])
+    def test_any_other_difference_steps(self, monkeypatch, change):
+        """A solve that differs from the kept one in the stepper, the
+        horizon or c* steps, and equals its solve outside any block."""
+        prob, grid, scheme = _n2_problem(0.02)
+        other, T, other_scheme = prob, self.T, scheme
+        if change == "scheme":
+            other_scheme = SchemeConfig("crank_nicolson", scheme.dt)
+        elif change == "T":
+            T = 2.0 * T
+        else:
+            other = dataclasses.replace(prob, cutoff=dataclasses.replace(
+                prob.cutoff, c_star=1.01 * prob.cutoff.c_star))
+        outside = solve_annulus(other, grid, T, other_scheme)
+        with solver.shared_solves():
+            kept = solve_annulus(prob, grid, self.T, scheme)
+            rerun, steps = _stepped(monkeypatch, lambda: solve_annulus(
+                other, grid, T, other_scheme))
+        assert steps > 0
+        assert not np.shares_memory(rerun.values, kept.values)
+        assert rerun.values.tobytes() == outside.values.tobytes()
+
+    def test_abort_or_release_leaves_no_entry(self, monkeypatch):
+        """A solve that stepped untapered but then left the a-priori box
+        keeps nothing, nor does a kept field that nothing else holds any
+        more: the rerun after either steps."""
+        prob, grid, scheme = _n2_problem(0.02)
+        wide, _, _ = _n2_problem(0.02, wide=True)
+
+        def leaves_box(fld):
+            raise SolverAbort("injected", eps=fld.eps, step_index=None,
+                              time=None)
+
+        with solver.shared_solves():
+            monkeypatch.setattr(solver, "_check_apriori_box", leaves_box)
+            # the abort's traceback, held as a run holds its abort, keeps
+            # the frame of the solve alive
+            with pytest.raises(SolverAbort, match="injected") as aborted:
+                solve_annulus(prob, grid, self.T, scheme)
+            monkeypatch.undo()
+            # each field below is dropped as soon as it is returned
+            after_abort = _stepped(monkeypatch, lambda: solve_annulus(
+                wide, grid, self.T, scheme))[1]
+            solve_annulus(prob, grid, self.T, scheme)
+            after_release = _stepped(monkeypatch, lambda: solve_annulus(
+                wide, grid, self.T, scheme))[1]
+        assert after_abort > 0 and after_release > 0
+        assert aborted.value.eps == 0.02
+
+    def test_outside_a_block_every_solve_steps(self, monkeypatch):
+        """Without a block two solves of one problem share no memory, so a
+        direct rerun (test_criterion_05's) is stepped and judged."""
+        prob, grid, scheme = _n2_problem(0.02)
+        first = solve_annulus(prob, grid, self.T, scheme)
+        second, steps = _stepped(
+            monkeypatch, lambda: solve_annulus(prob, grid, self.T, scheme))
+        assert steps > 0
+        assert not np.shares_memory(first.values, second.values)
+        assert not np.shares_memory(first.times, second.times)
+
+    def test_nothing_kept_after_the_block(self, monkeypatch):
+        """A field kept in one block, still alive, serves no solve after the
+        block exits, nor in a later block; a nested block shares the outer
+        one's fields."""
+        prob, grid, scheme = _n2_problem(0.02)
+        wide, _, _ = _n2_problem(0.02, wide=True)
+        with solver.shared_solves():
+            first = solve_annulus(prob, grid, self.T, scheme)
+            with solver.shared_solves():
+                _, steps = _stepped(monkeypatch, lambda: solve_annulus(
+                    wide, grid, self.T, scheme))
+            assert steps == 0
+        for block in (solver.shared_solves(), contextlib.nullcontext()):
+            with block:
+                rerun, steps = _stepped(monkeypatch, lambda: solve_annulus(
+                    wide, grid, self.T, scheme))
+            assert steps > 0
+            assert not np.shares_memory(rerun.values, first.values)
 
 
 class TestContinuation:
