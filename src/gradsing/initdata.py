@@ -360,9 +360,9 @@ class CutoffCubic:
     def apply(self, s):
         s = np.asarray(s, dtype=float)
         if self._exact_cube(s):
-            return s ** 3
+            return specfn.int_power(s, 3)
         sigma = (np.abs(s) - self.c_star) / (self.support_radius - self.c_star)
-        return s ** 3 * (1.0 - _smoothstep(sigma))
+        return specfn.int_power(s, 3) * (1.0 - _smoothstep(sigma))
 
     def derivative(self, s):
         s = np.asarray(s, dtype=float)

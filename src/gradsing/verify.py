@@ -185,7 +185,8 @@ def _weighted_gradient_power(field: SpacetimeField, p: int) -> np.ndarray:
     delta = 0.05 * field.problem.params.R
     w_nodes = np.clip(field.grid.nodes - delta, 0.0, None) ** (p + 3)
     return solver.blockwise_rows(
-        lambda u: np.max(w_nodes * field.grid.gradient(u) ** p, axis=1),
+        lambda u: np.max(w_nodes * specfn.int_power(field.grid.gradient(u), p),
+                         axis=1),
         field.values)
 
 
@@ -455,7 +456,7 @@ def _weak_form_residuals(field, test_functions):
     def integrals(u):
         # columns per test function: int u s, int u_r s', int u u_r^3 s
         ur = field.grid.gradient(u)
-        reaction = u * ur ** 3
+        reaction = u * specfn.int_power(ur, 3)
         return np.column_stack([
             col for s, sp in bumps
             for col in ((u * s) @ wr, (ur * sp) @ wr, (reaction * s) @ wr)])

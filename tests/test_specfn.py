@@ -502,3 +502,74 @@ class TestSharedEvaluations:
             assert getattr(problem.u0eps, name).tobytes() == \
                 getattr(u0eps, name).tobytes()
         assert problem.c_star_eps.hex() == ceiling.hex()
+
+
+def _power_inputs(seed, size):
+    """size seeded doubles, |x| log-uniform on [1e-12, 1e3], both signs."""
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(-12.0, 3.0, size) * rng.choice([-1.0, 1.0], size)
+
+
+SPECIAL_BASES = [0.0, -0.0, 5e-324, -5e-324, -2.5e-310, 2.5e-310, np.inf,
+                 -np.inf, np.nan, -1e-103, -1e-200, -1e103, -1e200, -2.0 ** -340]
+
+
+class TestIntPower:
+    """specfn.int_power against numpy's own x ** p, compared as int64."""
+
+    @staticmethod
+    def _same_bits(x, p):
+        want = np.asarray(np.asarray(x, dtype=float) ** p)
+        got = np.asarray(specfn.int_power(x, p))
+        return got.shape == want.shape and \
+            np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("p", [3, 4, 28])
+    def test_bits_of_numpy_pow(self, p):
+        x = np.concatenate((_power_inputs(p, 10 ** 6), SPECIAL_BASES))
+        with np.errstate(over="ignore"):  # the 1e103 and 1e200 bases
+            assert self._same_bits(x, p)
+            rows = x[:64 * 400].reshape(64, 400)
+            for view in (rows, rows[::3, 1::7], rows.T, rows[:, 5], rows[7]):
+                assert self._same_bits(view, p)
+            for value in x[:40].tolist() + SPECIAL_BASES:
+                got = specfn.int_power(value, p)
+                assert isinstance(got, np.float64)
+                assert self._same_bits(value, p)
+                assert self._same_bits(np.asarray(value), p)
+
+    def test_warns_as_pow_does(self):
+        x = np.array([-1e200, -2.0])
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            x ** 3
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            specfn.int_power(x, 3)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+
+    def test_without_x87_long_double_it_is_pow(self, monkeypatch):
+        monkeypatch.setattr(specfn, "_X87", False)
+        assert self._same_bits(_power_inputs(5, 1000), 3)
+
+    @pytest.mark.parametrize("p", [1, 0, -3])
+    def test_rejects_exponents_below_two(self, p):
+        with pytest.raises(ValueError):
+            specfn.int_power(-2.0, p)
+
+    @pytest.mark.skipif(not specfn._X87, reason="needs the x87 long double")
+    @pytest.mark.parametrize("p", [3, 4, 28])
+    def test_pow_disagrees_only_near_a_midpoint(self, p):
+        """Where numpy's pow and the rounded long-double power differ on a
+        negative base, the long-double value lies within 1/64 ulp of a
+        rounding midpoint: a quarter of int_power's 1/16 window."""
+        x = -np.abs(_power_inputs(100 + p, 10 ** 6))
+        power = specfn._long_double_power(x, p)
+        y = power.astype(float)
+        # position of the long double within the double ulp of its binade
+        mantissa = np.ldexp(np.abs(np.frexp(power)[0]), 53)
+        from_mid = np.abs(mantissa - np.floor(mantissa) - 0.5)
+        differ = (x ** p != y) & (np.abs(y) >= np.finfo(float).tiny)
+        assert differ.any()
+        margin = float(from_mid[differ].max())
+        assert margin <= 1 / 64, f"pow differs {margin:.4f} ulp from a midpoint"
