@@ -407,25 +407,24 @@ def _search_zeros(order: BesselOrder) -> BesselZeros:
 
 
 def int_power(x, p: int):
-    """``np.asarray(x, dtype=float) ** p``, bit for bit, for an integer
-    p >= 2, at about half the cost on negative x.
+    """``np.asarray(x, dtype=float) ** p`` bit for bit, for an integer
+    p >= 2, at about half its cost where x < 0.
 
-    numpy's SIMD ``pow`` takes a slow per-element path for a negative base.
-    Here x^p is formed by binary powering in the x87 long double, with
-    each product rounded to 64 bits; the roundings compound to a relative
-    error below (p - 1) 2^-64, which is (p - 1) 2^-11 double ulp.  Rounded to a double, it is the correctly
-    rounded x^p unless it lies within 1/16 ulp of a rounding midpoint
-    (about 12% of entries).  ``pow`` returns the correctly rounded value
-    too wherever the exact power lies further from a midpoint than its own
-    error beyond half an ulp: glibc documents 0.52 ulp, and on numpy
-    2.4.6's AVX-512 ``pow`` every disagreement with the rounded long
-    double lay within 0.014 ulp of a midpoint (tier-1 pins 1/64 ulp).
-    numpy's own ``pow`` serves the entries within the window, those that
-    are not negative (its fast path), and those whose power is not a
-    normal double below 2^1023 (a NaN and +-inf included).  Where long
-    double is not the x87 format (fewer than 63 fraction bits, as where it
-    is a double, or a wider format) this returns ``x ** p``.
+    numpy's SIMD ``pow`` takes a slow per-element path for a negative
+    base.  Here x^p is formed by binary powering in the x87 long double,
+    whose roundings compound to a relative error below (p - 1) 2^-64, at
+    most (p - 1) 2^-11 double ulp, and rounded to a double: the correctly
+    rounded power unless the long double lies within 1/16 ulp of a
+    rounding midpoint (about 12% of entries).  Outside that window ``pow``
+    returns the correctly rounded power too while its error exceeds half
+    an ulp by less than 1/16 - (p - 1) 2^-11 ulp: glibc documents 0.52 ulp,
+    and numpy 2.4.6's AVX-512 ``pow`` differed from the rounded long double
+    only within 0.016 ulp of a midpoint (the tests pin 1/64 ulp).
 
+    numpy's own ``pow`` serves the entries within the window, the
+    non-negative ones (its fast path) and those whose power is not a
+    normal double below 2^1023.  Where long double is not the x87 format
+    (fewer than 63 fraction bits, or a wider format), this is ``x ** p``.
     Takes Python scalars and arrays of any shape and strides; a 0-d input
     gives a numpy scalar, as ``x ** p`` does.
     """

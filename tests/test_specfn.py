@@ -530,7 +530,8 @@ class TestIntPower:
         with np.errstate(over="ignore"):  # the 1e103 and 1e200 bases
             assert self._same_bits(x, p)
             rows = x[:64 * 400].reshape(64, 400)
-            for view in (rows, rows[::3, 1::7], rows.T, rows[:, 5], rows[7]):
+            for view in (rows, rows[::3, 1::7], rows.T, rows[:, 5], rows[7],
+                         rows[:0]):
                 assert self._same_bits(view, p)
             for value in x[:40].tolist() + SPECIAL_BASES:
                 got = specfn.int_power(value, p)
