@@ -437,7 +437,7 @@ def int_power(x, p: int):
         power = _long_double_power(x.reshape(-1), p)
         y = power.astype(float).reshape(x.shape)
     words = power.view(np.uint16)
-    # the sign bit joins the exponent word: x < 0 gives x^p the sign of p
+    # word 4 holds the sign too: for x < 0, x^p is negative for odd p only
     slow = (words[4::_WORDS] - (_EXP_LO | 0x8000 * (p & 1))) > _EXP_SPAN
     slow |= ((words[0::_WORDS] - _NEAR_LO) & 0x7FF) <= _NEAR_SPAN
     slow = slow.reshape(x.shape) | (x >= 0.0)
