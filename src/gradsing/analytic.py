@@ -112,15 +112,13 @@ def radius_bound(n: int) -> float:
 
 def max_admissible_R(n: int, lam: float) -> float:
     """Largest admissible domain radius, min(x1/lam, radius_bound(n))."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
     if lam <= 0:
         raise ValueError("lam must be positive")
     zeros = specfn.first_zeros(BesselOrder(specfn.nu_of(n)))
     return min(zeros.x1 / lam, radius_bound(n))
 
 
-def make_params(n: int, R: float, C: float = 0.0) -> ModelParams:
+def make_params(n: int, R: float, C: float) -> ModelParams:
     """The admissible model ``ModelParams(n, R, C)``."""
     return ModelParams(n, R, C)
 
@@ -192,7 +190,7 @@ def u_star_rr(params: ModelParams, r):
 # -- separated mode ---------------------------------------------------------
 
 def _bessel_triplet(params: ModelParams, r: np.ndarray):
-    return specfn._derivatives(BesselOrder(params.nu), params.lam * r, (0, 1, 2))
+    return specfn.bessel_derivatives(BesselOrder(params.nu), params.lam * r, (0, 1, 2))
 
 
 def psi(params: ModelParams, r):
@@ -221,7 +219,7 @@ def _psi_derivatives(d, lam, r, j, jp, jpp):
 
 def psi_prime(params: ModelParams, r):
     arr = _positive_r(r, "psi_prime")
-    j, jp = specfn._derivatives(BesselOrder(params.nu), params.lam * arr, (0, 1))
+    j, jp = specfn.bessel_derivatives(BesselOrder(params.nu), params.lam * arr, (0, 1))
     return _psi_derivatives(params.n - 1.5, params.lam, arr, j, jp, None)[0]
 
 
@@ -357,7 +355,7 @@ def subsolution_defect(params: ModelParams, r, t):
     return res if np.ndim(r) else float(res[0])
 
 
-def probe_lattice(params: ModelParams, radii: int = 200):
+def probe_lattice(params: ModelParams, radii: int):
     """Log-spaced radii in [1e-4 R, 0.999 R] crossed with the probe times
     0, 0.1, 1 and 5.
 

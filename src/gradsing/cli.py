@@ -54,12 +54,12 @@ def _cmd_specfn_probe(args) -> int:
     try:
         order = specfn.BesselOrder(args.nu)
         for x in args.x:
-            j = specfn.bessel_j(order, x)
             jp, residual = float("nan"), 0.0
             if x > 0:
-                jp = specfn.bessel_j_prime(order, x)
-                jpp = specfn.bessel_j_second(order, x)
+                j, jp, jpp = specfn.bessel_derivatives(order, x, (0, 1, 2))
                 residual = x * x * jpp + x * jp + (x * x - args.nu ** 2) * j
+            else:
+                j = specfn.bessel_j(order, x)
             print(f"{args.nu:.12g},{x:.12g},{j:.12e},{jp:.12e},{residual:.3e}")
     except ValueError as exc:  # an order or argument outside the domain
         raise ConfigError(f"specfn probe: {exc}") from None

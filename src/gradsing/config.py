@@ -8,8 +8,9 @@ enabled checks, and output policy.  Each key is a field of its section's
 dataclass under the field's name, and the section checks its keys when it
 is built: from a file, as a preset, by ``dataclasses.replace`` or in
 Python alike.  The Newton controls and the compact comparison window are
-constants of :mod:`gradsing.solver`, and each check's bound is a constant
-of its check.
+constants of :mod:`gradsing.solver`, the grid's grading exponent is the
+constant ``ContinuationConfig.grading_exponent`` (2.0), and each check's
+bound is a constant of its check.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import io
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from typing import ClassVar
 
 from .solver import GridPolicy, SchemeConfig
 from .verify import CHECKS
@@ -76,12 +78,12 @@ class ContinuationConfig:
     eps_sequence: tuple = (0.04, 0.02, 0.01, 0.005)
     reference_eps: float = 0.02
     num_nodes: int = 400
-    grading_exponent: float = 2.0
     horizon_efolds: float = 5.0
+    # the grid's grading toward the inner radius, the same in every run
+    grading_exponent: ClassVar[float] = 2.0
 
     def __post_init__(self):
         for key, value in (("horizon_efolds", self.horizon_efolds),
-                           ("grading_exponent", self.grading_exponent),
                            *(("eps_sequence", eps) for eps in self.eps_sequence)):
             _require(0.0 < value < math.inf, f"continuation.{key}", value,
                      "is not finite and positive")

@@ -349,7 +349,7 @@ class CutoffCubic:
         if not self.support_radius > self.c_star:
             raise ValueError("support must extend beyond the exact-cube range")
 
-    def _exact_cube(self, s) -> bool:
+    def exact_cube(self, s) -> bool:
         """True when every node lies in [-c*, c*] (False for a NaN).
 
         There the taper factor is exactly 1.0 and its derivative term
@@ -359,14 +359,14 @@ class CutoffCubic:
 
     def apply(self, s):
         s = np.asarray(s, dtype=float)
-        if self._exact_cube(s):
+        if self.exact_cube(s):
             return specfn.int_power(s, 3)
         sigma = (np.abs(s) - self.c_star) / (self.support_radius - self.c_star)
         return specfn.int_power(s, 3) * (1.0 - _smoothstep(sigma))
 
     def derivative(self, s):
         s = np.asarray(s, dtype=float)
-        if self._exact_cube(s):
+        if self.exact_cube(s):
             return 3.0 * s ** 2
         w = self.support_radius - self.c_star
         sigma = (np.abs(s) - self.c_star) / w

@@ -18,7 +18,9 @@ heap, so that a released field's pages leave the process.  A run is one
 ``solver.shared_solves`` block, so a check's rerun that the solver proves
 equal to a held field (the ``cutoff_inactive`` rerun of a reference solve
 that never reached the taper) shares that field's arrays and holds no
-field of its own.
+field of its own.  The ``specfn.shared_evaluations`` blocks of the model
+build, the gates, each annulus set-up and the sandwich check open inside
+it, one at a time.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def build_model(config: RunConfig):
     naming its section.  Bessel evaluations are shared within the call.
     """
     try:
-        params0 = analytic.make_params(config.model.n, config.model.R)
+        params0 = analytic.make_params(config.model.n, config.model.R, 0.0)
     except analytic.AdmissibilityError:
         raise
     except ValueError as exc:
@@ -120,7 +122,7 @@ def build_model(config: RunConfig):
 def analytic_checks(params: ModelParams) -> list[CheckResult]:
     """Closed-form residual gates on the probe lattice; Bessel evaluations
     are shared within the call."""
-    r, t = analytic.probe_lattice(params)
+    r, t = analytic.probe_lattice(params, 200)
     res_s = analytic.residual_stationary(params, r[0])
     scale_s = analytic.stationary_residual_scale(params, r[0])
     worst_s = float(np.max(np.abs(res_s) / scale_s))

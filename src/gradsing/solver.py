@@ -2,9 +2,10 @@
 shrinking-annulus continuation.
 
 Space: second-order finite differences on a graded mesh
-r_i = eps + (R - eps) (i/M)^gamma, which clusters nodes at the inner
-boundary where the solution inherits the r^(-2/3) slope growth of the
-stationary profile.  The radial Laplacian u_rr + (n-1)/r u_r and the
+r_i = eps + (R - eps) (i/M)^gamma (gamma = 2 in every configured run,
+``ContinuationConfig.grading_exponent``), which clusters nodes at the
+inner boundary where the solution inherits the r^(-2/3) slope growth of
+the stationary profile.  The radial Laplacian u_rr + (n-1)/r u_r and the
 gradient in the nonlinearity are nonuniform three-point stencils, one sum
 at the interior nodes; stored fields add one-sided gradients at the ends.
 
@@ -283,7 +284,7 @@ class _Operator:
     def __call__(self, u: np.ndarray):
         """F_h(u), with the gradient du and the cutoff values f it used."""
         du = _three_point(self.weights, u)
-        self.tapered = self.tapered or not self.cutoff._exact_cube(du)
+        self.tapered = self.tapered or not self.cutoff.exact_cube(du)
         f = self.cutoff.apply(du)
         return _three_point(self.lap, u) + u[1:-1] * f, du, f
 
@@ -503,12 +504,9 @@ def shared_solves():
     same bits, so stepping would repeat the same arithmetic.
 
     Completed fields are held weakly, so one that nothing else holds serves
-    no later solve.  Nested blocks share the outermost one's fields, which
-    are dropped when it exits.
+    no later solve.  Each block, a nested one included, holds its own; on
+    exit they are dropped and the enclosing block's, if any, serve again.
     """
-    if _SOLVES.get() is not None:
-        yield
-        return
     token = _SOLVES.set(weakref.WeakValueDictionary())
     try:
         yield

@@ -47,6 +47,7 @@ __all__ = [
     "ZeroBracketingError",
     "nu_of",
     "alpha_of",
+    "bessel_derivatives",
     "bessel_j",
     "bessel_j_prime",
     "bessel_j_second",
@@ -146,7 +147,7 @@ def _series(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stopped keeps its stopping term for the estimate, and the terms it
     still takes are no-ops on its sum.  So every point's value and
     estimate are those of its one-point call, for x in any order; sorted
-    x, as :func:`_derivatives` passes, mostly stop in order.
+    x, as :func:`bessel_derivatives` passes, mostly stop in order.
     """
     gamma = _L(math.gamma(mu + 1.0))
     # leading coefficient 1/Gamma(mu+1); Gamma may legitimately be negative
@@ -227,12 +228,9 @@ def shared_evaluations():
     Each order is evaluated once per set of distinct arguments, and later
     calls on the same set read that evaluation; the values are the bits of
     a fresh evaluation, and every call still runs its accuracy check.
-    Nested blocks share the outermost one's memo, which is dropped when
-    that block exits, so nothing is kept between blocks.
+    Each block, a nested one included, has its own memo; on exit the memo
+    is dropped and the enclosing block's, if any, is read again.
     """
-    if _SHARED.get() is not None:
-        yield
-        return
     token = _SHARED.set({})
     try:
         yield
@@ -251,7 +249,7 @@ def _jv_shared(mu: float, xu: np.ndarray, key: bytes):
     return hit
 
 
-def _derivatives(order: BesselOrder, x, wanted: tuple[int, ...]) -> list:
+def bessel_derivatives(order: BesselOrder, x, wanted: tuple[int, ...]) -> list:
     """J_nu (0), J_nu' (1) and J_nu'' (2) at x, one result per entry of
     ``wanted``: scalars for a scalar x, else arrays of x's shape.
 
@@ -311,17 +309,17 @@ def _derivatives(order: BesselOrder, x, wanted: tuple[int, ...]) -> list:
 
 def bessel_j(order: BesselOrder, x):
     """J_nu(x) for finite x >= 0.  Accepts scalars or arrays of arguments."""
-    return _derivatives(order, x, (0,))[0]
+    return bessel_derivatives(order, x, (0,))[0]
 
 
 def bessel_j_prime(order: BesselOrder, x):
     """d/dx J_nu(x) for finite x > 0, via J_nu' = J_(nu-1) - (nu/x) J_nu."""
-    return _derivatives(order, x, (1,))[0]
+    return bessel_derivatives(order, x, (1,))[0]
 
 
 def bessel_j_second(order: BesselOrder, x):
     """d^2/dx^2 J_nu(x) for finite x > 0, via (J_(nu-2) - 2 J_nu + J_(nu+2)) / 4."""
-    return _derivatives(order, x, (2,))[0]
+    return bessel_derivatives(order, x, (2,))[0]
 
 
 def bisect(right, a: float, b: float, rtol: float) -> tuple[float, float]:

@@ -100,7 +100,7 @@ def test_criterion_01_analytic_residuals():
         p = analytic.make_params(
             n, R=min(0.6, 0.9 * analytic.radius_bound(n)), C=1.0
         )
-        r, t = analytic.probe_lattice(p)
+        r, t = analytic.probe_lattice(p, 200)
         res = analytic.residual_stationary(p, r[0])
         worst_s = max(worst_s, float(np.max(
             np.abs(res) / analytic.stationary_residual_scale(p, r[0])
@@ -160,13 +160,13 @@ def test_criterion_02_special_functions():
 def test_criterion_03_subsolution_property(n2, n3):
     worst = 0.0
     for cfg, params, _ in (n2, n3):
-        r, t = analytic.probe_lattice(params)
+        r, t = analytic.probe_lattice(params, 200)
         worst = max(worst, float(np.max(analytic.subsolution_defect(params, r, t))))
     for n in range(2, 7):
         p = analytic.make_params(
             n, R=min(0.6, 0.9 * analytic.radius_bound(n)), C=1.0
         )
-        r, t = analytic.probe_lattice(p)
+        r, t = analytic.probe_lattice(p, 200)
         worst = max(worst, float(np.max(analytic.subsolution_defect(p, r, t))))
     _, params2, _ = n2
     try:

@@ -142,7 +142,7 @@ class TestBesselBits:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_triplet_on_probe_lattice_equals_row_by_row(self, n, params_by_n):
         p = params_by_n[n]
-        r, _ = np.broadcast_arrays(*analytic.probe_lattice(p))
+        r, _ = np.broadcast_arrays(*analytic.probe_lattice(p, 200))
         order = specfn.BesselOrder(p.nu)
         lattice = analytic._bessel_triplet(p, r)
         assert r.shape == (4, 200)
@@ -186,7 +186,7 @@ class TestLinearizedResidual:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_residual_on_probe_lattice(self, n, params_by_n):
         p = params_by_n[n]
-        r, t = analytic.probe_lattice(p)
+        r, t = analytic.probe_lattice(p, 200)
         res = analytic.residual_linearized(p, r, t)
         v = analytic.v_mode(p, r, t)
         assert np.max(np.abs(res) / np.maximum(1.0, np.abs(v))) < 1e-8
@@ -207,7 +207,7 @@ class TestSubsolution:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_defect_nonpositive_on_probe_lattice(self, n, params_by_n):
         p = params_by_n[n]
-        r, t = analytic.probe_lattice(p)
+        r, t = analytic.probe_lattice(p, 200)
         assert np.max(analytic.subsolution_defect(p, r, t)) <= 1e-8
 
     def test_zero_amplitude_defect_zero(self):
@@ -245,12 +245,25 @@ class TestAdmissibility:
             make_params(2)
         with pytest.raises(TypeError):
             make_params(2, R=0.6, lam=1.0)
-        p = make_params(2, R=0.6)
+        p = make_params(2, R=0.6, C=0.0)
         assert p.lam == 0.9 * p.x1 / 0.6
+
+    def test_model_and_lattice_take_no_defaults(self, params_n2):
+        """Each caller passes the amplitude C and the count of radii."""
+        with pytest.raises(TypeError):
+            make_params(2, R=0.6)
+        with pytest.raises(TypeError):
+            analytic.probe_lattice(params_n2)
+
+    @pytest.mark.parametrize("n", [1, 0, -3, 2.5])
+    def test_bound_rejects_a_dimension_nu_of_rejects(self, n):
+        """The Bessel order nu_of(n) is the bound's one dimension check."""
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            analytic.max_admissible_R(n, 1.0)
 
     def test_make_params_rejects_inadmissible_pair(self):
         with pytest.raises(AdmissibilityError):
-            make_params(2, R=0.62)  # R above the n=2 radius bound 0.612
+            make_params(2, R=0.62, C=0.0)  # R above the n=2 radius bound 0.612
 
     def test_model_takes_only_n_R_and_C(self, params_n2):
         """Everything else is derived, so it cannot be set to disagree."""
@@ -278,8 +291,8 @@ class TestAdmissibility:
             ModelParams(n, R, 0.0)
 
     def test_weak_form_flag(self):
-        assert not make_params(2, R=0.6).weak_form_ok
-        assert make_params(3, R=0.6).weak_form_ok
+        assert not make_params(2, R=0.6, C=0.0).weak_form_ok
+        assert make_params(3, R=0.6, C=0.0).weak_form_ok
 
 
 class TestModeMonotonicity:

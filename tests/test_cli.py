@@ -43,7 +43,6 @@ dt = 0.002
 eps_sequence = 0.05, 0.04
 reference_eps = 0.04
 num_nodes = 120
-grading_exponent = 2.0
 horizon_efolds = 2.0
 
 [verify]
@@ -102,7 +101,7 @@ EVERY_FIELD = RunConfig(
     scheme=solver.SchemeConfig(time_stepper="crank_nicolson", dt=5e-4),
     continuation=ContinuationConfig(
         eps_sequence=(0.03, 0.015), reference_eps=0.015, num_nodes=200,
-        grading_exponent=1.5, horizon_efolds=4.0),
+        horizon_efolds=4.0),
     verify=VerifyConfig(enabled=("sandwich", "decay")),
     output=OutputConfig(directory="runs/every", save_every=5),
 )
@@ -116,9 +115,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("name, digest", [
         ("n2-standard",
-         "cbe058303049c6dc9f2b895273b167862f23e2780f7dac540eb8b3d0c9cece1e"),
+         "6ed54919643f0178a38764cfbc32a7a60160a80c3d860fef27f041446e8a3536"),
         ("n3-weak",
-         "70132dd14ad7c4c3ac59dcc69aebcbab29f3901e33fc52f0b34b2d31522bbbdd"),
+         "dd9353d21a0ee1ef3842017bfb6156422bc2cd5d86123d9b6bea553daece1b9a"),
     ])
     def test_preset_hash_pinned(self, name, digest):
         assert preset(name).content_hash() == digest
@@ -132,6 +131,16 @@ class TestConfig:
                     assert getattr(value, f.name) != f.default, \
                         f"{section.name}.{f.name} left at its default"
         assert load_config(cfg.canonical_text()) == cfg
+
+    def test_grading_exponent_is_a_constant_not_a_key(self):
+        """Every run grades its grids with gamma = 2; no file, preset or
+        replace sets it, and the canonical text does not name it."""
+        cfg = preset("n2-standard")
+        assert ContinuationConfig.grading_exponent == 2.0
+        assert cfg.continuation.grid_policy == solver.GridPolicy(400, 2.0)
+        assert "grading_exponent" not in cfg.canonical_text()
+        with pytest.raises(TypeError):
+            dataclasses.replace(cfg.continuation, grading_exponent=1.5)
 
     def test_all_next_to_a_typo_rejected(self):
         with pytest.raises(ConfigError, match="verify.enabled"):
@@ -1539,18 +1548,19 @@ class TestCLI:
         ("0.05, 0.04", "nan, 0.04", "continuation.eps_sequence"),
         ("0.05, 0.04", "0.05, 0.04, 0", "continuation.eps_sequence"),
         ("0.05, 0.04", "0.05, 0.04, -0.01", "continuation.eps_sequence"),
-        *(("grading_exponent = 2.0", f"grading_exponent = {value}",
-           "continuation.grading_exponent") for value in ("nan", "0", "-1")),
+        ("num_nodes = 120", "num_nodes = 120\ngrading_exponent = 2.0",
+         "continuation.grading_exponent"),
         ("blend_exponent = 2", "blend_exponent = nan", "initdata.blend_exponent"),
         *(("deficit_amplitude = 0.25", f"deficit_amplitude = {value}",
            "initdata.deficit_amplitude") for value in ("nan", "inf")),
     ])
     def test_value_outside_its_key_domain_is_config_error(
             self, command, old, new, key, capsys, tmp_path, monkeypatch):
-        """A node count, save stride, radius, grading or datum value outside
-        its domain exits 2 with a configuration error naming its key, not 1
-        with a traceback, 0 with the value silently changed, or 2 with a
-        message that names no key; and it writes no field."""
+        """A node count, save stride, radius or datum value outside its
+        domain, or the grading exponent, which is a constant and no key,
+        exits 2 with a configuration error naming its key, not 1 with a
+        traceback, 0 with the value silently changed, or 2 with a message
+        that names no key; and it writes no field."""
         monkeypatch.setenv("GRADSING_OUTPUT_ROOT", str(tmp_path))
         cfg_path = tmp_path / "bad.ini"
         cfg_path.write_text(QUICK_CONFIG.replace(

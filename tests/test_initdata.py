@@ -396,7 +396,7 @@ class TestCutoff:
         c = 7.123456789
         co = CutoffCubic(c_star=c, support_radius=2.0 * c)
         s = np.array([-c, -3.0, np.nan, 0.5, c])
-        assert not co._exact_cube(s)
+        assert not co.exact_cube(s)
         calls = []
         smooth = initdata_module._smoothstep
         monkeypatch.setattr(initdata_module, "_smoothstep",

@@ -649,8 +649,8 @@ class TestSharedSolves:
 
     def test_nothing_kept_after_the_block(self, monkeypatch):
         """A field kept in one block, still alive, serves no solve after the
-        block exits, nor in a later block; a nested block shares the outer
-        one's fields."""
+        block exits, nor in a later block; a nested block holds its own
+        fields, and the outer block's serve again after it."""
         prob, grid, scheme = _n2_problem(0.02)
         wide, _, _ = _n2_problem(0.02, wide=True)
         with solver.shared_solves():
@@ -658,7 +658,11 @@ class TestSharedSolves:
             with solver.shared_solves():
                 _, steps = _stepped(monkeypatch, lambda: solve_annulus(
                     wide, grid, self.T, scheme))
+            assert steps > 0
+            shared, steps = _stepped(monkeypatch, lambda: solve_annulus(
+                wide, grid, self.T, scheme))
             assert steps == 0
+            assert np.shares_memory(shared.values, first.values)
         for block in (solver.shared_solves(), contextlib.nullcontext()):
             with block:
                 rerun, steps = _stepped(monkeypatch, lambda: solve_annulus(

@@ -420,10 +420,25 @@ class TestZeroSearchReplay:
         near = [z.x0 + d for d in (-1e-12, -2.0 ** -45, 0.0, 1e-12)]
         near += [z.x1 + d for d in (-1e-12, 0.0, 2.0 ** -45, 1e-12)]
         x = np.concatenate([np.linspace(o.nu, specfn._X_MAX, 192), near])
-        j, jp = specfn._derivatives(o, x, (0, 1))
+        j, jp = specfn.bessel_derivatives(o, x, (0, 1))
         for xi, ji, jpi in zip(x.tolist(), j.tolist(), jp.tolist()):
-            alone = specfn._derivatives(o, xi, (0, 1))
+            alone = specfn.bessel_derivatives(o, xi, (0, 1))
             assert [v.hex() for v in alone] == [ji.hex(), jpi.hex()], xi
+
+
+class TestBesselDerivatives:
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 1.5707963267948966, 13.55, 25.0])
+    def test_one_call_has_the_bits_of_the_three_public_calls(self, x):
+        """``gradsing specfn probe`` takes J, J' and J'' from one call and
+        prints the bytes of three separate calls, beyond the served domain
+        too."""
+        o = BesselOrder(NU_REF[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", specfn.BesselAccuracyWarning)
+            triple = specfn.bessel_derivatives(o, x, (0, 1, 2))
+            separate = (specfn.bessel_j(o, x), specfn.bessel_j_prime(o, x),
+                        specfn.bessel_j_second(o, x))
+        assert [v.hex() for v in triple] == [v.hex() for v in separate]
 
 
 @pytest.fixture(scope="module")
@@ -473,15 +488,20 @@ class TestSharedEvaluations:
         assert raw_calls.count(1200) == 2  # J_nu and J_(nu-1)
         assert specfn._SHARED.get() is None
 
-    def test_nested_blocks_share_the_outermost_memo(self, raw_calls):
+    def test_nested_block_has_its_own_memo(self, raw_calls):
+        """A nested block neither reads nor keeps the outer memo, and its
+        exit restores the outer one."""
         o = BesselOrder(NU_REF[3])
         with specfn.shared_evaluations():
+            specfn.bessel_j(o, 2.0)
+            outer = specfn._SHARED.get()
             with specfn.shared_evaluations():
+                assert specfn._SHARED.get() == {}
                 specfn.bessel_j(o, 2.0)
-            assert specfn._SHARED.get()  # the inner exit keeps it
+            assert specfn._SHARED.get() is outer and len(outer) == 1
             specfn.bessel_j_prime(o, 2.0)
         assert specfn._SHARED.get() is None
-        assert len(raw_calls) == 2  # J_nu once, then J_(nu-1)
+        assert len(raw_calls) == 3  # J_nu in each block, then J_(nu-1)
 
     def test_memo_hit_still_warns(self, raw_calls):
         with warnings.catch_warnings(record=True) as caught:

@@ -73,7 +73,7 @@ def test_readme_config_table_names_every_key():
     sections = [("run", config.RunConfig), *config._sections()]
     assert rows == [f"{name}.{f.name}" for name, cls in sections
                     for f in config._keys(cls)]
-    assert len(rows) == 16  # run.name and the 15 section keys
+    assert len(rows) == 15  # run.name and the 14 section keys
 
 
 def _subcommands(parser, prefix=()):
@@ -142,7 +142,9 @@ def test_import_puts_scipy_in_sys_modules():
 
 def _private_reads(path: Path) -> set:
     """"module._name" for each private name of a sibling module that the
-    source at ``path`` reads, as an attribute or by a relative import."""
+    source at ``path`` reads, as an attribute or by a relative import, and
+    the source text of each other ``_name`` attribute read through anything
+    but a bare ``self`` or ``cls``."""
     tree = ast.parse(path.read_text())
     modules, reads = {}, set()
     for node in ast.walk(tree):
@@ -153,10 +155,14 @@ def _private_reads(path: Path) -> set:
                 elif alias.name.startswith("_"):
                     reads.add(f"{node.module}.{alias.name}")
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in modules and node.attr.startswith("_")
+        if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")
                 and not node.attr.endswith("__")):
-            reads.add(f"{modules[node.value.id]}.{node.attr}")
+            continue
+        owner = node.value.id if isinstance(node.value, ast.Name) else None
+        if owner in modules:
+            reads.add(f"{modules[owner]}.{node.attr}")
+        elif owner not in ("self", "cls"):
+            reads.add(ast.unparse(node))
     return reads
 
 
@@ -164,18 +170,20 @@ def test_private_reads_finds_attributes_and_imports(tmp_path):
     source = tmp_path / "mod.py"
     source.write_text("from . import solver as s, verify\n"
                       "from .report import _row, within\n"
-                      "s._spline_at(verify.CHECKS, verify.__name__, np._x)\n")
-    assert _private_reads(source) == {"solver._spline_at", "report._row"}
+                      "s._spline_at(verify.CHECKS, verify.__name__, np._x)\n"
+                      "self._own, cls._own, self.cutoff._cube, f()._y\n")
+    assert _private_reads(source) == {
+        "solver._spline_at", "report._row", "np._x", "self.cutoff._cube",
+        "f()._y"}
 
 
 def test_no_module_reads_another_modules_private_name():
     """A module of the package reads no private name of another, by
-    attribute or by import, except the Bessel boundary where ``analytic``
-    takes J, J' and J'' from one ``specfn._derivatives`` call."""
+    attribute (through a module or any other object) or by import."""
     found = {(path.stem, name)
              for path in sorted((ROOT / "src" / "gradsing").glob("*.py"))
              for name in _private_reads(path)}
-    assert found <= {("analytic", "specfn._derivatives")}
+    assert found == set()
 
 
 def test_perfbench_selftest_passes():
