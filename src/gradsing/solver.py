@@ -531,7 +531,7 @@ def solve_annulus(problem: EpsilonProblem, grid: RadialGrid, T: float,
     if grid.nodes_per_inner_decade < 3:
         raise ValueError(
             "grid resolves fewer than 3 nodes in the first radial decade; "
-            "increase the node count or the grading exponent"
+            "increase the node count"
         )
     kept = _SOLVES.get()
     if kept is not None:
